@@ -2,7 +2,6 @@
 associative algebras over Q."""
 
 from .autgroup import (
-    ElementarySpec,
     NonConstantLastError,
     UniAut,
     VariableLeakError,

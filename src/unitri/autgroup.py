@@ -200,33 +200,6 @@ def difference_preimage(target, shift=1):
     return NcPoly._raw(2, {(2,) * k: v for k, v in r.items() if v})
 
 
-class ElementarySpec:
-    """One-variable substitution data x_i -> scale * x_i + offset.
-
-    Kept for describing scaled elementary maps; only scale == 1 yields a
-    group element here, via as_unitriangular()."""
-
-    __slots__ = ("index", "scale", "offset")
-
-    def __init__(self, index, scale, offset):
-        scale = Fraction(scale)
-        if not scale:
-            raise ValueError("scale must be nonzero")
-        if offset.degree_in_var(index) > 0:
-            raise VariableLeakError(index, f"offset involves x{index}")
-        self.index = index
-        self.scale = scale
-        self.offset = offset
-
-    def as_unitriangular(self):
-        if self.scale != 1:
-            raise ValueError("only scale 1 gives a unitriangular automorphism")
-        rank = self.offset.rank
-        offs = [NcPoly.zero(rank)] * rank
-        offs[self.index - 1] = self.offset
-        return UniAut(rank, offs)
-
-
 # -- sampling ----------------------------------------------------------------
 
 

@@ -61,8 +61,6 @@ def _add_global_flags(parser, suppress=False):
                         help="degree bound for sampled substitutions (default 2)")
     parser.add_argument("--cap", type=int, default=d(5),
                         help="degree cap for layer computations (default 5)")
-    parser.add_argument("--working-cap", type=int, default=d(None),
-                        help="cap on intermediate degrees (default: as needed)")
     if suppress:
         parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
                             help="emit JSON")
@@ -136,8 +134,7 @@ def _emit(args, data, text):
 
 def _pit_config(args):
     return PitConfig(seed=args.seed, trials=args.trials,
-                     subst_degree=args.subst_degree, height=10,
-                     working_cap=args.working_cap)
+                     subst_degree=args.subst_degree, height=10)
 
 
 def _cmd_parse(args):
@@ -274,10 +271,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    if args.working_cap is not None and args.working_cap < args.cap * args.subst_degree:
-        print(f"error: working cap {args.working_cap} is below "
-              f"cap * subst-degree = {args.cap * args.subst_degree}", file=sys.stderr)
-        return 2
     try:
         return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:

@@ -395,26 +395,11 @@ class CommPoly:
         return hash((self.rank, frozenset(self.terms.items())))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for exps in sorted(self.terms, key=lambda e: (sum(e), e)):
-            c = self.terms[exps]
-            body = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps) if e)
-            mag = abs(c)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if c > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-        return " ".join(pieces)
+        return join_signed_terms(
+            (self.terms[exps],
+             "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
+                      for i, e in enumerate(exps) if e))
+            for exps in sorted(self.terms, key=lambda e: (sum(e), e)))
 
     def __repr__(self):
         return f"CommPoly({self.rank}, {str(self)!r})"
@@ -452,25 +437,31 @@ def _word_str(word):
     return "*".join(parts)
 
 
-def format_poly(p):
-    """Canonical rendering: graded-lex term order, explicit '*'."""
-    if not p.terms:
-        return "0"
+def join_signed_terms(terms):
+    """Render (nonzero coefficient, monomial text) pairs as a signed sum,
+    e.g. "1 + x2*x3 - 3/2*x3*x2".  An empty monomial text marks the
+    constant term; a unit coefficient is left implicit; no terms give "0".
+    """
     pieces = []
-    for word in sorted(p.terms, key=grlex_key):
-        c = p.terms[word]
+    for c, body in terms:
         mag = abs(c)
-        if not word:
+        if not body:
             text = str(mag)
         elif mag == 1:
-            text = _word_str(word)
+            text = body
         else:
-            text = f"{mag}*{_word_str(word)}"
+            text = f"{mag}*{body}"
         if not pieces:
             pieces.append(text if c > 0 else f"-{text}")
         else:
             pieces.append(f"+ {text}" if c > 0 else f"- {text}")
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
+
+
+def format_poly(p):
+    """Canonical rendering: graded-lex term order, explicit '*'."""
+    return join_signed_terms((p.terms[w], _word_str(w))
+                             for w in sorted(p.terms, key=grlex_key))
 
 
 class _Parser:

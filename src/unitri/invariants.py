@@ -24,6 +24,7 @@ afterwards.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,7 @@ from .freealg import (
     c_generator,
     format_poly,
     grlex_key,
+    join_signed_terms,
     ring_commutator,
 )
 from .linalg import Echelon, nullspace
@@ -46,7 +48,7 @@ AMBIENT_RANK = 3
 
 
 class CapViolationError(ValueError):
-    """A degree cap was exceeded or a working cap is too small."""
+    """A degree cap was exceeded."""
 
 
 class NonHomogeneousGeneratorError(ValueError):
@@ -55,19 +57,12 @@ class NonHomogeneousGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class PitConfig:
-    """Knobs for randomized invariance checking.
-
-    working_cap bounds the degrees that intermediate computations may
-    visit; it must be at least cap * subst_degree for a degree-cap space
-    (substituting x2 -> x2 + g raises degree by up to a factor of
-    subst_degree).  None means "as large as needed".
-    """
+    """Knobs for randomized invariance checking."""
 
     seed: int = 0
     trials: int = 20
     subst_degree: int = 2
     height: int = 10
-    working_cap: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,15 +71,6 @@ class PitConfig:
             raise ValueError("subst_degree must be >= 1")
         if self.height < 1:
             raise ValueError("height must be >= 1")
-
-    def working_cap_for(self, cap):
-        need = cap * self.subst_degree
-        if self.working_cap is None:
-            return need
-        if self.working_cap < need:
-            raise CapViolationError(
-                f"working cap {self.working_cap} < {cap} * {self.subst_degree}")
-        return self.working_cap
 
 
 def _require_rank3(p, what="polynomial"):
@@ -305,7 +291,6 @@ def s_layer_basis(m, cap, cfg):
         raise ValueError("layer order must be >= 1")
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    cfg.working_cap_for(cap)
     layer = _layer_echelons(m, cap, cfg.subst_degree)
     ech = Echelon(key=grlex_key)
     for bd in sorted(layer, key=lambda kl: (kl[0] + kl[1], kl[0])):
@@ -388,23 +373,8 @@ class SubalgebraExpr:
         return total
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for coeff, word in self.terms:
-            body = "*".join(f"g{i + 1}" for i in word)
-            mag = abs(coeff)
-            if not body:
-                text = str(mag)
-            elif mag == 1:
-                text = body
-            else:
-                text = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(text if coeff > 0 else f"-{text}")
-            else:
-                pieces.append(f"+ {text}" if coeff > 0 else f"- {text}")
-        return " ".join(pieces)
+        return join_signed_terms((coeff, "*".join(f"g{i + 1}" for i in word))
+                                 for coeff, word in self.terms)
 
     def __repr__(self):
         return f"SubalgebraExpr({str(self)!r})"
@@ -462,126 +432,92 @@ def c_product_span(cap):
 # -- free-module straightening ------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _lyndon_words(maxlen):
-    """Lyndon words over the alphabet (2, 3), lengths 1..maxlen, in
-    lexicographic order (Duval's generation)."""
-    alphabet = (2, 3)
-    out = []
-    w = [0]
-    while w:
-        out.append(tuple(alphabet[c] for c in w))
-        m = len(w)
-        while len(w) < maxlen:
-            w.append(w[len(w) - m])
-        while w and w[-1] == len(alphabet) - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    return tuple(sorted(out, key=lambda t: (len(t), t)))
+@lru_cache(maxsize=256)
+def _leibniz_term(k, j):
+    """ad_x2^j(ad_x3^k(x2)) with ad_y(u) = y*u - u*y, as a tuple of
+    (word, integer coefficient) pairs.  It lies in the commutator
+    subalgebra whenever k >= 1."""
+    if j:
+        y, inner = 2, _leibniz_term(k, j - 1)
+    elif k:
+        y, inner = 3, _leibniz_term(k - 1, 0)
+    else:
+        return (((2,), 1),)
+    acc = {}
+    for w, c in inner:
+        _add_term(acc, (y,) + w, c)
+        _add_term(acc, w + (y,), -c)
+    return tuple(acc.items())
 
 
-@lru_cache(maxsize=None)
-def _standard_bracketing(word):
-    """Right-normed bracketing along the standard factorization: the
-    splitting point starts the lexicographically smallest proper suffix."""
-    if len(word) == 1:
-        return NcPoly.variable(word[0], 3)
-    split = min(range(1, len(word)), key=lambda i: word[i:])
-    return ring_commutator(_standard_bracketing(word[:split]),
-                           _standard_bracketing(word[split:]))
+def _add_term(acc, word, c):
+    v = acc.get(word, 0) + c
+    if v:
+        acc[word] = v
+    else:
+        acc.pop(word, None)
 
 
-@lru_cache(maxsize=None)
-def _commutator_algebra_basis(degree):
-    """Basis of the degree-`degree` slice of the subalgebra generated by
-    all higher commutators of x2 and x3.
+def _straighten_word(word):
+    """Integer straightening map {(a, b): {word: int}} of a single word.
 
-    The bracketed words of length >= 2 span the commutator part of the
-    free Lie algebra; ordered products of those span the subalgebra they
-    generate, one basis monomial per nondecreasing index sequence.
+    The word is folded letter by letter, keeping the prefix in the form
+    sum r_(a,b) * x2^a * x3^b.  Appending x3 only raises b; appending x2
+    uses the Leibniz rules
+      x3^b * x2 = sum_k C(b,k) * ad_x3^k(x2) * x3^(b-k)
+      x2^a * u  = sum_j C(a,j) * ad_x2^j(u) * x2^(a-j)
+    whose k = 0 term is x2^(a+1) * x3^b.
     """
-    if degree == 0:
-        return (NcPoly.one(3),)
-    if degree == 1:
-        return ()
-    lie = [(_standard_bracketing(w), len(w))
-           for w in _lyndon_words(degree) if len(w) >= 2]
-    out = []
-
-    def rec(total, start):
-        if total == 0:
-            yield ()
-            return
-        for i in range(start, len(lie)):
-            if lie[i][1] > total:
-                continue
-            for rest in rec(total - lie[i][1], i):
-                yield (i,) + rest
-
-    for word in rec(degree, 0):
-        prod = NcPoly.one(3)
-        for i in word:
-            prod = prod * lie[i][0]
-        out.append(prod)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _straighten_candidates(degree):
-    """All products r * x2^a * x3^b of total degree `degree`, with r a
-    commutator-subalgebra basis element; by freeness of the module these
-    are a basis of the whole degree slice."""
-    x2 = NcPoly.variable(2, 3)
-    x3 = NcPoly.variable(3, 3)
-    cands = []
-    for alpha in range(degree + 1):
-        for beta in range(degree - alpha + 1):
-            rest = degree - alpha - beta
-            for ridx, r in enumerate(_commutator_algebra_basis(rest)):
-                cands.append(((alpha, beta, ridx),
-                              r * x2 ** alpha * x3 ** beta, r))
-    return tuple(cands)
-
-
-@lru_cache(maxsize=None)
-def _straighten_solver(degree):
-    ech = Echelon(key=grlex_key, track=True)
-    coeffs = {}
-    for tag, poly, r in _straighten_candidates(degree):
-        if not ech.insert(poly.terms, tag):
-            raise RuntimeError(
-                "module basis candidates are dependent; this is a bug")
-        coeffs[tag] = r
-    if ech.dim != 2 ** degree:
-        raise RuntimeError("module basis does not span; this is a bug")
-    return ech, coeffs
+    state = {(0, 0): {(): 1}}
+    for letter in word:
+        if letter == 3:
+            state = {(a, b + 1): r for (a, b), r in state.items()}
+            continue
+        nxt = {}
+        for (a, b), r in state.items():
+            target = nxt.setdefault((a + 1, b), {})
+            for w, c in r.items():
+                _add_term(target, w, c)
+            for k in range(1, b + 1):
+                for j in range(a + 1):
+                    term = _leibniz_term(k, j)
+                    scale = math.comb(b, k) * math.comb(a, j)
+                    target = nxt.setdefault((a - j, b - k), {})
+                    for w1, c1 in r.items():
+                        c1 *= scale
+                        for w2, c2 in term:   # _add_term inlined: hot loop
+                            w = w1 + w2
+                            v = target.get(w, 0) + c1 * c2
+                            if v:
+                                target[w] = v
+                            else:
+                                del target[w]
+        state = nxt
+    return state
 
 
 def specht_straighten(f, cap):
     """Write f as sum of r_(a,b) * x2^a * x3^b with commutator-subalgebra
     coefficients r_(a,b) on the left.
 
-    The free-module structure makes the decomposition unique; it is
-    found degree by degree through an exact linear solve, and a failed
-    solve signals an implementation bug rather than a data error.
+    Q<x2, x3> is a free left module over the subalgebra generated by the
+    commutators, with basis the x2^a * x3^b (Lazard elimination), so the
+    decomposition is unique.  It is computed in closed form: each word is
+    straightened by the Leibniz rules of _straighten_word, whose
+    coefficients are all integers, and f's coefficient multiplies the
+    word's map once at the end.  The result is keyed by (a, b) in
+    increasing order and omits zero coefficients.
     """
     _require_vars(f, (2, 3), "f")
     if f.degree() > cap:
         raise CapViolationError(f"degree {f.degree()} exceeds cap {cap}")
     out = {}
-    for d, comp in f.homogeneous_components().items():
-        if d == 0:
-            out[(0, 0)] = out.get((0, 0), NcPoly.zero(3)) + comp
-            continue
-        ech, coeffs = _straighten_solver(d)
-        combo = ech.express(comp.terms)
-        if combo is None:
-            raise RuntimeError("free-module decomposition failed; this is a bug")
-        for (alpha, beta, ridx), c in combo.items():
-            key = (alpha, beta)
-            out[key] = out.get(key, NcPoly.zero(3)) + coeffs[(alpha, beta, ridx)] * c
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    for word, coeff in f.terms.items():
+        for key, r in _straighten_word(word).items():
+            terms = out.setdefault(key, {})
+            for w, n in r.items():
+                _add_term(terms, w, coeff * n)
+    return {k: NcPoly._raw(3, t) for k, t in sorted(out.items()) if t}
 
 
 def straighten_reconstruct(components):

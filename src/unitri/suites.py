@@ -414,7 +414,7 @@ def suite_proposition1():
              for k in range(1, 4) for N in range(1, 6))
     results.append(CheckResult("commutator expansion identity", ok,
                                "k <= 3, N <= 5, exact"))
-    cfg = PitConfig(seed=99, trials=10, subst_degree=2, height=6, working_cap=10)
+    cfg = PitConfig(seed=99, trials=10, subst_degree=2, height=6)
     ok = True
     for k, m in ((1, 1), (2, 1), (1, 2)):
         verdict = proposition_noninvariance_probe(k, m, cfg, cap=5)
@@ -430,7 +430,7 @@ def suite_proposition1():
 
 
 def suite_remark_pi():
-    cfg = PitConfig(seed=111, trials=10, subst_degree=2, height=6, working_cap=8)
+    cfg = PitConfig(seed=111, trials=10, subst_degree=2, height=6)
     results = []
     for m in (1, 2, 3):
         report = remark_pi_check(m, 4, cfg)

@@ -8,18 +8,16 @@ also assert their wall-clock limits.
 import random
 import time
 
-from unitri.freealg import NcPoly, grlex_key
 from unitri.invariants import (
     PitConfig,
-    _straighten_candidates,
     hypothesis1_report,
     specht_straighten,
     straighten_reconstruct,
 )
-from unitri.linalg import Echelon
 from unitri.suites import SUITES
 
 from conftest import rand_poly
+from straighten_oracle import shuffled_solve_straighten
 
 _cache = {}
 
@@ -124,23 +122,7 @@ def test_criterion_11_straightening():
     for _ in range(20):
         f = rand_poly(rng, 3, 5, vars_from=2)
         expected = specht_straighten(f, 5)
-        out = {}
-        for d, comp in f.homogeneous_components().items():
-            if d == 0:
-                out[(0, 0)] = out.get((0, 0), NcPoly.zero(3)) + comp
-                continue
-            cands = list(_straighten_candidates(d))
-            rng.shuffle(cands)
-            ech = Echelon(key=grlex_key, track=True)
-            coeffs = {}
-            for tag, poly, r in cands:
-                ech.insert(poly.terms, tag)
-                coeffs[tag] = r
-            combo = ech.express(comp.terms)
-            assert combo is not None
-            for (a, b, ridx), c in combo.items():
-                out[(a, b)] = out.get((a, b), NcPoly.zero(3)) + coeffs[(a, b, ridx)] * c
-        assert {k: v for k, v in out.items() if not v.is_zero()} == expected
+        assert shuffled_solve_straighten(f, rng) == expected
     print(f"ACCEPTANCE 11 PASS: straightening reconstructs 200 random inputs "
           f"exactly and is order-independent [{time.time() - start:.1f}s]")
 

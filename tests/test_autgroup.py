@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from unitri.autgroup import (
-    ElementarySpec,
     NonConstantLastError,
     UniAut,
     VariableLeakError,
@@ -292,17 +291,3 @@ def test_parse_aut_rejects_scaled_images():
 def test_json_round_trip():
     phi = parse_aut("x1 + x2*x3; x2 + x3^2; x3 + 1")
     assert aut_from_json(aut_to_json(phi)) == phi
-
-
-def test_elementary_spec():
-    offset = parse_poly("x3^2", 3)
-    spec = ElementarySpec(2, 1, offset)
-    assert spec.as_unitriangular() == UniAut(
-        3, [NcPoly.zero(3), offset, NcPoly.zero(3)])
-    with pytest.raises(ValueError):
-        ElementarySpec(2, 0, offset)
-    with pytest.raises(VariableLeakError):
-        ElementarySpec(3, 1, offset)
-    scaled = ElementarySpec(2, 2, offset)
-    with pytest.raises(ValueError):
-        scaled.as_unitriangular()

@@ -154,9 +154,3 @@ def test_verify_json_shape(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, _ = run(capsys, "verify", "lemma99")
     assert code == 2
-
-
-def test_working_cap_validated_at_startup(capsys):
-    code, _, err = run(capsys, "--working-cap", "3", "--cap", "5", "invariants")
-    assert code == 2
-    assert "working cap" in err
