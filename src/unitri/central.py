@@ -17,7 +17,7 @@ from functools import total_ordering
 from .autgroup import UniAut, random_aut_rng
 from .freealg import NcPoly, abelianize, c_generator
 from .invariants import CapViolationError, s_layer_basis, subalgebra_membership
-from .verdict import Verdict
+from .verdict import FAILS, Verdict
 
 
 @total_ordering
@@ -164,8 +164,12 @@ def u3_hypercenter_level_truncated(phi, cap, cfg, max_level=None):
     2w + max(d, 1) (a constant offset cannot sit at a limit level, and
     the finite band above 2w starts at 1).  An element moving only x1 is
     placed at the least finite m with its offset inside the computed
-    order-m layer; when no m up to `max_level` certifies membership, the
-    smallest band consistent with the abelianized image is reported
+    order-m layer.  A computed layer is a truncation containing the true
+    one, so that m bounds the level from below and is reported
+    probably_holds (with the layer's provenance, or, when the layer
+    itself was found truncated, a lower-bound note instead of the
+    layer's failure).  When no m up to `max_level` certifies membership,
+    the smallest band consistent with the abelianized image is reported
     instead, never asserted.
     """
     _require_rank(phi, 3)
@@ -190,8 +194,15 @@ def u3_hypercenter_level_truncated(phi, cap, cfg, max_level=None):
                             for k in range(1, max(deg, 2))]
                     if f1.degree() <= 0 or subalgebra_membership(f1, gens) is not None:
                         return OrdinalLevel(0, 1), Verdict.holds()
+                if layer.verdict.kind == FAILS:
+                    # the witness moves the layer, not phi: a truncated layer
+                    # contains the true one, so m only bounds the level below
+                    return OrdinalLevel(0, m), Verdict.probably_holds(
+                        provenance=f"lower bound: layer {m} is truncated")
                 return OrdinalLevel(0, m), layer.verdict
-        return OrdinalLevel(1, 1), Verdict.probably_holds(cfg.trials)
+        return OrdinalLevel(1, 1), Verdict.probably_holds(
+            provenance=f"outside computed layers 1..{bound}, unsampled")
     # an x2-degree-t abelianized image is compatible with the band w+(t+1)
     # and nothing below it
-    return OrdinalLevel(1, int(x2_weight) + 1), Verdict.probably_holds(cfg.trials)
+    return OrdinalLevel(1, int(x2_weight) + 1), Verdict.probably_holds(
+        provenance="abelianisation bound, unsampled")

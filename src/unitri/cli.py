@@ -58,7 +58,7 @@ def _add_global_flags(parser, suppress=False):
     parser.add_argument("--trials", type=int, default=d(20),
                         help="trials for randomized checks (default 20)")
     parser.add_argument("--subst-degree", type=int, default=d(2),
-                        help="degree bound for sampled substitutions (default 2)")
+                        help="enforced shift degree (default 2)")
     parser.add_argument("--cap", type=int, default=d(5),
                         help="degree cap for layer computations (default 5)")
     if suppress:

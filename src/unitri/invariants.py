@@ -5,20 +5,25 @@ The acting group is the rank-2 family of substitutions
 x2 -> x2 + g(x3), x3 -> x3 + h with g a polynomial in x3 and h a scalar.
 Layer 1 of the tower is the algebra of fixed elements; layer m+1 holds
 the elements whose defect under every such substitution falls into
-layer m.
+layer m.  Layer 0 is {0}.
 
-Quantifying over all substitutions is not finitely checkable, so the
-computed layers are truncations: they enforce shifts of degree up to
-PitConfig.subst_degree and are reported with a probabilistic verdict.
 Over Q the substitution family is generated by one-parameter subgroups,
 and in characteristic zero a polynomial is fixed by the subgroup for
-x2 -> x2 + t*x3^j exactly when the derivation sending x2 to x3^j kills
-it (the orbit map is a polynomial exponential of that derivation, and
-the linear coefficient must vanish).  The tower is therefore computed
-exactly, one bidegree slice at a time, from those derivation kernels:
-this is the stabilized form of the sampled-defect kernel, and every
-reported basis vector is re-verified against fresh random substitutions
-afterwards.
+x2 -> x2 + t*x3^j exactly when the derivation D_j sending x2 to x3^j
+kills it (the orbit map is a polynomial exponential of that derivation,
+and the linear coefficient must vanish); likewise x3 -> x3 + t and the
+derivation d3 sending x3 to 1.  Quantifying over every j is not finitely
+checkable, so the computed layers are truncations: layer m is the joint
+kernel of d3 and D_0..D_sd (sd = PitConfig.subst_degree) modulo layer
+m-1, computed exactly one bidegree slice at a time.
+
+Nothing is sampled.  Every reported basis vector is checked exactly: d3
+and D_j for j <= sd must map it into layer m-1 (anything else is a bug),
+and then D_j for sd < j <= cap is applied.  A vector that such a D_j
+moves out of layer m-1 is a truncation artifact, reported as a certain
+failure whose witness x2 -> x2 + t*x3^j replays.  A basis passing every
+check is reported probably_holds, because the shifts of degree above the
+cap stay unchecked.
 """
 
 from __future__ import annotations
@@ -57,7 +62,12 @@ class NonHomogeneousGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class PitConfig:
-    """Knobs for randomized invariance checking."""
+    """Knobs for invariance checking.
+
+    subst_degree is the shift degree the layer tower enforces and the
+    degree bound of sampled shifts; seed, trials and height only drive
+    the sampled checks (is_invariant_pit, central.un_center_test).
+    """
 
     seed: int = 0
     trials: int = 20
@@ -125,18 +135,25 @@ def _derive(p, images):
     return NcPoly._raw(p.rank, acc)
 
 
-def _op_images(p, subst_degree):
-    """First-order images of p under the acting family's generators.
-
-    Yields (op id, image) for the x3-shift derivation (x3 -> 1) and the
-    x2-shift derivations (x2 -> x3^j), 0 <= j <= subst_degree.
-    """
-    yield 0, _derive(p, {3: NcPoly.one(3)})
-    for j in range(subst_degree + 1):
-        yield 1 + j, _derive(p, {2: NcPoly._raw(3, {(3,) * j: Fraction(1)})})
+def _x3_power(j, coeff=1):
+    return NcPoly._raw(3, {(3,) * j: Fraction(coeff)})
 
 
-@lru_cache(maxsize=None)
+def _d3(p):
+    """The x3-shift derivation d3: x3 -> 1."""
+    return _derive(p, {3: NcPoly.one(3)})
+
+
+def _dx2(p, j):
+    """The x2-shift derivation D_j: x2 -> x3^j."""
+    return _derive(p, {2: _x3_power(j)})
+
+
+# The slice caches are bounded so that a long-lived process cannot grow
+# them without limit.  A sweep over every level <= 5 at every cap <= 7
+# (subst degree 2, verdicts included) holds 240 layer slices over 58 word
+# lists, so these sizes leave room for deeper sweeps before evicting.
+@lru_cache(maxsize=256)
 def _slice_words(k, l):
     """All words with k letters x2 and l letters x3, lexicographically."""
     words = []
@@ -154,65 +171,63 @@ def _bidegree(word):
     return (k, len(word) - k)
 
 
-_LAYER_CACHE = {}
+@lru_cache(maxsize=1024)
+def _layer_slice(level, k, l, subst_degree):
+    """Bidegree (k, l) slice of layer `level` (>= 1) as an Echelon of its
+    canonical basis, or None when the slice is zero.
+
+    The slice is the joint kernel, on the words with k letters x2 and l
+    letters x3, of d3 and D_0..D_subst_degree taken modulo layer
+    level-1.  Since [d3, D_j] = j*D_(j-1), and the layers are nested and
+    d3 maps each into itself, the kernel of d3 and D_subst_degree alone
+    is already that joint kernel, so only those two are imposed.  Their
+    images land in bidegrees (k, l-1) and (k-1, l+subst_degree), so the
+    slice depends on no degree cap and is memoised on its own.  Callers
+    must not mutate the returned Echelon.
+    """
+    words = _slice_words(k, l)
+    rowmap = {}
+    for col, w in enumerate(words):
+        mono = NcPoly._raw(3, {w: Fraction(1)})
+        for opid, image in enumerate((_d3(mono), _dx2(mono, subst_degree))):
+            residue = _reduce_against_layer(image.terms, level - 1, subst_degree)
+            for rw, rc in residue.items():
+                rowmap.setdefault((opid, rw), {})[col] = rc
+    kern = nullspace([rowmap[r] for r in sorted(rowmap)], len(words))
+    if not kern:
+        return None
+    ech = Echelon(key=grlex_key)
+    for vec in kern:
+        ech.insert({words[c]: val for c, val in vec.items()})
+    return ech
+
+
+def _reduce_against_layer(terms, level, subst_degree):
+    """Residue of a term dict modulo layer `level`, reduced slice by slice
+    (the layer is spanned by bidegree-homogeneous vectors); layer 0 is
+    {0}, so there the terms come back unchanged."""
+    if level == 0 or not terms:
+        return terms
+    comps = {}
+    for w, c in terms.items():
+        comps.setdefault(_bidegree(w), {})[w] = c
+    residue = {}
+    for (k, l), vec in comps.items():
+        ech = _layer_slice(level, k, l, subst_degree)
+        residue.update(ech.reduce(vec) if ech is not None else vec)
+    return residue
 
 
 def _layer_echelons(level, cap, subst_degree):
-    """Layer `level` of the tower at degree cap `cap`.
-
-    Returns a map bidegree -> Echelon of that slice's basis vectors.
-    Level m at cap D asks its first-order images to reduce to zero
-    against level m-1, which is built at cap D + subst_degree - 1 so the
-    images are always housed.
-    """
-    if level == 0:
-        return {}
-    key = (level, cap, subst_degree)
-    cached = _LAYER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    prev = None
-    if level > 1:
-        prev = _layer_echelons(level - 1, cap + subst_degree - 1, subst_degree)
-    result = {}
+    """Layer `level` (>= 1) up to degree `cap`: a map bidegree -> Echelon
+    over its nonzero slices."""
+    out = {}
     for k in range(cap + 1):
         for l in range(cap + 1 - k):
-            words = _slice_words(k, l)
-            rowmap = {}
-            for col, w in enumerate(words):
-                mono = NcPoly._raw(3, {w: Fraction(1)})
-                for opid, image in _op_images(mono, subst_degree):
-                    if image.is_zero():
-                        continue
-                    residue = image.terms
-                    if prev is not None:
-                        ech = prev.get(_bidegree(next(iter(image.terms))))
-                        if ech is not None:
-                            residue = ech.reduce(residue)
-                    for rw, rc in residue.items():
-                        rowmap.setdefault((opid, rw), {})[col] = rc
-            kern = nullspace([rowmap[r] for r in sorted(rowmap)], len(words))
-            if not kern:
-                continue
-            ech = Echelon(key=grlex_key)
-            for vec in kern:
-                ech.insert({words[c]: val for c, val in vec.items()})
-            result[(k, l)] = ech
-    _LAYER_CACHE[key] = result
-    return result
-
-
-def _reduce_against_layer(p, layer):
-    """Residue of p modulo the layer's span (slice by slice; the layer
-    bases are bidegree-homogeneous)."""
-    comps = {}
-    for w, c in p.terms.items():
-        comps.setdefault(_bidegree(w), {})[w] = c
-    residue = {}
-    for bd, vec in comps.items():
-        ech = layer.get(bd)
-        residue.update(ech.reduce(vec) if ech is not None else vec)
-    return NcPoly._raw(p.rank, residue)
+            ech = _layer_slice(level, k, l, subst_degree)
+            if ech is not None:
+                out[(k, l)] = ech
+    return out
 
 
 class GradedSubspace:
@@ -281,11 +296,10 @@ def s_layer_basis(m, cap, cfg):
     """Truncated order-m layer inside polynomials of degree <= cap.
 
     The basis is canonical (reduced echelon form under graded-lex) and
-    homogeneous in bidegree.  Every vector is re-verified on cfg.trials
-    fresh random substitutions: order-1 vectors must have an exactly zero
-    defect, deeper vectors a defect inside the next layer down.  The
-    verdict stays probabilistic because only shifts of degree up to
-    cfg.subst_degree were enforced.
+    homogeneous in bidegree; it is the stabilized kernel of the shifts
+    of degree up to cfg.subst_degree.  The verdict comes from exact
+    derivation checks of every basis vector (see _layer_verdict), never
+    from sampling, so cfg.seed and cfg.trials play no part.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
@@ -297,24 +311,50 @@ def s_layer_basis(m, cap, cfg):
         for vec in layer[bd].vectors():
             ech.insert(vec)
     basis = [NcPoly._raw(AMBIENT_RANK, v) for v in ech.vectors()]
+    verdict = _layer_verdict(m, cap, basis, cfg.subst_degree)
+    return GradedSubspace(cap, "Q<x2,x3>", basis, verdict)
 
-    rng = random.Random(cfg.seed * 1_000_003 + m * 10_007 + cap * 101
-                        + cfg.subst_degree)
-    for _ in range(cfg.trials):
-        g, h = _sample_shift(rng, cfg)
+
+def _layer_verdict(m, cap, basis, subst_degree):
+    """Exact re-verification of a truncated order-m layer basis.
+
+    d3 and D_j for j <= subst_degree must map every vector into layer
+    m-1; the slice kernels enforce them, so a residue is a bug.  D_j for
+    subst_degree < j <= cap, j ascending, were not enforced: a vector
+    that one of them moves out of layer m-1 is not in the true layer,
+    and the verdict fails with a replayed shift witness.
+    """
+    for b in basis:
+        images = [_d3(b)] + [_dx2(b, j) for j in range(subst_degree + 1)]
+        for image in images:
+            if _reduce_against_layer(image.terms, m - 1, subst_degree):
+                raise RuntimeError(
+                    "a layer vector's derivation image escapes the layer below; "
+                    "this is a bug")
+    for j in range(subst_degree + 1, cap + 1):
         for b in basis:
-            defect = invariance_defect(b, g, h)
-            if defect.is_zero():
-                continue
-            if m == 1:
-                raise RuntimeError(
-                    "an order-1 layer vector has a nonzero defect; this is a bug")
-            prev = _layer_echelons(m - 1, int(defect.degree()), cfg.subst_degree)
-            if not _reduce_against_layer(defect, prev).is_zero():
-                raise RuntimeError(
-                    "a layer vector's defect escapes the layer below; this is a bug")
+            if _reduce_against_layer(_dx2(b, j).terms, m - 1, subst_degree):
+                return Verdict.fails(
+                    _truncation_witness(b, j, m, subst_degree),
+                    provenance=f"truncation: D_{j} image outside layer {m - 1}")
+    return Verdict.probably_holds(
+        provenance=f"d3, D_0..D_{max(cap, subst_degree)} exact")
 
-    return GradedSubspace(cap, "Q<x2,x3>", basis, Verdict.probably_holds(cfg.trials))
+
+def _truncation_witness(b, j, m, subst_degree):
+    """The shift x2 -> x2 + t*x3^j, least t >= 1, whose defect on b leaves
+    layer m-1, given that D_j b does.
+
+    The defect is a polynomial in t with no constant term, whose linear
+    coefficient D_j b is nonzero modulo layer m-1, and whose degree is at
+    most the x2-degree of b; so some t up to that degree is no root.
+    """
+    for t in range(1, b.degree_in_var(2) + 1):
+        g = _x3_power(j, t)
+        if _reduce_against_layer(invariance_defect(b, g, 0).terms, m - 1,
+                                 subst_degree):
+            return shift_aut(g, 0)
+    raise RuntimeError("a derivation image escapes but no shift does; this is a bug")
 
 
 def is_invariant_pit(f, cfg):
@@ -554,7 +594,7 @@ def proposition_noninvariance_probe(k, m, cfg, cap=None):
     of [c_k, x2]) either leaves a nonzero residue, in which case a
     monomial shift x2 -> x2 + x3^n whose defect escapes the layer below
     is attached as the witness, or membership was not refuted at this
-    sampling degree.  Refutation is only expected while m stays within
+    shift degree.  Refutation is only expected while m stays within
     cfg.subst_degree; a truncated tower cannot see deeper shifts.
     """
     v = ring_commutator(c_generator(k, 2, 3, rank=3), NcPoly.variable(2, 3))
@@ -562,17 +602,12 @@ def proposition_noninvariance_probe(k, m, cfg, cap=None):
         cap = int(v.degree()) + 1
     layer = s_layer_basis(m, cap, cfg)
     if layer.contains(v):
-        return Verdict.probably_holds(cfg.trials)
+        return Verdict.probably_holds(provenance=f"inside computed layer {m}, unsampled")
     x3 = NcPoly.variable(3, 3)
     for n in range(max(2, m), max(2, m) + cfg.subst_degree + 2):
         g = x3 ** n
         defect = invariance_defect(v, g, 0)
-        if m == 1:
-            escaped = not defect.is_zero()
-        else:
-            prev = _layer_echelons(m - 1, int(defect.degree()), cfg.subst_degree)
-            escaped = not _reduce_against_layer(defect, prev).is_zero()
-        if escaped:
+        if _reduce_against_layer(defect.terms, m - 1, cfg.subst_degree):
             return Verdict.fails(shift_aut(g, 0))
     raise RuntimeError("membership refuted but no shift witness found; this is a bug")
 

@@ -1,9 +1,10 @@
-"""Three-valued outcomes for randomized invariance checks.
+"""Three-valued outcomes for invariance checks.
 
-Randomized checking has one-sided error: a failure always comes with a
-concrete witness and is certain, while a pass after n independent trials
-is only probable.  "holds" is reserved for outcomes backed by an exact
-certificate.
+Checking has one-sided error: a failure always comes with a concrete
+witness and is certain, while a pass after n independent trials, or
+after exact checks of a truncated family, is only probable.  "holds" is
+reserved for outcomes backed by an exact certificate.  An optional
+provenance string says what a verdict rests on when trials do not.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ class Verdict:
     kind: str
     witness: object = None   # UniAut for FAILS
     trials: int | None = None
+    provenance: str | None = None
 
     def __post_init__(self):
         if self.kind not in (HOLDS, FAILS, PROBABLY_HOLDS):
@@ -32,12 +34,12 @@ class Verdict:
         return cls(HOLDS)
 
     @classmethod
-    def fails(cls, witness):
-        return cls(FAILS, witness=witness)
+    def fails(cls, witness, provenance=None):
+        return cls(FAILS, witness=witness, provenance=provenance)
 
     @classmethod
-    def probably_holds(cls, trials):
-        return cls(PROBABLY_HOLDS, trials=trials)
+    def probably_holds(cls, trials=None, provenance=None):
+        return cls(PROBABLY_HOLDS, trials=trials, provenance=provenance)
 
     def is_positive(self):
         """True for holds and probably_holds."""
@@ -50,4 +52,6 @@ class Verdict:
             out["witness"] = aut_to_json(self.witness)
         if self.trials is not None:
             out["trials"] = self.trials
+        if self.provenance is not None:
+            out["provenance"] = self.provenance
         return out

@@ -159,6 +159,7 @@ def test_u3_classifier_finite_levels_are_least():
         (x3, 2),
         (x3 * c_generator(1, 2, 3, rank=3), 2),
         (x3 ** 2, 3),
+        (x3 ** 3, 4),
     ]
     for f1, expected in cases:
         phi = UniAut(3, [f1, NcPoly.zero(3), NcPoly.zero(3)])
@@ -170,12 +171,24 @@ def test_u3_classifier_finite_levels_are_least():
         assert not below.contains(f1)
 
 
+def test_u3_classifier_truncated_layer_is_a_lower_bound():
+    # layer 4 at cap 3 holds x2, which x2 -> x2 + x3^3 moves out of layer 3:
+    # that failure is the layer's, not phi's
+    assert s_layer_basis(4, 3, CFG).verdict.kind == FAILS
+    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1 + x3^3; x2; x3"), 5, CFG)
+    assert lvl == OrdinalLevel(0, 4)
+    assert v.kind == PROBABLY_HOLDS
+    assert v.witness is None and v.trials is None
+    assert v.provenance.startswith("lower bound: layer 4 is truncated")
+
+
 def test_u3_classifier_band_fallback():
     # x2 abelianizes with x2-degree 1: only the band w+2 is consistent
     phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
     lvl, v = u3_hypercenter_level_truncated(phi, 6, CFG)
     assert lvl == OrdinalLevel(1, 2)
     assert v.kind == PROBABLY_HOLDS
+    assert v.trials is None and v.provenance == "abelianisation bound, unsampled"
     # a commutator image that never certifies a finite level within the bound
     v1 = ring_commutator(c_generator(1, 2, 3, rank=3), NcPoly.variable(2, 3))
     phi = UniAut(3, [v1, NcPoly.zero(3), NcPoly.zero(3)])

@@ -95,6 +95,16 @@ def test_classify_rank3(capsys):
     assert data["verdict"]["kind"] == "holds"
 
 
+def test_classify_verdict_provenance(capsys):
+    data = run_json(capsys, "classify", "x1 + x2; x2; x3")
+    assert data == {"level": "w+2", "verdict": {
+        "kind": "probably_holds", "provenance": "abelianisation bound, unsampled"}}
+    data = run_json(capsys, "classify", "x1 + x3^3; x2; x3")
+    assert data["level"] == "4"
+    assert data["verdict"]["kind"] == "probably_holds"
+    assert "witness" not in data["verdict"]
+
+
 def test_classify_unsupported_rank(capsys):
     code, _, err = run(capsys, "classify", "x1; x2; x3; x4")
     assert code == 2
@@ -116,7 +126,7 @@ def test_center_test_rank3(capsys):
 def test_invariants_level1_cap2(capsys):
     data = run_json(capsys, "invariants", "--level", "1", "--cap", "2")
     assert data["basis"] == ["1", "x2*x3 - x3*x2"]
-    assert data["verdict"]["kind"] == "probably_holds"
+    assert data["verdict"] == {"kind": "probably_holds", "provenance": "d3, D_0..D_2 exact"}
 
 
 def test_invariants_level2_cap1(capsys):

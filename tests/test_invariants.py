@@ -16,6 +16,8 @@ from unitri.invariants import (
     CapViolationError,
     NonHomogeneousGeneratorError,
     PitConfig,
+    _layer_echelons,
+    _layer_slice,
     _sample_shift,
     c_product_span,
     hypothesis1_report,
@@ -34,6 +36,7 @@ from unitri.linalg import Echelon, nullspace
 from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS
 
 from conftest import rand_coeff, rand_poly
+from layer_oracle import in_layer, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
 CFG = PitConfig(seed=9, trials=15, subst_degree=2, height=6)
@@ -216,7 +219,50 @@ def test_layer_verdict_and_json_deterministic():
     a = s_layer_basis(1, 3, CFG)
     b = s_layer_basis(1, 3, CFG)
     assert a.verdict.kind == PROBABLY_HOLDS
+    assert a.verdict.trials is None
+    assert a.verdict.provenance == "d3, D_0..D_3 exact"
     assert a.to_json() == b.to_json()
+
+
+# every (level, cap) that the other tests build at subst degree 2 and the
+# exact checks pass; (3, 4), (3, 5) and (4, 5) are truncation failures
+EXACT_PASSES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
+                (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
+
+
+@pytest.mark.parametrize("m,cap", EXACT_PASSES)
+def test_exact_pass_agrees_with_sampled_oracle(m, cap):
+    space = s_layer_basis(m, cap, CFG)
+    assert space.verdict.kind == PROBABLY_HOLDS
+    assert sampled_reverify(m, cap, space.basis, CFG)
+
+
+def test_layer_slices_do_not_depend_on_cap():
+    # each cap is built from a cache emptied of the cap-7 slices
+    _layer_slice.cache_clear()
+    top = {m: {bd: e.vectors() for bd, e in _layer_echelons(m, 7, 2).items()}
+           for m in (1, 2, 3)}
+    _layer_slice.cache_clear()
+    for m in (1, 2, 3):
+        for cap in range(7):
+            got = {bd: e.vectors() for bd, e in _layer_echelons(m, cap, 2).items()}
+            assert got == {bd: v for bd, v in top[m].items() if sum(bd) <= cap}
+
+
+@pytest.mark.parametrize("m,cap,true_dim", [(2, 6, 21), (3, 5, 16)])
+def test_truncation_artifacts_fail_with_replaying_witness(m, cap, true_dim):
+    space = s_layer_basis(m, cap, PitConfig(subst_degree=2))
+    assert space.verdict.kind == FAILS
+    g = space.verdict.witness.offsets[1]
+    assert g == X3 ** 3
+    moved = [b for b in space.basis
+             if not in_layer(invariance_defect(b, g, 0), m - 1, 2)]
+    assert moved
+    # raising the enforced shift degree removes the artifacts
+    deeper = s_layer_basis(m, cap, PitConfig(subst_degree=3))
+    assert deeper.verdict.kind == PROBABLY_HOLDS
+    assert deeper.dim == true_dim
+    assert not any(deeper.contains(b) for b in moved)
 
 
 # -- subalgebra membership -------------------------------------------------------
