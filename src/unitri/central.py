@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .autgroup import UniAut, random_aut_rng
-from .freealg import NcPoly, abelianize, c_generator
-from .invariants import CapViolationError, s_layer_basis, subalgebra_membership
+from .freealg import NcPoly, abelianize
+from .invariants import CapViolationError, c_certificate, layer_contains, s_layer_basis
 from .verdict import FAILS, Verdict
 
 
@@ -142,9 +142,7 @@ def un_center_test(phi, cfg):
     f1 = phi.offsets[0]
     if f1.degree() <= 0:
         return Verdict.holds()
-    gens = [c_generator(k, n - 1, n, rank=n)
-            for k in range(1, max(int(f1.degree()), 2))]
-    if subalgebra_membership(f1, gens) is not None:
+    if c_certificate(f1, n - 1, n) is not None:
         return Verdict.holds()
     rng = random.Random(cfg.seed)
     for _ in range(cfg.trials):
@@ -164,7 +162,8 @@ def u3_hypercenter_level_truncated(phi, cap, cfg, max_level=None):
     2w + max(d, 1) (a constant offset cannot sit at a limit level, and
     the finite band above 2w starts at 1).  An element moving only x1 is
     placed at the least finite m with its offset inside the computed
-    order-m layer.  A computed layer is a truncation containing the true
+    order-m layer (tested slice by slice; only that layer's verdict is
+    built).  A computed layer is a truncation containing the true
     one, so that m bounds the level from below and is reported
     probably_holds (with the layer's provenance, or, when the layer
     itself was found truncated, a lower-bound note instead of the
@@ -187,19 +186,17 @@ def u3_hypercenter_level_truncated(phi, cap, cfg, max_level=None):
     x2_weight = abelianize(f1).degree_in_var(2)
     if x2_weight <= 0:
         for m in range(1, bound + 1):
-            layer = s_layer_basis(m, max(deg, 1), cfg)
-            if layer.contains(f1):
-                if m == 1:
-                    gens = [c_generator(k, 2, 3, rank=3)
-                            for k in range(1, max(deg, 2))]
-                    if f1.degree() <= 0 or subalgebra_membership(f1, gens) is not None:
-                        return OrdinalLevel(0, 1), Verdict.holds()
-                if layer.verdict.kind == FAILS:
-                    # the witness moves the layer, not phi: a truncated layer
-                    # contains the true one, so m only bounds the level below
-                    return OrdinalLevel(0, m), Verdict.probably_holds(
-                        provenance=f"lower bound: layer {m} is truncated")
-                return OrdinalLevel(0, m), layer.verdict
+            if not layer_contains(f1, m, cfg.subst_degree):
+                continue
+            if m == 1 and c_certificate(f1) is not None:
+                return OrdinalLevel(0, 1), Verdict.holds()
+            verdict = s_layer_basis(m, max(deg, 1), cfg).verdict
+            if verdict.kind == FAILS:
+                # the witness moves the layer, not phi: a truncated layer
+                # contains the true one, so m only bounds the level below
+                return OrdinalLevel(0, m), Verdict.probably_holds(
+                    provenance=f"lower bound: layer {m} is truncated")
+            return OrdinalLevel(0, m), verdict
         return OrdinalLevel(1, 1), Verdict.probably_holds(
             provenance=f"outside computed layers 1..{bound}, unsampled")
     # an x2-degree-t abelianized image is compatible with the band w+(t+1)

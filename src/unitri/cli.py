@@ -50,6 +50,8 @@ USAGE_ERRORS = (
     KeyError,
 )
 
+MAX_CAP = 12   # largest --cap and --level: costs grow exponentially in them
+
 
 def _add_global_flags(parser, suppress=False):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
@@ -134,7 +136,7 @@ def _emit(args, data, text):
 
 def _pit_config(args):
     return PitConfig(seed=args.seed, trials=args.trials,
-                     subst_degree=args.subst_degree, height=10)
+                     subst_degree=args.subst_degree)
 
 
 def _cmd_parse(args):
@@ -272,6 +274,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        for flag in ("cap", "level"):
+            if getattr(args, flag, 0) > MAX_CAP:
+                raise ValueError(f"--{flag} must be <= {MAX_CAP}")
         return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,9 +3,9 @@
 Monomials are words over the variables, stored as tuples of 1-based
 indices; the empty word is the unit.  A polynomial keeps a finite map
 word -> nonzero Fraction, so equality of canonical forms is plain
-equality of the term maps.  The term order used everywhere (formatting,
-leading terms, row reduction) is graded lexicographic: shorter words
-first, ties broken left to right by variable index.
+equality of the term maps.  The term order used everywhere (formatting
+and row reduction) is graded lexicographic: shorter words first, ties
+broken left to right by variable index.
 
 No float ever enters the arithmetic.  The degree of the zero polynomial
 is NEG_INF, a sentinel below every integer, which keeps predicates of
@@ -18,6 +18,8 @@ import itertools
 from fractions import Fraction
 
 NEG_INF = float("-inf")
+
+MAX_WORD_LENGTH = 64   # longest word, and so exponent, the parser accepts
 
 
 class RankMismatchError(ValueError):
@@ -135,11 +137,6 @@ class NcPoly:
         for w, c in self.terms.items():
             parts.setdefault(len(w), {})[w] = c
         return {d: NcPoly._raw(self.rank, t) for d, t in sorted(parts.items())}
-
-    def leading_word(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=grlex_key)
 
     # -- ring operations ---------------------------------------------------
 
@@ -486,14 +483,18 @@ class _Parser:
         self.pos += 1
         return ch
 
-    def parse_uint(self, what):
+    def parse_uint(self, what, limit=None):
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and self.text[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
-        return int(self.text[start:self.pos])
+        digits = self.text[start:self.pos].lstrip("0") or "0"
+        # compare lengths first, so that no huge digit string is converted
+        if limit is not None and (len(digits), digits) > (len(str(limit)), str(limit)):
+            self.error(f"{what} exceeds {limit}", start)
+        return int(digits)
 
     def parse_coeff(self):
         num = self.parse_uint("an integer")
@@ -523,7 +524,7 @@ class _Parser:
         power = 1
         if self.peek() == "^":
             self.take()
-            power = self.parse_uint("an exponent")
+            power = self.parse_uint("an exponent", MAX_WORD_LENGTH)
         return (index,) * power
 
     def parse_term(self):
@@ -538,7 +539,10 @@ class _Parser:
             self.error("expected a coefficient or variable")
         while self.peek() == "*":
             self.take()
-            word = word + self.parse_factor()
+            factor = self.parse_factor()
+            if len(word) + len(factor) > MAX_WORD_LENGTH:
+                self.error(f"word longer than {MAX_WORD_LENGTH} letters")
+            word = word + factor
         return word, coeff
 
     def parse(self):
@@ -568,5 +572,6 @@ class _Parser:
 
 
 def parse_poly(text, rank):
-    """Parse the text grammar above into a canonical polynomial."""
+    """Parse the text grammar above into a canonical polynomial; a word
+    longer than MAX_WORD_LENGTH letters is a ParseError, never built."""
     return _Parser(text, rank).parse()

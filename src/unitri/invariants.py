@@ -202,20 +202,31 @@ def _layer_slice(level, k, l, subst_degree):
     return ech
 
 
-def _reduce_against_layer(terms, level, subst_degree):
-    """Residue of a term dict modulo layer `level`, reduced slice by slice
-    (the layer is spanned by bidegree-homogeneous vectors); layer 0 is
-    {0}, so there the terms come back unchanged."""
-    if level == 0 or not terms:
-        return terms
+def _reduce_by_slices(terms, slice_of):
+    """Residue of a term dict modulo a space spanned by bidegree-homogeneous
+    vectors, one bidegree component at a time; slice_of maps a bidegree
+    to the Echelon of the space's slice there, or None when it is zero."""
     comps = {}
     for w, c in terms.items():
         comps.setdefault(_bidegree(w), {})[w] = c
     residue = {}
-    for (k, l), vec in comps.items():
-        ech = _layer_slice(level, k, l, subst_degree)
+    for bd, vec in comps.items():
+        ech = slice_of(bd)
         residue.update(ech.reduce(vec) if ech is not None else vec)
     return residue
+
+
+def _reduce_against_layer(terms, level, subst_degree):
+    """Residue of a term dict modulo layer `level`, with no degree cap;
+    layer 0 is {0}, so there the terms come back unchanged."""
+    if level == 0 or not terms:
+        return terms
+    return _reduce_by_slices(terms, lambda kl: _layer_slice(level, *kl, subst_degree))
+
+
+def layer_contains(p, level, subst_degree):
+    """Membership of p in the computed order-`level` layer, at any degree."""
+    return not _reduce_against_layer(p.terms, level, subst_degree)
 
 
 def _layer_echelons(level, cap, subst_degree):
@@ -231,32 +242,30 @@ def _layer_echelons(level, cap, subst_degree):
 
 
 class GradedSubspace:
-    """Row-reduced exact basis of a subspace of polynomials of bounded degree."""
+    """A subspace of Q<x2,x3> up to a degree cap, held as its bidegree
+    slices (a map bidegree -> Echelon).  The slices have disjoint
+    supports, so their vectors sorted by graded-lex pivot are already the
+    canonical basis, and a polynomial reduces one bidegree at a time."""
 
-    def __init__(self, degree_cap, ambient, basis, verdict):
+    ambient = "Q<x2,x3>"
+
+    def __init__(self, degree_cap, slices, verdict):
         self.degree_cap = degree_cap
-        self.ambient = ambient
-        self.basis = list(basis)
+        self._slices = slices
+        vecs = [v for ech in slices.values() for v in ech.vectors()]
+        vecs.sort(key=lambda v: grlex_key(min(v, key=grlex_key)))
+        self.basis = [NcPoly._raw(AMBIENT_RANK, v) for v in vecs]
         self.verdict = verdict
-        self._ech = None
-
-    def _echelon(self):
-        if self._ech is None:
-            ech = Echelon(key=grlex_key)
-            for b in self.basis:
-                ech.insert(b.terms)
-            self._ech = ech
-        return self._ech
 
     @property
     def dim(self):
         return len(self.basis)
 
     def reduce(self, p):
-        return NcPoly._raw(p.rank, self._echelon().reduce(p.terms))
+        return NcPoly._raw(p.rank, _reduce_by_slices(p.terms, self._slices.get))
 
     def contains(self, p):
-        return not self._echelon().reduce(p.terms)
+        return not _reduce_by_slices(p.terms, self._slices.get)
 
     def dims_by_degree(self):
         dims = {}
@@ -295,48 +304,43 @@ def _sample_shift(rng, cfg):
 def s_layer_basis(m, cap, cfg):
     """Truncated order-m layer inside polynomials of degree <= cap.
 
-    The basis is canonical (reduced echelon form under graded-lex) and
-    homogeneous in bidegree; it is the stabilized kernel of the shifts
-    of degree up to cfg.subst_degree.  The verdict comes from exact
-    derivation checks of every basis vector (see _layer_verdict), never
-    from sampling, so cfg.seed and cfg.trials play no part.
+    The layer is held as its bidegree slices (see GradedSubspace), the
+    stabilized kernels of the shifts of degree up to cfg.subst_degree;
+    its basis is canonical (reduced echelon form under graded-lex) and
+    homogeneous in bidegree.  The verdict comes from exact derivation
+    checks of every basis vector (see _layer_verdict), never from
+    sampling, so cfg.seed and cfg.trials play no part.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    layer = _layer_echelons(m, cap, cfg.subst_degree)
-    ech = Echelon(key=grlex_key)
-    for bd in sorted(layer, key=lambda kl: (kl[0] + kl[1], kl[0])):
-        for vec in layer[bd].vectors():
-            ech.insert(vec)
-    basis = [NcPoly._raw(AMBIENT_RANK, v) for v in ech.vectors()]
-    verdict = _layer_verdict(m, cap, basis, cfg.subst_degree)
-    return GradedSubspace(cap, "Q<x2,x3>", basis, verdict)
+    layer = GradedSubspace(cap, _layer_echelons(m, cap, cfg.subst_degree), None)
+    layer.verdict = _layer_verdict(m, cap, layer.basis, cfg.subst_degree)
+    return layer
 
 
 def _layer_verdict(m, cap, basis, subst_degree):
     """Exact re-verification of a truncated order-m layer basis.
 
-    d3 and D_j for j <= subst_degree must map every vector into layer
-    m-1; the slice kernels enforce them, so a residue is a bug.  D_j for
-    subst_degree < j <= cap, j ascending, were not enforced: a vector
-    that one of them moves out of layer m-1 is not in the true layer,
-    and the verdict fails with a replayed shift witness.
+    Each of d3, D_0, .., D_max(cap, subst_degree) in turn is applied to
+    every vector.  The slice kernels enforce d3 and D_j, j <= subst_degree,
+    so a residue modulo layer m-1 there is a bug.  The first vector that
+    an unenforced D_j moves out of layer m-1 is not in the true layer, and
+    the verdict fails with a replayed shift witness.
     """
-    for b in basis:
-        images = [_d3(b)] + [_dx2(b, j) for j in range(subst_degree + 1)]
-        for image in images:
-            if _reduce_against_layer(image.terms, m - 1, subst_degree):
+    for j in [None] + list(range(max(cap, subst_degree) + 1)):   # None is d3
+        for b in basis:
+            image = _d3(b) if j is None else _dx2(b, j)
+            if not _reduce_against_layer(image.terms, m - 1, subst_degree):
+                continue
+            if j is None or j <= subst_degree:
                 raise RuntimeError(
                     "a layer vector's derivation image escapes the layer below; "
                     "this is a bug")
-    for j in range(subst_degree + 1, cap + 1):
-        for b in basis:
-            if _reduce_against_layer(_dx2(b, j).terms, m - 1, subst_degree):
-                return Verdict.fails(
-                    _truncation_witness(b, j, m, subst_degree),
-                    provenance=f"truncation: D_{j} image outside layer {m - 1}")
+            return Verdict.fails(
+                _truncation_witness(b, j, m, subst_degree),
+                provenance=f"truncation: D_{j} image outside layer {m - 1}")
     return Verdict.probably_holds(
         provenance=f"d3, D_0..D_{max(cap, subst_degree)} exact")
 
@@ -367,10 +371,7 @@ def is_invariant_pit(f, cfg):
     leave a probabilistic pass.
     """
     _require_vars(f, (2, 3), "f")
-    if f.is_constant():
-        return Verdict.holds()
-    gens = [c_generator(k, 2, 3, rank=3) for k in range(1, max(int(f.degree()), 2))]
-    if subalgebra_membership(f, gens) is not None:
+    if f.is_constant() or c_certificate(f) is not None:
         return Verdict.holds()
     rng = random.Random(cfg.seed)
     for _ in range(cfg.trials):
@@ -382,6 +383,14 @@ def is_invariant_pit(f, cfg):
 
 
 # -- subalgebra membership ----------------------------------------------------
+
+
+def _product(gens, word, rank):
+    """The product of gens[i] over i in word, left to right."""
+    prod = NcPoly.one(rank)
+    for i in word:
+        prod = prod * gens[i]
+    return prod
 
 
 def _generator_words(total, degs):
@@ -406,10 +415,7 @@ class SubalgebraExpr:
     def evaluate(self):
         total = NcPoly.zero(self.rank)
         for coeff, word in self.terms:
-            prod = NcPoly.one(self.rank)
-            for i in word:
-                prod = prod * self.gens[i]
-            total = total + prod * coeff
+            total = total + _product(self.gens, word, self.rank) * coeff
         return total
 
     def __str__(self):
@@ -444,10 +450,7 @@ def subalgebra_membership(f, gens):
             continue
         ech = Echelon(key=grlex_key, track=True)
         for word in _generator_words(d, degs):
-            prod = NcPoly.one(f.rank)
-            for i in word:
-                prod = prod * gens[i]
-            ech.insert(prod.terms, word)
+            ech.insert(_product(gens, word, f.rank).terms, word)
         combo = ech.express(comp.terms)
         if combo is None:
             return None
@@ -455,18 +458,19 @@ def subalgebra_membership(f, gens):
     return SubalgebraExpr(terms, gens, f.rank)
 
 
+def c_certificate(f, i=2, j=3):
+    """f as a combination of products of the c generators in x_i and x_j
+    (each fixed by every shift of those two variables), or None."""
+    gens = [c_generator(k, i, j, rank=f.rank) for k in range(1, max(f.degree(), 2))]
+    return subalgebra_membership(f, gens)
+
+
 def c_product_span(cap):
     """Products of the c generators of total degree <= cap, unit included."""
     gens = [c_generator(k, 2, 3, rank=3) for k in range(1, cap)]
     degs = [k + 2 for k in range(len(gens))]
-    prods = [NcPoly.one(3)]
-    for d in range(2, cap + 1):
-        for word in _generator_words(d, degs):
-            prod = NcPoly.one(3)
-            for i in word:
-                prod = prod * gens[i]
-            prods.append(prod)
-    return prods
+    return [NcPoly.one(3)] + [_product(gens, word, 3) for d in range(2, cap + 1)
+                              for word in _generator_words(d, degs)]
 
 
 # -- free-module straightening ------------------------------------------------

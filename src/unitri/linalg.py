@@ -1,9 +1,10 @@
 """Exact sparse linear algebra over Q.
 
 Vectors are dicts mapping hashable term keys to nonzero Fractions.  An
-Echelon keeps a reduced row-echelon basis under a caller-supplied term
-order; the pivot of a row is its smallest term and carries coefficient 1,
-so the stored rows are the unique canonical basis of their span.
+Echelon, the one elimination routine here, keeps a reduced row-echelon
+basis under a caller-supplied term order; the pivot of a row is its
+smallest term and carries coefficient 1, so the stored rows are the
+unique canonical basis of their span.
 """
 
 from __future__ import annotations
@@ -133,50 +134,17 @@ def nullspace(rows, ncols):
     """Kernel of the integer-indexed constraint matrix given by `rows`.
 
     Each row is a dict column -> Fraction over columns 0..ncols-1.  The
-    result is the canonical kernel basis: one vector per free column, a 1
-    in that column, pivot columns back-substituted.
+    result is the canonical kernel basis, read off the Echelon of the
+    rows: one vector per free column, a 1 in that column, and minus its
+    entry in each pivot row at that row's pivot.
     """
-    ech = {}  # pivot column -> reduced row
+    ech = Echelon()
     for row in rows:
-        r = dict(row)
-        while r:
-            p = min(r)
-            if p in ech:
-                c = r[p]
-                for col, v in ech[p].items():
-                    nv = r.get(col, 0) - c * v
-                    if nv:
-                        r[col] = nv
-                    else:
-                        r.pop(col, None)
-            else:
-                lead = r[p]
-                ech[p] = {col: v / lead for col, v in r.items()}
-                break
-    # back-substitute to full rref
-    for p in sorted(ech, reverse=True):
-        row = ech[p]
-        for q in sorted(ech):
-            if q >= p:
-                break
-            c = ech[q].get(p)
-            if not c:
-                continue
-            target = ech[q]
-            for col, v in row.items():
-                nv = target.get(col, 0) - c * v
-                if nv:
-                    target[col] = nv
-                else:
-                    target.pop(col, None)
-    basis = []
-    for col in range(ncols):
-        if col in ech:
-            continue
-        vec = {col: Fraction(1)}
-        for p, row in ech.items():
-            c = row.get(col)
-            if c:
-                vec[p] = -c
-        basis.append(vec)
-    return basis
+        ech.insert(row)
+    basis = {col: {col: Fraction(1)} for col in range(ncols)}
+    for pivot, row in zip(ech.pivots(), ech.vectors()):
+        del basis[pivot]
+        for col, v in row.items():
+            if col != pivot:   # a reduced row is zero on the other pivots
+                basis[col][pivot] = -v
+    return list(basis.values())

@@ -1,6 +1,11 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from unitri.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -132,6 +137,35 @@ def test_invariants_level1_cap2(capsys):
 def test_invariants_level2_cap1(capsys):
     data = run_json(capsys, "invariants", "--level", "2", "--cap", "1")
     assert "x3" in data["basis"]
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("invariants_level1_cap7", ["invariants", "--level", "1", "--cap", "7"]),
+    ("invariants_level2_cap6", ["invariants", "--level", "2", "--cap", "6"]),
+    ("invariants_sd3_level2_cap6",
+     ["--subst-degree", "3", "invariants", "--level", "2", "--cap", "6"]),
+])
+def test_invariants_basis_text_is_pinned(capsys, name, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "--level", "13", "--cap", "1"],
+    ["classify", "--cap", "13", "x1 + x3^2; x2; x3"],
+    ["straighten", "--cap", "13", "x3*x2"],
+])
+def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and "must be <= 12" in err
+
+
+def test_huge_exponent_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "parse", "x2^" + "9" * 30)
+    assert code == 2
+    assert "exponent exceeds 64" in err
 
 
 def test_json_output_is_deterministic(capsys):

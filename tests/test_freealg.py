@@ -204,6 +204,23 @@ def test_parse_rank_overflow():
         parse_poly("x4", 3)
 
 
+def test_parse_word_length_bound():
+    assert parse_poly("x2^64", 3).degree() == 64
+    assert parse_poly("x2^040*x3^24", 3).degree() == 64
+    with pytest.raises(ParseError) as err:
+        parse_poly("x2^65", 3)
+    assert err.value.position == 3
+    with pytest.raises(ParseError):
+        parse_poly("x2^40*x3^25", 3)
+    with pytest.raises(ParseError):
+        parse_poly("*".join(["x2"] * 65), 3)
+    # rejected before the word is built: it would not fit in memory
+    with pytest.raises(ParseError):
+        parse_poly("x2^" + "9" * 30, 3)
+    with pytest.raises(ParseError):
+        parse_poly("1 + x3*x2^" + "9" * 5000, 3)
+
+
 # -- algebraic properties on random samples -----------------------------------
 
 

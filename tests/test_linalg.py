@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from unitri.linalg import Echelon, nullspace
@@ -63,8 +64,45 @@ def test_nullspace_no_constraints():
     assert kern == [{0: F(1)}, {1: F(1)}]
 
 
+def _dense_pivot_columns(rows, ncols):
+    """Pivot columns of the row-echelon form, by dense Gaussian
+    elimination independent of Echelon; their count is the rank."""
+    m = [[row.get(c, F(0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        i = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if i is None:
+            continue
+        m[r], m[i] = m[i], m[r]
+        for i in range(r + 1, len(m)):
+            f = m[i][c] / m[r][c]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _random_integer_system(seed):
+    rng = random.Random(seed)
+    ncols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 8)):
+        row = {c: F(rng.randint(-3, 3)) for c in range(ncols) if rng.random() < 0.5}
+        rows.append({c: v for c, v in row.items() if v})
+    return rows, ncols
+
+
 def test_nullspace_vectors_satisfy_constraints():
-    rows = [{0: F(2), 1: F(1)}, {1: F(1), 2: F(1), 3: F(-1)}]
-    for vec in nullspace(rows, 4):
-        for row in rows:
-            assert sum(row.get(c, F(0)) * v for c, v in vec.items()) == 0
+    systems = [([{0: F(2), 1: F(1)}, {1: F(1), 2: F(1), 3: F(-1)}], 4)]
+    systems += [_random_integer_system(seed) for seed in range(30)]
+    for rows, ncols in systems:
+        kern = nullspace(rows, ncols)
+        for vec in kern:
+            for row in rows:
+                assert sum(row.get(c, F(0)) * v for c, v in vec.items()) == 0
+        pivots = _dense_pivot_columns(rows, ncols)
+        assert len(kern) == ncols - len(pivots)
+        # one vector per free column: 1 there, 0 at every other free column
+        free = [c for c in range(ncols) if c not in pivots]
+        for col, vec in zip(free, kern):
+            assert {c: vec.get(c, 0) for c in free} == {c: int(c == col) for c in free}
