@@ -18,6 +18,7 @@ import random
 from fractions import Fraction
 
 from .freealg import NcPoly, RankMismatchError, format_poly, parse_poly
+from .linalg import add_term
 
 
 class VariableLeakError(ValueError):
@@ -224,11 +225,7 @@ def _rand_offsets(rng, rank, max_degree, height, max_terms=2, first_zero=False):
         for _ in range(rng.randint(0, max_terms)):
             length = rng.randint(0, max_degree)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
-            c = terms.get(word, 0) + _rand_coeff(rng, height)
-            if c:
-                terms[word] = c
-            else:
-                terms.pop(word, None)
+            add_term(terms, word, _rand_coeff(rng, height))
         offsets.append(NcPoly._raw(rank, terms))
     return offsets
 

@@ -40,9 +40,6 @@ class OrdinalLevel:
         return (self.omega_coeff, self.finite_part) < (other.omega_coeff,
                                                        other.finite_part)
 
-    def is_finite(self):
-        return self.omega_coeff == 0
-
     def __str__(self):
         a, b = self.omega_coeff, self.finite_part
         if a == 0:

@@ -3,13 +3,14 @@
 Thin dispatch over the library: parsing, group operations, central-series
 classification, invariant layer bases, straightening, and the named
 verification suites.  Exit codes: 0 success, 1 a verification check
-failed, 2 usage or parse errors.
+failed or stdout was closed early, 2 usage or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .autgroup import (
@@ -50,7 +51,9 @@ USAGE_ERRORS = (
     KeyError,
 )
 
-MAX_CAP = 12   # largest --cap and --level: costs grow exponentially in them
+MAX_CAP = 12   # largest --cap, --level, --subst-degree: costs grow exponentially
+MAX_TRIALS = 1000   # largest --trials; every suite uses at most 100
+BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP, "subst_degree": MAX_CAP, "trials": MAX_TRIALS}
 
 
 def _add_global_flags(parser, suppress=False):
@@ -267,20 +270,33 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+def _run(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        for flag in ("cap", "level"):
-            if getattr(args, flag, 0) > MAX_CAP:
-                raise ValueError(f"--{flag} must be <= {MAX_CAP}")
+        for flag, bound in BOUNDS.items():
+            if getattr(args, flag, 0) > bound:
+                raise ValueError(f"--{flag.replace('_', '-')} must be <= {bound}")
         return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None):
+    """Run the command line; returns the exit code."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()   # so that a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # The reader closed stdout.  Python flushes it again at exit, so
+        # point it at devnull first, as the signal module's docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

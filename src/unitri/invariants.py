@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .autgroup import UniAut, VariableLeakError
+from .autgroup import UniAut, VariableLeakError, _rand_coeff
 from .freealg import (
     NcPoly,
     RankMismatchError,
@@ -46,7 +46,7 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, nullspace
+from .linalg import Echelon, add_scaled, add_term, nullspace
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -125,7 +125,7 @@ def _derive(p, images):
             if img is None:
                 continue
             head, tail = word[:pos], word[pos + 1:]
-            for mw, mc in img.terms.items():
+            for mw, mc in img.terms.items():   # add_term inlined: hot loop
                 w = head + mw + tail
                 v = acc.get(w, 0) + c * mc
                 if v:
@@ -261,9 +261,6 @@ class GradedSubspace:
     def dim(self):
         return len(self.basis)
 
-    def reduce(self, p):
-        return NcPoly._raw(p.rank, _reduce_by_slices(p.terms, self._slices.get))
-
     def contains(self, p):
         return not _reduce_by_slices(p.terms, self._slices.get)
 
@@ -290,13 +287,11 @@ def _sample_shift(rng, cfg):
         terms = {}
         for j in range(cfg.subst_degree + 1):
             if rng.random() < 0.7:
-                c = Fraction(rng.randint(-cfg.height, cfg.height),
-                             rng.randint(1, cfg.height))
+                c = _rand_coeff(rng, cfg.height, allow_zero=True)
                 if c:
                     terms[(3,) * j] = c
         g = NcPoly._raw(3, terms)
-        h = Fraction(rng.randint(-cfg.height, cfg.height),
-                     rng.randint(1, cfg.height))
+        h = _rand_coeff(rng, cfg.height, allow_zero=True)
         if terms or h:
             return g, h
 
@@ -489,17 +484,9 @@ def _leibniz_term(k, j):
         return (((2,), 1),)
     acc = {}
     for w, c in inner:
-        _add_term(acc, (y,) + w, c)
-        _add_term(acc, w + (y,), -c)
+        add_term(acc, (y,) + w, c)
+        add_term(acc, w + (y,), -c)
     return tuple(acc.items())
-
-
-def _add_term(acc, word, c):
-    v = acc.get(word, 0) + c
-    if v:
-        acc[word] = v
-    else:
-        acc.pop(word, None)
 
 
 def _straighten_word(word):
@@ -519,9 +506,7 @@ def _straighten_word(word):
             continue
         nxt = {}
         for (a, b), r in state.items():
-            target = nxt.setdefault((a + 1, b), {})
-            for w, c in r.items():
-                _add_term(target, w, c)
+            add_scaled(nxt.setdefault((a + 1, b), {}), r)
             for k in range(1, b + 1):
                 for j in range(a + 1):
                     term = _leibniz_term(k, j)
@@ -529,7 +514,7 @@ def _straighten_word(word):
                     target = nxt.setdefault((a - j, b - k), {})
                     for w1, c1 in r.items():
                         c1 *= scale
-                        for w2, c2 in term:   # _add_term inlined: hot loop
+                        for w2, c2 in term:   # add_term inlined: hot loop
                             w = w1 + w2
                             v = target.get(w, 0) + c1 * c2
                             if v:
@@ -558,9 +543,7 @@ def specht_straighten(f, cap):
     out = {}
     for word, coeff in f.terms.items():
         for key, r in _straighten_word(word).items():
-            terms = out.setdefault(key, {})
-            for w, n in r.items():
-                _add_term(terms, w, coeff * n)
+            add_scaled(out.setdefault(key, {}), r, coeff)
     return {k: NcPoly._raw(3, t) for k, t in sorted(out.items()) if t}
 
 
@@ -644,20 +627,6 @@ class PiReport:
     def matches(self):
         return self.subspace_match and all(r.match for r in self.rows)
 
-    def to_json(self):
-        return {
-            "level": self.level,
-            "degree_cap": self.degree_cap,
-            "dimensions": {
-                str(r.degree): {"computed": r.computed_dim,
-                                "expected": r.expected_dim, "match": r.match}
-                for r in self.rows
-            },
-            "subspace_match": self.subspace_match,
-            "matches": self.matches,
-            "verdict": self.verdict.to_json(),
-        }
-
 
 def remark_pi_check(m, cap, cfg):
     """Abelianize the order-m layer and compare with its predicted image."""
@@ -705,18 +674,6 @@ class H1Report:
     contained: bool
     dims_equal: bool
     verdict: Verdict
-
-    def to_json(self):
-        return {
-            "degree_cap": self.degree_cap,
-            "dimensions": {
-                str(r.degree): {"c_span": r.c_span_dim, "layer": r.layer_dim}
-                for r in self.rows
-            },
-            "contained": self.contained,
-            "dims_equal": self.dims_equal,
-            "verdict": self.verdict.to_json(),
-        }
 
 
 def hypothesis1_report(cap, cfg):

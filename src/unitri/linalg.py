@@ -1,7 +1,13 @@
-"""Exact sparse linear algebra over Q.
+"""Exact sparse linear algebra over Q, and the owner of the term-map format.
 
-Vectors are dicts mapping hashable term keys to nonzero Fractions.  An
-Echelon, the one elimination routine here, keeps a reduced row-echelon
+Every sparse object in the package -- a polynomial, its abelianisation, a
+row or combination of an Echelon, a straightening map -- is a dict
+mapping hashable term keys to nonzero coefficients: a stored coefficient
+is never 0.  add_term and add_scaled are the two updates that keep that
+so, by deleting any entry that cancels; the few hot loops that inline
+them say so.
+
+An Echelon, the one elimination routine here, keeps a reduced row-echelon
 basis under a caller-supplied term order; the pivot of a row is its
 smallest term and carries coefficient 1, so the stored rows are the
 unique canonical basis of their span.
@@ -9,7 +15,39 @@ unique canonical basis of their span.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
+
+
+def add_term(acc, key, c):
+    """acc[key] += c in place, dropping the entry if it cancels."""
+    v = acc.get(key, 0) + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+def add_scaled(acc, vec, c=1):
+    """acc += c * vec in place, dropping every entry that cancels.
+
+    The default c, the int 1, adds the values of vec as they are, with no
+    multiply; any other c, even Fraction(1), multiplies each value."""
+    get = acc.get
+    if type(c) is int and c == 1:
+        for t, v in vec.items():
+            nv = get(t, 0) + v
+            if nv:
+                acc[t] = nv
+            else:
+                acc.pop(t, None)
+    else:
+        for t, v in vec.items():
+            nv = get(t, 0) + c * v
+            if nv:
+                acc[t] = nv
+            else:
+                acc.pop(t, None)
 
 
 class Echelon:
@@ -22,9 +60,6 @@ class Echelon:
         self.combos = [] if track else None
         self._pivot_of = {}     # pivot term -> row index
         self._order = []        # pivot terms sorted by self.key
-
-    def __len__(self):
-        return len(self.rows)
 
     @property
     def dim(self):
@@ -42,12 +77,7 @@ class Echelon:
             if not c:
                 continue
             idx = self._pivot_of[pivot]
-            for t, v in self.rows[idx].items():
-                nv = r.get(t, 0) - c * v
-                if nv:
-                    r[t] = nv
-                else:
-                    r.pop(t, None)
+            add_scaled(r, self.rows[idx], -c)
             used[idx] = used.get(idx, 0) + c
         return r, used
 
@@ -65,12 +95,7 @@ class Echelon:
             return None
         out = {}
         for idx, c in used.items():
-            for tag, v in self.combos[idx].items():
-                nv = out.get(tag, 0) + c * v
-                if nv:
-                    out[tag] = nv
-                else:
-                    out.pop(tag, None)
+            add_scaled(out, self.combos[idx], c)
         return out
 
     def insert(self, vec, tag=None):
@@ -84,45 +109,21 @@ class Echelon:
         if self.combos is not None:
             combo = {tag: Fraction(1)}
             for idx, c in used.items():
-                for t, v in self.combos[idx].items():
-                    nv = combo.get(t, 0) - c * v
-                    if nv:
-                        combo[t] = nv
-                    else:
-                        combo.pop(t, None)
+                add_scaled(combo, self.combos[idx], -c)
             combo = {t: v / lead for t, v in combo.items()}
         # keep the basis fully reduced
         for i, other in enumerate(self.rows):
             c = other.get(pivot)
             if not c:
                 continue
-            for t, v in row.items():
-                nv = other.get(t, 0) - c * v
-                if nv:
-                    other[t] = nv
-                else:
-                    other.pop(t, None)
+            add_scaled(other, row, -c)
             if self.combos is not None:
-                oc = self.combos[i]
-                for t, v in combo.items():
-                    nv = oc.get(t, 0) - c * v
-                    if nv:
-                        oc[t] = nv
-                    else:
-                        oc.pop(t, None)
+                add_scaled(self.combos[i], combo, -c)
         self._pivot_of[pivot] = len(self.rows)
         self.rows.append(row)
         if self.combos is not None:
             self.combos.append(combo)
-        lo, hi = 0, len(self._order)
-        pk = self.key(pivot)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.key(self._order[mid]) < pk:
-                lo = mid + 1
-            else:
-                hi = mid
-        self._order.insert(lo, pivot)
+        insort(self._order, pivot, key=self.key)
         return True
 
     def vectors(self):

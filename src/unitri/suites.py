@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .autgroup import (
     UniAut,
+    _rand_coeff,
     compose_chain,
     conjugate,
     derived_level_shape,
@@ -45,6 +46,9 @@ from .invariants import (
 from .verdict import FAILS, HOLDS
 
 
+HEIGHT = 6   # numerator and denominator bound of the suites' random scalars
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -52,21 +56,13 @@ class CheckResult:
     detail: str = ""
 
 
-def _rand_scalar(rng, height=6, allow_zero=True):
-    num = rng.randint(-height, height)
-    if not allow_zero:
-        while num == 0:
-            num = rng.randint(-height, height)
-    return Fraction(num, rng.randint(1, height))
-
-
-def _rand_y_poly(rng, max_degree, height=6, nonzero=False):
+def _rand_y_poly(rng, max_degree, nonzero=False):
     """Random element of Q<y> inside the rank-2 algebra (y = x2)."""
     while True:
         terms = {}
         for d in range(max_degree + 1):
             if rng.random() < 0.5:
-                c = _rand_scalar(rng, height, allow_zero=True)
+                c = _rand_coeff(rng, HEIGHT, allow_zero=True)
                 if c:
                     terms[(2,) * d] = c
         p = NcPoly._raw(2, terms)
@@ -74,9 +70,9 @@ def _rand_y_poly(rng, max_degree, height=6, nonzero=False):
             return p
 
 
-def _rand_u2(rng, max_degree, height=6):
-    return UniAut(2, [_rand_y_poly(rng, max_degree, height),
-                      NcPoly.constant(_rand_scalar(rng, height), 2)])
+def _rand_u2(rng, max_degree):
+    return UniAut(2, [_rand_y_poly(rng, max_degree),
+                      NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
 
 
 def suite_group_axioms():
@@ -170,8 +166,8 @@ def suite_lemma1():
     for _ in range(100):
         f = _rand_y_poly(rng, 4)
         h = _rand_y_poly(rng, 4)
-        b = _rand_scalar(rng)
-        c = _rand_scalar(rng)
+        b = _rand_coeff(rng, HEIGHT, allow_zero=True)
+        c = _rand_coeff(rng, HEIGHT, allow_zero=True)
         phi = UniAut(2, [f, NcPoly.constant(b, 2)])
         psi = UniAut(2, [h, NcPoly.constant(c, 2)])
         inv_expected = UniAut(2, [-shifted(f, -b), NcPoly.constant(-b, 2)])
@@ -196,7 +192,8 @@ def suite_lemma2():
     disagreements = 0
     for i in range(100):
         if i % 5 == 0:
-            phi = UniAut(2, [NcPoly.constant(_rand_scalar(rng), 2), NcPoly.zero(2)])
+            phi = UniAut(2, [NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2),
+                             NcPoly.zero(2)])
         elif i % 5 == 1:
             phi = UniAut(2, [_rand_y_poly(rng, 3), NcPoly.zero(2)])
         else:
@@ -245,7 +242,7 @@ def suite_lemma3():
     for _ in range(50):
         inside = UniAut(2, [_rand_y_poly(rng, 3), NcPoly.zero(2)])
         outside = UniAut(2, [_rand_y_poly(rng, 3),
-                             NcPoly.constant(_rand_scalar(rng, allow_zero=False), 2)])
+                             NcPoly.constant(_rand_coeff(rng, HEIGHT), 2)])
         ok = ok and commutes(first_row, inside) and not commutes(first_row, outside)
     results.append(CheckResult("first-row centralizer", ok,
                                "50 commuting + 50 non-commuting probes"))
@@ -253,12 +250,13 @@ def suite_lemma3():
     translation = UniAut(2, [NcPoly.zero(2), NcPoly.one(2)])
     ok = u2_centralizer_classify(translation) is CentralizerClass.CONSTANT_PAIRS
     for _ in range(50):
-        inside = UniAut(2, [NcPoly.constant(_rand_scalar(rng), 2),
-                            NcPoly.constant(_rand_scalar(rng), 2)])
+        inside = UniAut(2, [NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2),
+                            NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
         h = _rand_y_poly(rng, 3, nonzero=True)
         while h.degree() < 1:
             h = _rand_y_poly(rng, 3, nonzero=True)
-        outside = UniAut(2, [h, NcPoly.constant(_rand_scalar(rng), 2)])
+        outside = UniAut(2, [h, NcPoly.constant(
+            _rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
         ok = ok and commutes(translation, inside) and not commutes(translation, outside)
     results.append(CheckResult("translation centralizer", ok,
                                "50 commuting + 50 non-commuting probes"))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from unitri.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -155,6 +159,8 @@ def test_invariants_basis_text_is_pinned(capsys, name, argv):
     ["invariants", "--level", "13", "--cap", "1"],
     ["classify", "--cap", "13", "x1 + x3^2; x2; x3"],
     ["straighten", "--cap", "13", "x3*x2"],
+    ["--subst-degree", "13", "invariants", "--level", "1", "--cap", "1"],
+    ["center-test", "--subst-degree", "13", "x1 + x2*x3; x2; x3"],
 ])
 def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -162,10 +168,43 @@ def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
     assert out == "" and "must be <= 12" in err
 
 
+def test_trials_bound_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "--trials", "1001", "center-test", "x1 + x2*x3; x2; x3")
+    assert code == 2
+    assert out == "" and "--trials must be <= 1000" in err
+    assert run(capsys, "--trials", "1000", "center-test", "x1; x2; x3")[0] == 0
+
+
 def test_huge_exponent_is_a_usage_error(capsys):
     code, _, err = run(capsys, "parse", "x2^" + "9" * 30)
     assert code == 2
     assert "exponent exceeds 64" in err
+
+
+def test_huge_coefficient_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "parse", "x2 + 1" + "0" * 5000 + "*x3")
+    assert code == 2
+    assert out == ""
+    assert "has more than 4300 digits (at position 5)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "x2"],
+    ["invariants", "--level", "1", "--cap", "8"],
+    ["--json", "invariants", "--level", "1", "--cap", "8"],
+])
+def test_closed_stdout_exits_quietly(argv):
+    # the read end is closed before the program starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "unitri.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and proc.stderr == b""
 
 
 def test_json_output_is_deterministic(capsys):

@@ -1,11 +1,75 @@
 import random
 from fractions import Fraction
 
-from unitri.linalg import Echelon, nullspace
+from unitri.freealg import CommPoly, NcPoly
+from unitri.linalg import Echelon, add_scaled, add_term, nullspace
 
 
 def F(n, d=1):
     return Fraction(n, d)
+
+
+def test_add_term_updates_in_place_and_drops_cancelled_keys():
+    acc = {"a": F(1), "b": F(2)}
+    same = acc
+    add_term(acc, "a", F(1, 2))
+    add_term(acc, "c", F(-3))
+    add_term(acc, "b", F(-2))
+    assert same is acc
+    assert acc == {"a": F(3, 2), "c": F(-3)}
+
+
+def test_add_scaled_unscaled_and_scaled():
+    acc = {0: F(1), 1: F(2)}
+    same = acc
+    add_scaled(acc, {1: F(-2), 2: F(5)})
+    assert acc == {0: F(1), 2: F(5)} and same is acc
+    add_scaled(acc, {0: F(1, 3), 2: F(1)}, F(-5))
+    assert acc == {0: F(-2, 3)} and same is acc
+    add_scaled(acc, {0: F(2, 3)}, F(1))
+    assert acc == {}
+    # any c other than the int 1 multiplies, so Fraction(1) scales ints to Fractions
+    ints = {}
+    add_scaled(ints, {"w": 3}, F(1))
+    assert type(ints["w"]) is Fraction
+
+
+def _stores_no_zero(terms):
+    return all(c != 0 for c in terms.values())
+
+
+def _random_terms(rng, key, n=4):
+    terms = {}
+    for _ in range(rng.randint(0, n)):
+        # small coefficients, so that sums often cancel
+        add_term(terms, key(), F(rng.randint(-2, 2), rng.randint(1, 2)))
+    return terms
+
+
+def test_no_operation_stores_a_zero_coefficient():
+    rng = random.Random(5)
+    word = lambda: tuple(rng.choices((1, 2), k=rng.randint(0, 2)))
+    exps = lambda: (rng.randint(0, 1), rng.randint(0, 1))
+    for _ in range(200):
+        for cls, key in ((NcPoly, word), (CommPoly, exps)):
+            p, q = (cls._raw(2, _random_terms(rng, key)) for _ in range(2))
+            assert _stores_no_zero(cls(2, {**_random_terms(rng, key), key(): 0}).terms)
+            c = F(rng.randint(-2, 2), rng.randint(1, 2))
+            for r in (p + q, p - q, p + c, c - p, -p, p * q, p * c, p - p):
+                assert _stores_no_zero(r.terms)
+            if c:
+                assert _stores_no_zero((p / c).terms)
+        images = [NcPoly._raw(2, _random_terms(rng, word)) for _ in range(2)]
+        nc = NcPoly._raw(2, _random_terms(rng, word))
+        assert _stores_no_zero(nc.substitute(images).terms)
+        ech = Echelon(track=True)
+        for tag in range(4):
+            ech.insert(_random_terms(rng, lambda: rng.randint(0, 4)), tag)
+        assert all(_stores_no_zero(v) for v in ech.rows + ech.combos)
+        vec = _random_terms(rng, lambda: rng.randint(0, 4))
+        assert _stores_no_zero(ech.reduce(vec))
+        combo = ech.express(vec)
+        assert combo is None or _stores_no_zero(combo)
 
 
 def test_insert_and_reduce():
