@@ -51,9 +51,9 @@ class UniAut:
         if offsets[-1].degree() > 0:
             raise NonConstantLastError("last offset must lie in Q")
         for pos, f in enumerate(offsets, start=1):
-            for v in range(1, pos + 1):
-                if f.degree_in_var(v) > 0:
-                    raise VariableLeakError(pos, f"offset {pos} involves x{v}")
+            low = min((min(w) for w in f.terms if w), default=pos + 1)
+            if low <= pos:
+                raise VariableLeakError(pos, f"offset {pos} involves x{low}")
         self.rank = rank
         self.offsets = offsets
 
@@ -66,7 +66,9 @@ class UniAut:
 
     def image(self, index):
         """The polynomial x_index + f_index."""
-        return NcPoly.variable(index, self.rank) + self.offsets[index - 1]
+        x = NcPoly.variable(index, self.rank)
+        # f_index never holds the word x_index, so no coefficient adds up
+        return NcPoly._raw(self.rank, {**x.terms, **self.offsets[index - 1].terms})
 
     def images(self):
         return [self.image(i) for i in range(1, self.rank + 1)]
@@ -96,12 +98,11 @@ class UniAut:
         triangularity makes each step depend only on later slots.
         """
         n = self.rank
+        imgs = [NcPoly.variable(j, n) for j in range(1, n + 1)]
         inv = [None] * n
         for i in range(n - 1, -1, -1):
-            imgs = [NcPoly.variable(j + 1, n) if inv[j] is None
-                    else NcPoly.variable(j + 1, n) + inv[j]
-                    for j in range(n)]
             inv[i] = -self.offsets[i].substitute(imgs)
+            imgs[i] = imgs[i] + inv[i]
         return UniAut(n, inv)
 
     def __eq__(self, other):

@@ -7,9 +7,15 @@ equality of the term maps.  The term order used everywhere (formatting
 and row reduction) is graded lexicographic: shorter words first, ties
 broken left to right by variable index.
 
-No float ever enters the arithmetic.  The degree of the zero polynomial
-is NEG_INF, a sentinel below every integer, which keeps predicates of
-the shape "deg f <= s" uniform.
+No float ever enters the arithmetic.  Stored coefficients are always
+Fractions, but products and substitutions do not compute with them term
+by term: each operand is put over one common denominator d as an int
+word map (linalg.clear_denominators), the word products are multiplied
+and summed over the integers, and the result is turned back into one
+normalised Fraction per term (linalg.over_denominator).
+
+The degree of the zero polynomial is NEG_INF, a sentinel below every
+integer, which keeps predicates of the shape "deg f <= s" uniform.
 """
 
 from __future__ import annotations
@@ -17,12 +23,14 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
+from math import lcm
 
-from .linalg import add_scaled, add_term
+from .linalg import add_scaled, add_term, clear_denominators, over_denominator
 
 NEG_INF = float("-inf")
 
 MAX_WORD_LENGTH = 64   # longest word, and so exponent, the parser accepts
+DIGITS = frozenset("0123456789")   # str.isdigit() also takes "²" and "٣"
 
 
 class RankMismatchError(ValueError):
@@ -174,16 +182,9 @@ class NcPoly(_TermPoly):
 
     @staticmethod
     def _mul_terms(a, b):
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():   # add_term inlined: hot loop
-                w = w1 + w2
-                v = out.get(w, 0) + c1 * c2
-                if v:
-                    out[w] = v
-                else:
-                    out.pop(w, None)
-        return out
+        da, ia = clear_denominators(a)
+        db, ib = clear_denominators(b)
+        return over_denominator(da * db, _mul_words(ia, ib))
 
     # held in NcPoly's own namespace, where bench/tracer.py looks it up
     __mul__ = _TermPoly.__mul__
@@ -248,6 +249,11 @@ class NcPoly(_TermPoly):
         Requires one image per variable of this polynomial; the images fix
         the rank of the result and must all share it.  Words map to the
         ordered product of their letters' images; constants are fixed.
+
+        Word images are built and summed over the integers: each is a pair
+        (d, ints) as from linalg.clear_denominators, memoised by prefix,
+        with a letter's image converted on first use.  Only the result is
+        brought back to Fractions, one per term.
         """
         images = list(images)
         if len(images) != self.rank:
@@ -257,22 +263,45 @@ class NcPoly(_TermPoly):
         if len(ranks) > 1:
             raise RankMismatchError(f"images carry mixed ranks {sorted(ranks)}")
         rank = images[0].rank if images else self.rank
-        cache = {(): NcPoly.one(rank)}
+        cache = {(): (1, {(): 1})}
 
         def image_of(word):
             got = cache.get(word)
             if got is None:
-                got = image_of(word[:-1]) * images[word[-1] - 1]
+                if len(word) == 1:
+                    got = clear_denominators(images[word[0] - 1].terms)
+                else:
+                    d1, t1 = image_of(word[:-1])
+                    d2, t2 = image_of(word[-1:])
+                    got = (d1 * d2, _mul_words(t1, t2))
                 cache[word] = got
             return got
 
+        dp, coeffs = clear_denominators(self.terms)
+        parts = [(n, image_of(word)) for word, n in coeffs.items()]
+        d = lcm(*[dw for _, (dw, _) in parts])
         acc = {}
-        for word, coeff in self.terms.items():
-            add_scaled(acc, image_of(word).terms, coeff)
-        return NcPoly._raw(rank, acc)
+        for n, (dw, ints) in parts:
+            add_scaled(acc, ints, n * (d // dw))
+        return NcPoly._raw(rank, over_denominator(dp * d, acc))
 
     def __str__(self):
         return format_poly(self)
+
+
+def _mul_words(a, b):
+    """Product of two zero-free word maps with int values, zero-free."""
+    out = {}
+    get = out.get
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():   # add_term inlined: hot loop
+            w = w1 + w2
+            v = get(w, 0) + c1 * c2
+            if v:
+                out[w] = v
+            else:
+                del out[w]
+    return out
 
 
 def ring_commutator(a, b):
@@ -422,7 +451,7 @@ class _Parser:
     def parse_uint(self, what, limit=None):
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
             self.pos += 1
         if self.pos == start:
             self.error(f"expected {what}")
@@ -468,7 +497,7 @@ class _Parser:
 
     def parse_term(self):
         ch = self.peek()
-        if ch.isdigit():
+        if ch in DIGITS:
             coeff = self.parse_coeff()
             word = ()
         elif ch == "x" or ch.isalpha():

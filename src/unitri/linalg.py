@@ -5,7 +5,11 @@ row or combination of an Echelon, a straightening map -- is a dict
 mapping hashable term keys to nonzero coefficients: a stored coefficient
 is never 0.  add_term and add_scaled are the two updates that keep that
 so, by deleting any entry that cancels; the few hot loops that inline
-them say so.
+them say so.  At rest the coefficients are Fractions.  For integer
+arithmetic in a hot loop, clear_denominators writes a map as (d, ints),
+int values over one common denominator d, and over_denominator turns
+such a pair back into Fractions, one per term; add_term and add_scaled
+work on int values as well.
 
 An Echelon, the one elimination routine here, keeps a reduced row-echelon
 basis under a caller-supplied term order; the pivot of a row is its
@@ -17,15 +21,22 @@ from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
+from math import lcm
 
 
 def add_term(acc, key, c):
-    """acc[key] += c in place, dropping the entry if it cancels."""
-    v = acc.get(key, 0) + c
+    """acc[key] += c in place, dropping the entry if it cancels.  A new
+    key takes c itself: 0 + c would cost a Fraction add and a gcd."""
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+        return
+    v = old + c
     if v:
         acc[key] = v
     else:
-        acc.pop(key, None)
+        del acc[key]
 
 
 def add_scaled(acc, vec, c=1):
@@ -33,21 +44,38 @@ def add_scaled(acc, vec, c=1):
 
     The default c, the int 1, adds the values of vec as they are, with no
     multiply; any other c, even Fraction(1), multiplies each value."""
+    if not c:
+        return
     get = acc.get
-    if type(c) is int and c == 1:
-        for t, v in vec.items():
-            nv = get(t, 0) + v
-            if nv:
-                acc[t] = nv
-            else:
-                acc.pop(t, None)
-    else:
-        for t, v in vec.items():
-            nv = get(t, 0) + c * v
-            if nv:
-                acc[t] = nv
-            else:
-                acc.pop(t, None)
+    unscaled = type(c) is int and c == 1
+    for t, v in vec.items():   # add_term inlined: hot loop
+        if not unscaled:
+            v = c * v
+        old = get(t)
+        if old is None:
+            acc[t] = v
+            continue
+        v += old
+        if v:
+            acc[t] = v
+        else:
+            del acc[t]
+
+
+def clear_denominators(terms):
+    """Common-denominator form (d, ints) of a term map: d is the lcm of the
+    denominators of its values and ints[key] = d * terms[key], an int, so
+    that terms == over_denominator(d, ints).  Zero-free in, zero-free out."""
+    d = lcm(*[c.denominator for c in terms.values()])
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+
+def over_denominator(d, ints):
+    """The Fraction term map ints / d: one normalised Fraction per term.
+    ints must be zero-free, as every map built with add_term/add_scaled is."""
+    if d == 1:
+        return {k: Fraction(n) for k, n in ints.items()}
+    return {k: Fraction(n, d) for k, n in ints.items()}
 
 
 class Echelon:

@@ -1,0 +1,45 @@
+"""The Fraction loops NcPoly once multiplied and substituted with, kept as
+an oracle for its integer kernels.
+
+Both work on term maps (word -> nonzero Fraction) and add one product of
+coefficients at a time, each sum a normalised Fraction; nothing here
+calls the package, so a fault in linalg's helpers cannot hide in both.
+"""
+
+from fractions import Fraction
+
+
+def _add(acc, key, c):
+    v = acc.get(key, 0) + c
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
+
+
+def fraction_mul_terms(a, b):
+    """Term map of the product of the term maps a and b."""
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            _add(out, w1 + w2, c1 * c2)
+    return out
+
+
+def fraction_substitute(terms, images):
+    """Term map of the image of `terms` under x_i -> images[i-1], images
+    given as term maps; word images are memoised by prefix."""
+    cache = {(): {(): Fraction(1)}}
+
+    def image_of(word):
+        got = cache.get(word)
+        if got is None:
+            got = fraction_mul_terms(image_of(word[:-1]), images[word[-1] - 1])
+            cache[word] = got
+        return got
+
+    acc = {}
+    for word, coeff in terms.items():
+        for w, c in image_of(word).items():
+            _add(acc, w, coeff * c)
+    return acc

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from unitri.autgroup import (
     VariableLeakError,
     aut_from_json,
     aut_to_json,
+    compose,
     compose_chain,
     conjugate,
     derived_level_shape,
@@ -15,13 +18,16 @@ from unitri.autgroup import (
     factor_semidirect,
     format_aut,
     group_commutator,
+    invert,
     parse_aut,
     random_aut,
     random_aut_rng,
 )
-from unitri.freealg import NcPoly, c_generator, parse_poly, ring_commutator
+from unitri.freealg import NcPoly, c_generator, format_poly, parse_poly, ring_commutator
 
 from conftest import rand_poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def y_poly(s):
@@ -41,6 +47,18 @@ def test_aut_new_variable_leak():
     with pytest.raises(VariableLeakError) as err:
         UniAut(2, [parse_poly("x1*x2", 2), NcPoly.zero(2)])
     assert err.value.index == 1
+
+
+def test_aut_new_leak_names_the_smallest_variable():
+    # the message names the smallest offending variable, here held by a
+    # later word, and the first offending slot
+    zero = NcPoly.zero(4)
+    with pytest.raises(VariableLeakError, match=r"^offset 3 involves x2$") as err:
+        UniAut(4, [zero, zero, parse_poly("x3*x4 + x4*x2", 4), zero])
+    assert err.value.index == 3
+    with pytest.raises(VariableLeakError, match=r"^offset 2 involves x1$"):
+        UniAut(4, [zero, parse_poly("x2*x3 + x3*x1", 4),
+                   parse_poly("x3*x4 + x2", 4), zero])
 
 
 def test_aut_new_nonconstant_last():
@@ -291,3 +309,31 @@ def test_parse_aut_rejects_scaled_images():
 def test_json_round_trip():
     phi = parse_aut("x1 + x2*x3; x2 + x3^2; x3 + 1")
     assert aut_from_json(aut_to_json(phi)) == phi
+
+
+def _group_ops_transcript():
+    """Rendered results of a seeded stream of group operations: for each
+    rank 2..5, random pairs (phi, psi) and a random polynomial p."""
+    rng = random.Random(6061)
+    lines = []
+    for rank in (2, 3, 4, 5):
+        max_degree = 3 if rank <= 3 else 2
+        for i in range(4):
+            phi, psi = (random_aut_rng(rng, rank, max_degree, 7) for _ in range(2))
+            p = rand_poly(rng, rank, 3, height=7)
+            lines += [f"rank {rank} case {i}",
+                      f"phi: {format_aut(phi)}",
+                      f"psi: {format_aut(psi)}",
+                      f"p: {format_poly(p)}",
+                      f"compose: {format_aut(compose(phi, psi))}",
+                      f"invert: {format_aut(invert(phi))}",
+                      f"commutator: {format_aut(group_commutator(phi, psi))}",
+                      f"conjugate: {format_aut(conjugate(phi, psi))}",
+                      f"apply: {format_poly(phi.apply(p))}"]
+    return "\n".join(lines) + "\n"
+
+
+def test_group_ops_transcript_is_pinned():
+    # the expected text was written by the Fraction-loop kernels that
+    # tests/poly_oracle.py keeps
+    assert _group_ops_transcript() == (GOLDEN / "group_ops.txt").read_text()

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from unitri.freealg import (
 )
 
 from conftest import rand_poly
+from poly_oracle import fraction_mul_terms, fraction_substitute
 
 
 def x(i, rank=3):
@@ -221,6 +223,15 @@ def test_parse_word_length_bound():
         parse_poly("1 + x3*x2^" + "9" * 5000, 3)
 
 
+def test_parse_accepts_only_ascii_digits():
+    # str.isdigit() holds for these too; int() would read "٣" as 3 and
+    # "٢" as 2, and raise its own unpositioned ValueError on "²"
+    for text, position in (("x2 + ٣", 5), ("x²", 1), ("x٢", 1), ("x2^²", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text, 3)
+        assert err.value.position == position
+
+
 # -- algebraic properties on random samples -----------------------------------
 
 
@@ -242,6 +253,62 @@ def test_substitute_functoriality(rng):
         imgs_b = [rand_poly(rng, 3, 2, max_terms=2) for _ in range(3)]
         composed = [a.substitute(imgs_b) for a in imgs_a]
         assert p.substitute(imgs_a).substitute(imgs_b) == p.substitute(composed)
+
+
+# -- integer kernels against the Fraction oracle ------------------------------
+
+
+def _oracle_coeff(rng):
+    num = rng.choice((rng.randint(1, 9), rng.randint(1, 10**6)))
+    den = rng.choice((1, rng.randint(1, 6), rng.choice((7, 11, 13, 999983)),
+                      rng.randint(1, 10**6)))
+    return Fraction(rng.choice((1, -1)) * num, den)
+
+
+def _oracle_poly(rng, rank, max_degree, max_terms):
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        word = tuple(rng.choices(range(1, rank + 1), k=rng.randint(0, max_degree)))
+        terms[word] = _oracle_coeff(rng)
+    return NcPoly._raw(rank, terms)
+
+
+def _assert_oracle_terms(p, want):
+    assert p.terms == want
+    assert all(type(c) is Fraction for c in p.terms.values())
+
+
+def test_kernels_match_fraction_oracle():
+    # small, coprime and large denominators (up to 10^6), ranks 2-5,
+    # empty and constant operands among the draws
+    rng = random.Random(61)
+    for _ in range(150):
+        rank = rng.randint(2, 5)
+        p, q = (_oracle_poly(rng, rank, 3, 4) for _ in range(2))
+        _assert_oracle_terms(p * q, fraction_mul_terms(p.terms, q.terms))
+        images = [_oracle_poly(rng, rank, 2, 3) for _ in range(rank)]
+        _assert_oracle_terms(p.substitute(images),
+                             fraction_substitute(p.terms, [im.terms for im in images]))
+
+
+def test_kernels_match_fraction_oracle_on_edge_cases():
+    zero, one = NcPoly.zero(3), NcPoly.one(3)
+    c = NcPoly.constant(Fraction(-7, 999983), 3)
+    a = parse_poly("1/999983*x2 + 1/999979*x3 - 5/6", 3)   # coprime denominators
+    products = [(zero, a), (a, zero), (zero, zero), (c, a), (one, a), (a, a),
+                (parse_poly("1/2 + x2", 3), parse_poly("1/2 - x2", 3))]   # x2 cancels
+    for p, q in products:
+        _assert_oracle_terms(p * q, fraction_mul_terms(p.terms, q.terms))
+    same = parse_poly("1/3*x3 - 2", 3)
+    cancel = [(ring_commutator(x(2), x(3)), [x(1), same, same]),   # to 0
+              (parse_poly("x1 - x2", 3), [same, same, x(3)]),       # to 0
+              (a, [zero, zero, zero]), (c, [a, a, a]), (zero, [a, a, a]),
+              (parse_poly("x2*x3*x2", 3), [x(1), a, -a])]
+    for p, images in cancel[:2]:
+        assert p.substitute(images).is_zero()
+    for p, images in cancel:
+        _assert_oracle_terms(p.substitute(images),
+                             fraction_substitute(p.terms, [im.terms for im in images]))
 
 
 def test_abelianize_is_ring_homomorphism(rng):

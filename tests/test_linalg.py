@@ -34,8 +34,9 @@ def test_add_scaled_unscaled_and_scaled():
     assert type(ints["w"]) is Fraction
 
 
-def _stores_no_zero(terms):
-    return all(c != 0 for c in terms.values())
+def _nonzero_fractions(terms):
+    """Every stored coefficient is a nonzero Fraction: never 0, an int or a float."""
+    return all(type(c) is Fraction and c != 0 for c in terms.values())
 
 
 def _random_terms(rng, key, n=4):
@@ -53,23 +54,23 @@ def test_no_operation_stores_a_zero_coefficient():
     for _ in range(200):
         for cls, key in ((NcPoly, word), (CommPoly, exps)):
             p, q = (cls._raw(2, _random_terms(rng, key)) for _ in range(2))
-            assert _stores_no_zero(cls(2, {**_random_terms(rng, key), key(): 0}).terms)
+            assert _nonzero_fractions(cls(2, {**_random_terms(rng, key), key(): 0}).terms)
             c = F(rng.randint(-2, 2), rng.randint(1, 2))
             for r in (p + q, p - q, p + c, c - p, -p, p * q, p * c, p - p):
-                assert _stores_no_zero(r.terms)
+                assert _nonzero_fractions(r.terms)
             if c:
-                assert _stores_no_zero((p / c).terms)
+                assert _nonzero_fractions((p / c).terms)
         images = [NcPoly._raw(2, _random_terms(rng, word)) for _ in range(2)]
         nc = NcPoly._raw(2, _random_terms(rng, word))
-        assert _stores_no_zero(nc.substitute(images).terms)
+        assert _nonzero_fractions(nc.substitute(images).terms)
         ech = Echelon(track=True)
         for tag in range(4):
             ech.insert(_random_terms(rng, lambda: rng.randint(0, 4)), tag)
-        assert all(_stores_no_zero(v) for v in ech.rows + ech.combos)
+        assert all(_nonzero_fractions(v) for v in ech.rows + ech.combos)
         vec = _random_terms(rng, lambda: rng.randint(0, 4))
-        assert _stores_no_zero(ech.reduce(vec))
+        assert _nonzero_fractions(ech.reduce(vec))
         combo = ech.express(vec)
-        assert combo is None or _stores_no_zero(combo)
+        assert combo is None or _nonzero_fractions(combo)
 
 
 def test_insert_and_reduce():
