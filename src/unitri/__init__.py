@@ -52,7 +52,7 @@ from .invariants import (
     c_product_span,
     hypothesis1_report,
     invariance_defect,
-    is_invariant_pit,
+    invariance_verdict,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,

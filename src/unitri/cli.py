@@ -52,16 +52,11 @@ USAGE_ERRORS = (
 )
 
 MAX_CAP = 12   # largest --cap, --level, --subst-degree: costs grow exponentially
-MAX_TRIALS = 1000   # largest --trials; every suite uses at most 100
-BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP, "subst_degree": MAX_CAP, "trials": MAX_TRIALS}
+BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP, "subst_degree": MAX_CAP}
 
 
 def _add_global_flags(parser, suppress=False):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--seed", type=int, default=d(0),
-                        help="seed for randomized checks (default 0)")
-    parser.add_argument("--trials", type=int, default=d(20),
-                        help="trials for randomized checks (default 20)")
     parser.add_argument("--subst-degree", type=int, default=d(2),
                         help="enforced shift degree (default 2)")
     parser.add_argument("--cap", type=int, default=d(5),
@@ -138,8 +133,7 @@ def _emit(args, data, text):
 
 
 def _pit_config(args):
-    return PitConfig(seed=args.seed, trials=args.trials,
-                     subst_degree=args.subst_degree)
+    return PitConfig(subst_degree=args.subst_degree)
 
 
 def _cmd_parse(args):
@@ -213,7 +207,7 @@ def _cmd_center_test(args):
         central = u2_center_test(phi)
         _emit(args, {"central": central}, "central" if central else "not central")
         return 0
-    verdict = un_center_test(phi, _pit_config(args))
+    verdict = un_center_test(phi)
     _emit(args, {"verdict": verdict.to_json()}, verdict.kind)
     return 0
 

@@ -58,6 +58,11 @@ def grlex_key(word):
     return (len(word), word)
 
 
+def _require_positive_rank(rank):
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, got {rank}")
+
+
 class _TermPoly:
     """Sparse polynomial over Q in the zero-free term-map format of
     `linalg`: `terms` maps a term key to its nonzero Fraction coefficient.
@@ -72,8 +77,7 @@ class _TermPoly:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank, terms=None):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
+        _require_positive_rank(rank)
         clean = {}
         for key, coeff in (terms or {}).items():
             key = tuple(key)
@@ -538,4 +542,5 @@ class _Parser:
 def parse_poly(text, rank):
     """Parse the text grammar above into a canonical polynomial; a word
     longer than MAX_WORD_LENGTH letters is a ParseError, never built."""
+    _require_positive_rank(rank)
     return _Parser(text, rank).parse()

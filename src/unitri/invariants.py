@@ -1,6 +1,8 @@
 """The shift-invariant subalgebra of Q<x2, x3> and its layer tower.
 
-Everything here lives in the rank-3 algebra and uses only x2 and x3.
+Apart from the exact invariance decision (invariance_verdict), which
+works in every rank n >= 3, everything here lives in the rank-3 algebra
+and uses only x2 and x3.
 The acting group is the rank-2 family of substitutions
 x2 -> x2 + g(x3), x3 -> x3 + h with g a polynomial in x3 and h a scalar.
 Layer 1 of the tower is the algebra of fixed elements; layer m+1 holds
@@ -30,12 +32,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .autgroup import UniAut, VariableLeakError, _rand_coeff
+from .autgroup import UniAut, VariableLeakError
 from .freealg import (
     NcPoly,
     RankMismatchError,
@@ -62,25 +63,17 @@ class NonHomogeneousGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class PitConfig:
-    """Knobs for invariance checking.
+    """Knobs for the layer tower.
 
-    subst_degree is the shift degree the layer tower enforces and the
-    degree bound of sampled shifts; seed, trials and height only drive
-    the sampled checks (is_invariant_pit, central.un_center_test).
+    subst_degree is the shift degree the layer tower enforces (see
+    _layer_slice).
     """
 
-    seed: int = 0
-    trials: int = 20
     subst_degree: int = 2
-    height: int = 10
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.subst_degree < 1:
             raise ValueError("subst_degree must be >= 1")
-        if self.height < 1:
-            raise ValueError("height must be >= 1")
 
 
 def _require_rank3(p, what="polynomial"):
@@ -281,21 +274,6 @@ class GradedSubspace:
         }
 
 
-def _sample_shift(rng, cfg):
-    """Random (g, h) with deg g <= subst_degree, not both trivial."""
-    while True:
-        terms = {}
-        for j in range(cfg.subst_degree + 1):
-            if rng.random() < 0.7:
-                c = _rand_coeff(rng, cfg.height, allow_zero=True)
-                if c:
-                    terms[(3,) * j] = c
-        g = NcPoly._raw(3, terms)
-        h = _rand_coeff(rng, cfg.height, allow_zero=True)
-        if terms or h:
-            return g, h
-
-
 def s_layer_basis(m, cap, cfg):
     """Truncated order-m layer inside polynomials of degree <= cap.
 
@@ -304,7 +282,7 @@ def s_layer_basis(m, cap, cfg):
     its basis is canonical (reduced echelon form under graded-lex) and
     homogeneous in bidegree.  The verdict comes from exact derivation
     checks of every basis vector (see _layer_verdict), never from
-    sampling, so cfg.seed and cfg.trials play no part.
+    sampling.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
@@ -342,39 +320,78 @@ def _layer_verdict(m, cap, basis, subst_degree):
 
 def _truncation_witness(b, j, m, subst_degree):
     """The shift x2 -> x2 + t*x3^j, least t >= 1, whose defect on b leaves
-    layer m-1, given that D_j b does.
+    layer m-1, given that D_j b does."""
+    return _least_shift(
+        b, 2, _x3_power(j),
+        lambda defect: _reduce_against_layer(defect.terms, m - 1, subst_degree))
+
+
+def _least_shift(p, v, image, moves):
+    """The map x_v -> x_v + t*image, least t >= 1, whose defect on p
+    (image of p minus p) `moves`, a test that the defect is nonzero modulo
+    some subspace, given that the derivation x_v -> image moves p.
 
     The defect is a polynomial in t with no constant term, whose linear
-    coefficient D_j b is nonzero modulo layer m-1, and whose degree is at
-    most the x2-degree of b; so some t up to that degree is no root.
+    coefficient is that derivation's image, and whose degree is at most
+    the x_v-degree of p; so some t up to that degree is no root.
     """
-    for t in range(1, b.degree_in_var(2) + 1):
-        g = _x3_power(j, t)
-        if _reduce_against_layer(invariance_defect(b, g, 0).terms, m - 1,
-                                 subst_degree):
-            return shift_aut(g, 0)
-    raise RuntimeError("a derivation image escapes but no shift does; this is a bug")
+    n = p.rank
+    for t in range(1, p.degree_in_var(v) + 1):
+        offsets = [NcPoly.zero(n)] * n
+        offsets[v - 1] = image * t
+        psi = UniAut(n, offsets)
+        if moves(psi.apply(p) - p):
+            return psi
+    raise RuntimeError("a derivation moves p but no shift does; this is a bug")
 
 
-def is_invariant_pit(f, cfg):
-    """Randomized invariance check with an exact fast path.
+def invariance_verdict(f):
+    """Exact decision whether f in Q<x2..xn>, of rank n >= 3 and degree
+    d, is fixed by every unitriangular automorphism that fixes x1: holds,
+    or fails with a witness that moves f.  That is so exactly when
+      (c) no x_i with i <= n-2 occurs in f,
+      (a) d_n f = 0, for the derivation d_n: x_n -> 1, and
+      (b) D_j f = 0 for j = 0..d, for the derivations D_j: x_(n-1) -> x_n^j,
+    and (b) is equivalent to D_d f = 0 alone, so to D_j f = 0 for every j.
 
-    Membership in the span of products of the c generators certifies
-    invariance (those are fixed by every x2-shift and x3-shift); failing
-    that, cfg.trials random substitutions either expose a nonzero defect
-    (a certain failure, with the witnessing substitution attached) or
-    leave a probabilistic pass.
+    Proof.  The group is generated by the one-parameter groups
+    x_n -> x_n + t and x_i -> x_i + t*w, w a word in x_(i+1..n).  In
+    characteristic 0 such a group fixes f iff its derivation kills f (the
+    group is the exponential of that locally nilpotent derivation).  For
+    (b), write each x_(n-1) occurrence in a word of f as
+    u*x_n^a*x_(n-1)*x_n^b*v, u not ending and v not starting in x_n.  Then
+    D_j f = sum C(u, a+b, v)*u*x_n^(a+b+j)*v, and C does not depend on j.
+    For j = d the inserted run is the only x_n-run of length >= d, so the
+    words do not collide: D_d f = 0 forces every C, hence every D_j f, to
+    vanish.  For (c), x_i -> x_n^d*x_(n-1)*x_n^d is injective on words for
+    the same reason, so it kills f only when x_i is absent.
+
+    The witness is the one-parameter map of the first failing condition,
+    x_i -> x_i + t*x_n^d*x_(n-1)*x_n^d, x_n -> x_n + t, or
+    x_(n-1) -> x_(n-1) + t*x_n^j with the least such j, at the least
+    t >= 1 that moves f.
     """
-    _require_vars(f, (2, 3), "f")
-    if f.is_constant() or c_certificate(f) is not None:
-        return Verdict.holds()
-    rng = random.Random(cfg.seed)
-    for _ in range(cfg.trials):
-        g, h = _sample_shift(rng, cfg)
-        defect = invariance_defect(f, g, h)
-        if not defect.is_zero():
-            return Verdict.fails(shift_aut(g, h))
-    return Verdict.probably_holds(cfg.trials)
+    n = f.rank
+    if n < 3:
+        raise ValueError(f"rank must be >= 3, got {n}")
+    if f.degree_in_var(1) > 0:
+        raise VariableLeakError(1, "f must not involve x1")
+    d = int(max(f.degree(), 0))
+    xn = NcPoly.variable(n, n)
+    for i in range(2, n - 1):
+        if f.degree_in_var(i) > 0:
+            return _moved_by(f, i, xn ** d * NcPoly.variable(n - 1, n) * xn ** d)
+    one = NcPoly.one(n)
+    if not _derive(f, {n: one}).is_zero():
+        return _moved_by(f, n, one)
+    for j in range(d + 1):
+        if not _derive(f, {n - 1: xn ** j}).is_zero():
+            return _moved_by(f, n - 1, xn ** j)
+    return Verdict.holds()
+
+
+def _moved_by(f, v, image):
+    return Verdict.fails(_least_shift(f, v, image, lambda defect: not defect.is_zero()))
 
 
 # -- subalgebra membership ----------------------------------------------------
@@ -451,13 +468,6 @@ def subalgebra_membership(f, gens):
             return None
         terms.extend((c, word) for word, c in sorted(combo.items()))
     return SubalgebraExpr(terms, gens, f.rank)
-
-
-def c_certificate(f, i=2, j=3):
-    """f as a combination of products of the c generators in x_i and x_j
-    (each fixed by every shift of those two variables), or None."""
-    gens = [c_generator(k, i, j, rank=f.rank) for k in range(1, max(f.degree(), 2))]
-    return subalgebra_membership(f, gens)
 
 
 def c_product_span(cap):

@@ -36,9 +36,9 @@ from .central import (
 from .freealg import NcPoly, c_generator, parse_poly, ring_commutator
 from .invariants import (
     PitConfig,
-    _sample_shift,
     hypothesis1_report,
     invariance_defect,
+    invariance_verdict,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,
@@ -284,18 +284,11 @@ def suite_lemma4():
 
 
 def suite_lemma5():
-    cfg = PitConfig(seed=55, trials=100, subst_degree=3, height=8)
-    rng = random.Random(cfg.seed)
-    ok = True
-    for k in range(1, 5):
-        ck = c_generator(k, 2, 3, rank=3)
-        for _ in range(cfg.trials):
-            g, h = _sample_shift(rng, cfg)
-            if not invariance_defect(ck, g, h).is_zero():
-                ok = False
+    ok = all(invariance_verdict(c_generator(k, 2, 3, rank=3)).kind == HOLDS
+             for k in range(1, 5))
     results = [CheckResult("c generators are invariant", ok,
-                           "k <= 4, 100 random substitutions each")]
-    report = hypothesis1_report(5, PitConfig(seed=56, trials=10, subst_degree=2))
+                           "k <= 4, exact derivation test")]
+    report = hypothesis1_report(5, PitConfig())
     dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}"
                      for r in report.rows)
     results.append(CheckResult("c products sit inside the computed invariants",
@@ -307,16 +300,15 @@ def suite_lemma5():
 
 
 def suite_theorem1():
-    cfg = PitConfig(seed=66, trials=20, subst_degree=2, height=6)
     results = []
     ok = True
     for k in range(1, 5):
         phi = UniAut(3, [c_generator(k, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
-        ok = ok and un_center_test(phi, cfg).kind == HOLDS
+        ok = ok and un_center_test(phi).kind == HOLDS
     results.append(CheckResult("c-generator offsets are central", ok, "k <= 4"))
 
     phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
-    verdict = un_center_test(phi, cfg)
+    verdict = un_center_test(phi)
     replayed = (verdict.kind == FAILS
                 and not commutes(phi, verdict.witness)
                 and verdict.witness.apply(phi.offsets[0]) != phi.offsets[0])
@@ -324,7 +316,7 @@ def suite_theorem1():
                                replayed, "offset x2"))
 
     phi = UniAut(3, [NcPoly.zero(3), NcPoly.zero(3), NcPoly.one(3)])
-    verdict = un_center_test(phi, cfg)
+    verdict = un_center_test(phi)
     replayed = verdict.kind == FAILS and not commutes(phi, verdict.witness)
     results.append(CheckResult("wrong shape fails with a replayable witness",
                                replayed, "x3 translation"))
@@ -332,7 +324,7 @@ def suite_theorem1():
 
 
 def suite_theorem2_trunc():
-    cfg = PitConfig(seed=77, trials=10, subst_degree=2, height=6)
+    cfg = PitConfig()
     results = []
     x3 = NcPoly.variable(3, 3)
     zero = NcPoly.zero(3)
@@ -376,7 +368,6 @@ def suite_theorem2_trunc():
 
 
 def suite_theorem3():
-    cfg = PitConfig(seed=88, trials=15, subst_degree=2, height=6)
     results = []
     ok = True
     for rank in (4, 5):
@@ -385,7 +376,7 @@ def suite_theorem3():
         for f1 in (c1, c2, c1 * c1 + 2 * c2):
             offs = [NcPoly.zero(rank)] * rank
             offs[0] = f1
-            ok = ok and un_center_test(UniAut(rank, offs), cfg).kind == HOLDS
+            ok = ok and un_center_test(UniAut(rank, offs)).kind == HOLDS
     results.append(CheckResult("commutator offsets in the last two variables are central",
                                ok, "ranks 4 and 5"))
 
@@ -393,12 +384,12 @@ def suite_theorem3():
     for rank in (4, 5):
         offs = [NcPoly.zero(rank)] * rank
         offs[0] = NcPoly.variable(2, rank)
-        verdict = un_center_test(UniAut(rank, offs), cfg)
+        verdict = un_center_test(UniAut(rank, offs))
         ok = ok and verdict.kind == FAILS and not commutes(UniAut(rank, offs),
                                                            verdict.witness)
         offs = [NcPoly.zero(rank)] * rank
         offs[1] = NcPoly.variable(rank, rank)
-        verdict = un_center_test(UniAut(rank, offs), cfg)
+        verdict = un_center_test(UniAut(rank, offs))
         ok = ok and verdict.kind == FAILS and not commutes(UniAut(rank, offs),
                                                            verdict.witness)
     results.append(CheckResult("non-central shapes fail with replayable witnesses",
@@ -412,7 +403,7 @@ def suite_proposition1():
              for k in range(1, 4) for N in range(1, 6))
     results.append(CheckResult("commutator expansion identity", ok,
                                "k <= 3, N <= 5, exact"))
-    cfg = PitConfig(seed=99, trials=10, subst_degree=2, height=6)
+    cfg = PitConfig()
     ok = True
     for k, m in ((1, 1), (2, 1), (1, 2)):
         verdict = proposition_noninvariance_probe(k, m, cfg, cap=5)
@@ -428,7 +419,7 @@ def suite_proposition1():
 
 
 def suite_remark_pi():
-    cfg = PitConfig(seed=111, trials=10, subst_degree=2, height=6)
+    cfg = PitConfig()
     results = []
     for m in (1, 2, 3):
         report = remark_pi_check(m, 4, cfg)

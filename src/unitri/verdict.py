@@ -1,10 +1,10 @@
 """Three-valued outcomes for invariance checks.
 
-Checking has one-sided error: a failure always comes with a concrete
-witness and is certain, while a pass after n independent trials, or
-after exact checks of a truncated family, is only probable.  "holds" is
-reserved for outcomes backed by an exact certificate.  An optional
-provenance string says what a verdict rests on when trials do not.
+A failure always comes with a concrete witness and is certain.  "holds"
+is reserved for outcomes backed by an exact decision or certificate; a
+pass after exact checks of a truncated family, or from a bound that
+checks nothing more, is only probable.  An optional provenance string
+says what such a verdict rests on.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ PROBABLY_HOLDS = "probably_holds"
 class Verdict:
     kind: str
     witness: object = None   # UniAut for FAILS
-    trials: int | None = None
     provenance: str | None = None
 
     def __post_init__(self):
@@ -38,8 +37,8 @@ class Verdict:
         return cls(FAILS, witness=witness, provenance=provenance)
 
     @classmethod
-    def probably_holds(cls, trials=None, provenance=None):
-        return cls(PROBABLY_HOLDS, trials=trials, provenance=provenance)
+    def probably_holds(cls, provenance=None):
+        return cls(PROBABLY_HOLDS, provenance=provenance)
 
     def is_positive(self):
         """True for holds and probably_holds."""
@@ -50,8 +49,6 @@ class Verdict:
         out = {"kind": self.kind}
         if self.witness is not None:
             out["witness"] = aut_to_json(self.witness)
-        if self.trials is not None:
-            out["trials"] = self.trials
         if self.provenance is not None:
             out["provenance"] = self.provenance
         return out

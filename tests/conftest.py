@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitri.freealg import NcPoly
+from unitri.freealg import NcPoly, c_generator
 
 
 def rand_coeff(rng, height=10, allow_zero=False):
@@ -12,6 +12,22 @@ def rand_coeff(rng, height=10, allow_zero=False):
         while num == 0:
             num = rng.randint(-height, height)
     return Fraction(num, rng.randint(1, height))
+
+
+def sample_shift(rng, degree, height):
+    """Random shift x2 -> x2 + g(x3), x3 -> x3 + h as (g, h), with
+    deg g <= degree and not both trivial."""
+    while True:
+        terms = {}
+        for j in range(degree + 1):
+            if rng.random() < 0.7:
+                c = rand_coeff(rng, height, allow_zero=True)
+                if c:
+                    terms[(3,) * j] = c
+        g = NcPoly._raw(3, terms)
+        h = rand_coeff(rng, height, allow_zero=True)
+        if terms or h:
+            return g, h
 
 
 def rand_poly(rng, rank, max_degree, height=10, max_terms=4, vars_from=1):
@@ -25,6 +41,18 @@ def rand_poly(rng, rank, max_degree, height=10, max_terms=4, vars_from=1):
         else:
             terms.pop(word, None)
     return NcPoly._raw(rank, terms)
+
+
+def c_combination(rng, n):
+    """A random combination of products of c_1, c_2, c_3 in x_(n-1), x_n."""
+    gens = [c_generator(k, n - 1, n, rank=n) for k in (1, 2, 3)]
+    f = NcPoly.constant(rand_coeff(rng, 5), n)
+    for _ in range(rng.randint(1, 3)):
+        prod = NcPoly.one(n)
+        for _ in range(rng.randint(1, 2)):
+            prod = prod * rng.choice(gens)
+        f = f + prod * rand_coeff(rng, 5)
+    return f
 
 
 @pytest.fixture

@@ -102,7 +102,7 @@ def test_criterion_09_abelianized_tables():
 
 
 def test_criterion_10_span_evidence_report():
-    cfg = PitConfig(seed=10, trials=10, subst_degree=2)
+    cfg = PitConfig(subst_degree=2)
     rep = hypothesis1_report(5, cfg)
     dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}"
                      for r in rep.rows)

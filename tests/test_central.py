@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import unitri
 from unitri.autgroup import UniAut, group_commutator, parse_aut, random_aut_rng
 from unitri.central import (
     CentralizerClass,
@@ -15,9 +19,9 @@ from unitri.freealg import NcPoly, c_generator, ring_commutator
 from unitri.invariants import CapViolationError, PitConfig, s_layer_basis
 from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS, Verdict
 
-from conftest import rand_poly
+from conftest import c_combination, rand_poly
 
-CFG = PitConfig(seed=5, trials=20, subst_degree=2, height=6)
+CFG = PitConfig(subst_degree=2)
 
 
 def test_ordinal_level_order_and_str():
@@ -40,7 +44,6 @@ def test_verdict_fails_needs_witness():
     v = Verdict.fails(UniAut.identity(2))
     assert not v.is_positive()
     assert Verdict.holds().is_positive()
-    assert Verdict.probably_holds(7).trials == 7
 
 
 def test_u2_center_test_examples():
@@ -178,7 +181,7 @@ def test_u3_classifier_truncated_layer_is_a_lower_bound():
     lvl, v = u3_hypercenter_level_truncated(parse_aut("x1 + x3^3; x2; x3"), 5, CFG)
     assert lvl == OrdinalLevel(0, 4)
     assert v.kind == PROBABLY_HOLDS
-    assert v.witness is None and v.trials is None
+    assert v.witness is None and "trials" not in v.to_json()
     assert v.provenance.startswith("lower bound: layer 4 is truncated")
 
 
@@ -188,7 +191,7 @@ def test_u3_classifier_band_fallback():
     lvl, v = u3_hypercenter_level_truncated(phi, 6, CFG)
     assert lvl == OrdinalLevel(1, 2)
     assert v.kind == PROBABLY_HOLDS
-    assert v.trials is None and v.provenance == "abelianisation bound, unsampled"
+    assert "trials" not in v.to_json() and v.provenance == "abelianisation bound, unsampled"
     # a commutator image that never certifies a finite level within the bound
     v1 = ring_commutator(c_generator(1, 2, 3, rank=3), NcPoly.variable(2, 3))
     phi = UniAut(3, [v1, NcPoly.zero(3), NcPoly.zero(3)])
@@ -204,14 +207,56 @@ def test_u3_classifier_cap_exceeded():
 
 
 def test_center_test_agrees_with_commuting_oracle(rng):
-    # the randomized test never returns holds on an element some probe moves
+    # the exact test holds only on elements that commute with every probe
     for _ in range(20):
         phi_offs = [rand_poly(rng, 3, 2, vars_from=2, max_terms=2),
                     NcPoly.zero(3), NcPoly.zero(3)]
         phi = UniAut(3, phi_offs)
         verdict = un_center_test(phi, CFG)
+        assert verdict.kind in (HOLDS, FAILS)
         if verdict.kind == FAILS:
             assert not commutes(phi, verdict.witness)
         probes = [random_aut_rng(rng, 3, 2, 5, first_zero=True) for _ in range(10)]
         if any(not commutes(phi, p) for p in probes):
             assert verdict.kind == FAILS
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_center_test_is_exact_and_every_witness_replays(rng, n):
+    kinds = set()
+    for trial in range(30):
+        f1 = c_combination(rng, n) if trial % 3 else rand_poly(rng, n, 3, vars_from=2)
+        phi = UniAut(n, [f1] + [NcPoly.zero(n)] * (n - 1))
+        verdict = un_center_test(phi)
+        kinds.add(verdict.kind)
+        if verdict.kind == FAILS:
+            assert verdict.witness.apply(f1) != f1
+            assert not commutes(phi, verdict.witness)
+        else:
+            probes = [random_aut_rng(rng, n, 2, 5, first_zero=True) for _ in range(5)]
+            assert all(commutes(phi, p) for p in probes)
+    assert kinds == {HOLDS, FAILS}
+
+
+@pytest.mark.parametrize("offset, witness", [
+    ("x2", "x1; x2 + x4*x3*x4; x3; x4"),   # x2 occurs: condition (c)
+    ("x3", "x1; x2; x3 + 1; x4"),          # D_0 moves it: condition (b)
+])
+def test_un_center_test_rank4_witnesses_replay(offset, witness):
+    phi = parse_aut(f"x1 + {offset}; x2; x3; x4")
+    verdict = un_center_test(phi)
+    assert verdict.kind == FAILS
+    assert verdict.witness == parse_aut(witness)
+    assert verdict.witness.apply(phi.offsets[0]) != phi.offsets[0]
+    assert not commutes(phi, verdict.witness)
+
+
+def test_only_sampling_modules_import_random():
+    importers = set()
+    for path in Path(unitri.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "random" in names:
+                importers.add(path.name)
+    assert importers == {"autgroup.py", "suites.py"}

@@ -41,6 +41,14 @@ def test_parse_rank_overflow_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("rank", ["0", "-3"])
+def test_parse_nonpositive_rank_is_a_usage_error(capsys, rank):
+    for argv in (["parse", "--rank", rank, "1"], ["--json", "parse", "--rank", rank, "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"rank must be >= 1, got {rank}" in err
+
+
 def test_compose_with_inverse_gives_identity(capsys):
     phi = "x1 + x2^2; x2 + 1"
     code, out, _ = run(capsys, "invert", phi)
@@ -168,11 +176,11 @@ def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
     assert out == "" and "must be <= 12" in err
 
 
-def test_trials_bound_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "--trials", "1001", "center-test", "x1 + x2*x3; x2; x3")
-    assert code == 2
-    assert out == "" and "--trials must be <= 1000" in err
-    assert run(capsys, "--trials", "1000", "center-test", "x1; x2; x3")[0] == 0
+def test_removed_sampling_flags_are_usage_errors(capsys):
+    for argv in (["--seed", "1", "center-test", "x1; x2; x3"],
+                 ["center-test", "--trials", "5", "x1; x2; x3"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_huge_exponent_is_a_usage_error(capsys):
@@ -208,9 +216,17 @@ def test_closed_stdout_exits_quietly(argv):
 
 
 def test_json_output_is_deterministic(capsys):
-    one = run(capsys, "--json", "--seed", "3", "invariants", "--level", "1", "--cap", "3")
-    two = run(capsys, "--json", "--seed", "3", "invariants", "--level", "1", "--cap", "3")
+    one = run(capsys, "--json", "invariants", "--level", "1", "--cap", "3")
+    two = run(capsys, "--json", "invariants", "--level", "1", "--cap", "3")
     assert one == two
+
+
+@pytest.mark.parametrize("aut", ["x1 + x2*x3 - x3*x2; x2; x3", "x1 + x3*x2; x2; x3",
+                                 "x1 + x2*x4; x2; x3; x4"])
+def test_center_test_json_is_deterministic(capsys, aut):
+    one = run(capsys, "--json", "center-test", aut)
+    two = run(capsys, "--json", "center-test", aut)
+    assert one[0] == 0 and one == two
 
 
 def test_straighten_command(capsys):

@@ -206,6 +206,17 @@ def test_parse_rank_overflow():
         parse_poly("x4", 3)
 
 
+@pytest.mark.parametrize("rank", [0, -3])
+def test_parse_rejects_nonpositive_rank(rank):
+    # the same error as the constructor's, not a ParseError
+    for text in ("1", "0"):
+        with pytest.raises(ValueError, match=f"rank must be >= 1, got {rank}") as err:
+            parse_poly(text, rank)
+        assert not isinstance(err.value, ParseError)
+    with pytest.raises(ValueError, match=f"rank must be >= 1, got {rank}"):
+        NcPoly(rank)
+
+
 def test_parse_word_length_bound():
     assert parse_poly("x2^64", 3).degree() == 64
     assert parse_poly("x2^040*x3^24", 3).degree() == 64

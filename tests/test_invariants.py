@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unitri.autgroup import VariableLeakError
+from unitri.autgroup import VariableLeakError, parse_aut
 from unitri.freealg import (
     NcPoly,
     abelianize,
@@ -18,11 +18,10 @@ from unitri.invariants import (
     PitConfig,
     _layer_echelons,
     _layer_slice,
-    _sample_shift,
     c_product_span,
     hypothesis1_report,
     invariance_defect,
-    is_invariant_pit,
+    invariance_verdict,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,
@@ -35,11 +34,12 @@ from unitri.invariants import (
 from unitri.linalg import Echelon, nullspace
 from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS
 
-from conftest import rand_coeff, rand_poly
+from conftest import c_combination, rand_coeff, rand_poly, sample_shift
 from layer_oracle import in_layer, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
-CFG = PitConfig(seed=9, trials=15, subst_degree=2, height=6)
+CFG = PitConfig(subst_degree=2)
+SEED, TRIALS, HEIGHT = 9, 15, 6   # the sampled oracles' seed, trial count and scalar bound
 
 X1 = NcPoly.variable(1, 3)
 X2 = NcPoly.variable(2, 3)
@@ -50,9 +50,8 @@ C3 = c_generator(3, 2, 3, rank=3)
 
 
 def test_defect_zero_on_commutator(rng):
-    cfg = PitConfig(seed=3, trials=10, subst_degree=3, height=8)
     for _ in range(10):
-        g, h = _sample_shift(rng, cfg)
+        g, h = sample_shift(rng, 3, 8)
         assert invariance_defect(C1, g, h).is_zero()
 
 
@@ -74,13 +73,12 @@ def test_defect_rejects_leaks():
 
 
 def test_defect_linearity(rng):
-    cfg = PitConfig(seed=4, trials=5, subst_degree=2, height=5)
     for _ in range(20):
         f = rand_poly(rng, 3, 3, vars_from=2)
         f2 = rand_poly(rng, 3, 3, vars_from=2)
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
         b = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
-        g, h = _sample_shift(rng, cfg)
+        g, h = sample_shift(rng, 2, 5)
         lhs = invariance_defect(f * a + f2 * b, g, h)
         rhs = invariance_defect(f, g, h) * a + invariance_defect(f2, g, h) * b
         assert lhs == rhs
@@ -88,11 +86,10 @@ def test_defect_linearity(rng):
 
 def test_defect_cocycle_composition(rng):
     # defect under (first shift then second) = substituted defect + second defect
-    cfg = PitConfig(seed=6, trials=5, subst_degree=2, height=5)
     for _ in range(15):
         f = rand_poly(rng, 3, 3, vars_from=2)
-        g1, h1 = _sample_shift(rng, cfg)
-        g2, h2 = _sample_shift(rng, cfg)
+        g1, h1 = sample_shift(rng, 2, 5)
+        g2, h2 = sample_shift(rng, 2, 5)
         first = shift_aut(g1, h1)
         second = shift_aut(g2, h2)
         composite = first * second
@@ -102,11 +99,11 @@ def test_defect_cocycle_composition(rng):
 
 
 def test_is_invariant_pit_certifies_c3():
-    assert is_invariant_pit(C3, CFG).kind == HOLDS
+    assert invariance_verdict(C3).kind == HOLDS
 
 
 def test_is_invariant_pit_fails_with_witness():
-    verdict = is_invariant_pit(X2 * X3, CFG)
+    verdict = invariance_verdict(X2 * X3)
     assert verdict.kind == FAILS
     g = verdict.witness.offsets[1]
     h = verdict.witness.offsets[2].constant_term()
@@ -116,13 +113,82 @@ def test_is_invariant_pit_fails_with_witness():
 
 
 def test_is_invariant_pit_on_algebra_combinations():
-    assert is_invariant_pit(C1 * C2 + C3 * 7, CFG).kind == HOLDS
-    assert is_invariant_pit(C1 * C1 - C2 * Fraction(1, 2) + 4, CFG).kind == HOLDS
+    assert invariance_verdict(C1 * C2 + C3 * 7).kind == HOLDS
+    assert invariance_verdict(C1 * C1 - C2 * Fraction(1, 2) + 4).kind == HOLDS
 
 
 def test_invariants_closed_under_sum_and_product():
     for f in (C1 + C2, C1 * C2, (C1 + 1) * C2):
-        assert is_invariant_pit(f, CFG).is_positive()
+        assert invariance_verdict(f).is_positive()
+
+
+# -- the exact invariance decision against a brute-force derivation oracle ------
+
+
+def _derivation(p, v, image):
+    """Each occurrence of x_v in p in turn replaced by `image`, summed."""
+    acc = {}
+    for word, c in p.terms.items():
+        for pos, letter in enumerate(word):
+            if letter == v:
+                for iw, ic in image.terms.items():
+                    w = word[:pos] + iw + word[pos + 1:]
+                    acc[w] = acc.get(w, 0) + c * ic
+    return NcPoly(p.rank, acc)
+
+
+def _invariance_oracle(f):
+    """No x_i with i <= n-2 occurs, d_n f = 0, and D_j f = 0 for every
+    j <= 3*deg f."""
+    n = f.rank
+    xn = NcPoly.variable(n, n)
+    if any(f.degree_in_var(i) > 0 for i in range(2, n - 1)):
+        return False
+    if not _derivation(f, n, NcPoly.one(n)).is_zero():
+        return False
+    return all(_derivation(f, n - 1, xn ** j).is_zero()
+               for j in range(3 * int(max(f.degree(), 0)) + 1))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_invariance_verdict_agrees_with_derivation_oracle(rng, n):
+    kinds = set()
+    for trial in range(30):
+        f = c_combination(rng, n)
+        if trial % 2:   # one perturbing word
+            word = tuple(rng.choices(range(2, n + 1), k=rng.randint(0, 4)))
+            f = f + NcPoly(n, {word: rand_coeff(rng, 5)})
+        verdict = invariance_verdict(f)
+        assert (verdict.kind == HOLDS) == _invariance_oracle(f)
+        if verdict.kind == FAILS:
+            assert verdict.witness.apply(f) != f
+        kinds.add(verdict.kind)
+    assert kinds == {HOLDS, FAILS}
+
+
+def test_invariance_verdict_witness_order():
+    # the first failing condition names the witness: an absent low
+    # variable, then the x_n-translation, then the least moving D_j
+    x = [None] + [NcPoly.variable(i, 4) for i in range(1, 5)]
+    c1 = c_generator(1, 3, 4, rank=4)
+    cases = [(x[2] * x[4] + x[4], "x1; x2 + x4^2*x3*x4^2; x3; x4"),
+             (c1 + x[4], "x1; x2; x3; x4 + 1"),
+             (x[3] * x[3] + c1, "x1; x2; x3 + 1; x4"),
+             (ring_commutator(x[3], c1), "x1; x2; x3 + x4; x4")]
+    for f, witness in cases:
+        verdict = invariance_verdict(f)
+        assert verdict.kind == FAILS
+        assert verdict.witness == parse_aut(witness)
+        assert verdict.witness.apply(f) != f
+    assert invariance_verdict(NcPoly.zero(3)).kind == HOLDS
+    assert invariance_verdict(NcPoly.constant(7, 5)).kind == HOLDS
+
+
+def test_invariance_verdict_rejects_bad_input():
+    with pytest.raises(ValueError):
+        invariance_verdict(NcPoly.variable(2, 2))
+    with pytest.raises(VariableLeakError):
+        invariance_verdict(X1 * C1)
 
 
 # -- layer bases against an independent sampled-kernel oracle -------------------
@@ -138,7 +204,7 @@ def _oracle_layer1(cap, cfg, n_samples, seed):
     monomial basis of degree <= cap; independent of the tower code."""
     rng = random.Random(seed)
     words = _all_words(cap)
-    samples = [_sample_shift(rng, cfg) for _ in range(n_samples)]
+    samples = [sample_shift(rng, cfg.subst_degree, HEIGHT) for _ in range(n_samples)]
     rows = {}
     for s, (g, h) in enumerate(samples):
         for col, w in enumerate(words):
@@ -196,7 +262,7 @@ def test_layer2_matches_sampled_oracle():
     words = _all_words(cap)
     rows = {}
     for s in range(8):
-        g, h = _sample_shift(rng, CFG)
+        g, h = sample_shift(rng, CFG.subst_degree, HEIGHT)
         for col, w in enumerate(words):
             defect = invariance_defect(NcPoly._raw(3, {w: Fraction(1)}), g, h)
             residue = inner_ech.reduce(defect.terms)
@@ -219,7 +285,7 @@ def test_layer_verdict_and_json_deterministic():
     a = s_layer_basis(1, 3, CFG)
     b = s_layer_basis(1, 3, CFG)
     assert a.verdict.kind == PROBABLY_HOLDS
-    assert a.verdict.trials is None
+    assert "trials" not in a.verdict.to_json()
     assert a.verdict.provenance == "d3, D_0..D_3 exact"
     assert a.to_json() == b.to_json()
 
@@ -234,7 +300,7 @@ EXACT_PASSES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
 def test_exact_pass_agrees_with_sampled_oracle(m, cap):
     space = s_layer_basis(m, cap, CFG)
     assert space.verdict.kind == PROBABLY_HOLDS
-    assert sampled_reverify(m, cap, space.basis, CFG)
+    assert sampled_reverify(m, cap, space.basis, CFG.subst_degree, SEED, TRIALS, HEIGHT)
 
 
 def test_layer_slices_do_not_depend_on_cap():
@@ -388,7 +454,7 @@ def test_probe_refutes_k2():
 
 @pytest.mark.parametrize("m,expected_degs", [(1, [0]), (2, [0, 1]), (3, [0, 1, 2])])
 def test_remark_pi_tables(m, expected_degs):
-    cfg = PitConfig(seed=11, trials=5, subst_degree=2)
+    cfg = PitConfig(subst_degree=2)
     report = remark_pi_check(m, 4, cfg)
     assert report.matches
     got = [r.degree for r in report.rows if r.computed_dim]
@@ -418,7 +484,5 @@ def test_c_product_span_counts():
 
 
 def test_pit_config_validation():
-    with pytest.raises(ValueError):
-        PitConfig(trials=0)
     with pytest.raises(ValueError):
         PitConfig(subst_degree=0)
