@@ -53,6 +53,8 @@ from .invariants import (
     hypothesis1_report,
     invariance_defect,
     invariance_verdict,
+    layer_contains,
+    layer_level,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,

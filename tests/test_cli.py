@@ -117,9 +117,17 @@ def test_classify_verdict_provenance(capsys):
     assert data == {"level": "w+2", "verdict": {
         "kind": "probably_holds", "provenance": "abelianisation bound, unsampled"}}
     data = run_json(capsys, "classify", "x1 + x3^3; x2; x3")
-    assert data["level"] == "4"
-    assert data["verdict"]["kind"] == "probably_holds"
-    assert "witness" not in data["verdict"]
+    assert data == {"level": "4", "verdict": {"kind": "holds"}}
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["classify", "x1 + x2^2*x3 - 2*x2*x3*x2 + x3*x2^2; x2; x3"], "w+1 (probably_holds)"),
+    (["classify", "--cap", "4", "x1 + x3^4; x2; x3"], "5 (holds)"),
+    (["invariants", "--level", "4", "--cap", "1"], "level 4, degree cap 1, dim 2 (holds)\n  1\n  x3"),
+], ids=["double-commutator", "x3^4-cap4", "layer4-cap1"])
+def test_exact_layer_answers(capsys, argv, out):
+    code, got, _ = run(capsys, *argv)
+    assert (code, got) == (0, out + "\n")
 
 
 def test_classify_unsupported_rank(capsys):
@@ -143,7 +151,7 @@ def test_center_test_rank3(capsys):
 def test_invariants_level1_cap2(capsys):
     data = run_json(capsys, "invariants", "--level", "1", "--cap", "2")
     assert data["basis"] == ["1", "x2*x3 - x3*x2"]
-    assert data["verdict"] == {"kind": "probably_holds", "provenance": "d3, D_0..D_2 exact"}
+    assert data["verdict"] == {"kind": "holds"}
 
 
 def test_invariants_level2_cap1(capsys):
@@ -154,8 +162,6 @@ def test_invariants_level2_cap1(capsys):
 @pytest.mark.parametrize("name, argv", [
     ("invariants_level1_cap7", ["invariants", "--level", "1", "--cap", "7"]),
     ("invariants_level2_cap6", ["invariants", "--level", "2", "--cap", "6"]),
-    ("invariants_sd3_level2_cap6",
-     ["--subst-degree", "3", "invariants", "--level", "2", "--cap", "6"]),
 ])
 def test_invariants_basis_text_is_pinned(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
@@ -167,13 +173,20 @@ def test_invariants_basis_text_is_pinned(capsys, name, argv):
     ["invariants", "--level", "13", "--cap", "1"],
     ["classify", "--cap", "13", "x1 + x3^2; x2; x3"],
     ["straighten", "--cap", "13", "x3*x2"],
-    ["--subst-degree", "13", "invariants", "--level", "1", "--cap", "1"],
-    ["center-test", "--subst-degree", "13", "x1 + x2*x3; x2; x3"],
+    ["--cap", "13", "invariants", "--level", "1"],
+    ["center-test", "--cap", "13", "x1 + x2*x3; x2; x3"],
 ])
 def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and "must be <= 12" in err
+
+
+def test_subst_degree_is_an_unknown_flag(capsys):
+    for argv in (["--subst-degree", "3", "invariants", "--level", "1", "--cap", "1"],
+                 ["center-test", "--subst-degree", "13", "x1 + x2*x3; x2; x3"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2 and out == ""
 
 
 def test_removed_sampling_flags_are_usage_errors(capsys):

@@ -14,14 +14,15 @@ from unitri.freealg import (
 )
 from unitri.invariants import (
     CapViolationError,
+    GradedSubspace,
     NonHomogeneousGeneratorError,
-    PitConfig,
-    _layer_echelons,
     _layer_slice,
     c_product_span,
     hypothesis1_report,
     invariance_defect,
     invariance_verdict,
+    layer_contains,
+    layer_level,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,
@@ -32,13 +33,13 @@ from unitri.invariants import (
     subalgebra_membership,
 )
 from unitri.linalg import Echelon, nullspace
-from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS
+from unitri.verdict import FAILS, HOLDS
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
-from layer_oracle import in_layer, sampled_reverify
+from layer_oracle import oracle_slices, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
-CFG = PitConfig(subst_degree=2)
+SD = 2   # the shift degree of the sampled oracles
 SEED, TRIALS, HEIGHT = 9, 15, 6   # the sampled oracles' seed, trial count and scalar bound
 
 X1 = NcPoly.variable(1, 3)
@@ -199,12 +200,12 @@ def _all_words(cap):
             for w in itertools.product((2, 3), repeat=d)]
 
 
-def _oracle_layer1(cap, cfg, n_samples, seed):
+def _oracle_layer1(cap, n_samples, seed):
     """Literal stabilized kernel of sampled defect maps on the full
     monomial basis of degree <= cap; independent of the tower code."""
     rng = random.Random(seed)
     words = _all_words(cap)
-    samples = [sample_shift(rng, cfg.subst_degree, HEIGHT) for _ in range(n_samples)]
+    samples = [sample_shift(rng, SD, HEIGHT) for _ in range(n_samples)]
     rows = {}
     for s, (g, h) in enumerate(samples):
         for col, w in enumerate(words):
@@ -226,25 +227,25 @@ def _same_span(polys_a, polys_b):
 
 
 def test_layer1_cap2_is_unit_and_commutator():
-    space = s_layer_basis(1, 2, CFG)
+    space = s_layer_basis(1, 2)
     assert space.basis == [NcPoly.one(3), C1]
 
 
 @pytest.mark.parametrize("cap", [2, 3, 4])
 def test_layer1_matches_sampled_kernel_oracle(cap):
-    space = s_layer_basis(1, cap, CFG)
-    oracle = _oracle_layer1(cap, CFG, n_samples=8, seed=71)
+    space = s_layer_basis(1, cap)
+    oracle = _oracle_layer1(cap, n_samples=8, seed=71)
     assert _same_span(space.basis, oracle)
 
 
 def test_layer1_cap3_contains_c2():
-    space = s_layer_basis(1, 3, CFG)
+    space = s_layer_basis(1, 3)
     assert space.contains(C2)
     assert space.dim == 3
 
 
 def test_layer2_cap1_contains_x3():
-    space = s_layer_basis(2, 1, CFG)
+    space = s_layer_basis(2, 1)
     assert space.contains(NcPoly.one(3))
     assert space.contains(X3)
     assert not space.contains(X2)
@@ -255,14 +256,14 @@ def test_layer2_matches_sampled_oracle():
     # derivation-based computation
     cap, wcap = 2, 4
     rng = random.Random(17)
-    inner = _oracle_layer1(wcap, CFG, n_samples=8, seed=72)
+    inner = _oracle_layer1(wcap, n_samples=8, seed=72)
     inner_ech = Echelon(key=grlex_key)
     for p in inner:
         inner_ech.insert(p.terms)
     words = _all_words(cap)
     rows = {}
     for s in range(8):
-        g, h = sample_shift(rng, CFG.subst_degree, HEIGHT)
+        g, h = sample_shift(rng, SD, HEIGHT)
         for col, w in enumerate(words):
             defect = invariance_defect(NcPoly._raw(3, {w: Fraction(1)}), g, h)
             residue = inner_ech.reduce(defect.terms)
@@ -270,65 +271,86 @@ def test_layer2_matches_sampled_oracle():
                 rows.setdefault((s, rw), {})[col] = rc
     kern = nullspace([rows[k] for k in sorted(rows)], len(words))
     oracle = [NcPoly._raw(3, {words[c]: v for c, v in vec.items()}) for vec in kern]
-    assert _same_span(s_layer_basis(2, cap, CFG).basis, oracle)
+    assert _same_span(s_layer_basis(2, cap).basis, oracle)
 
 
 def test_layer_nesting():
     for m in (1, 2, 3):
-        lower = s_layer_basis(m, 5, CFG)
-        upper = s_layer_basis(m + 1, 5, CFG)
+        lower = s_layer_basis(m, 5)
+        upper = s_layer_basis(m + 1, 5)
         for b in lower.basis:
             assert upper.contains(b)
 
 
 def test_layer_verdict_and_json_deterministic():
-    a = s_layer_basis(1, 3, CFG)
-    b = s_layer_basis(1, 3, CFG)
-    assert a.verdict.kind == PROBABLY_HOLDS
-    assert "trials" not in a.verdict.to_json()
-    assert a.verdict.provenance == "d3, D_0..D_3 exact"
+    a = s_layer_basis(1, 3)
+    b = s_layer_basis(1, 3)
+    assert a.verdict.kind == HOLDS
+    assert a.verdict.to_json() == {"kind": "holds"}
     assert a.to_json() == b.to_json()
 
 
-# every (level, cap) that the other tests build at subst degree 2 and the
-# exact checks pass; (3, 4), (3, 5) and (4, 5) are truncation failures
+# (level, cap) pairs put through seeded substitutions of shift degree <= 2
 EXACT_PASSES = [(1, 1), (1, 2), (1, 3), (1, 4), (1, 5),
                 (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
 
 
 @pytest.mark.parametrize("m,cap", EXACT_PASSES)
 def test_exact_pass_agrees_with_sampled_oracle(m, cap):
-    space = s_layer_basis(m, cap, CFG)
-    assert space.verdict.kind == PROBABLY_HOLDS
-    assert sampled_reverify(m, cap, space.basis, CFG.subst_degree, SEED, TRIALS, HEIGHT)
+    space = s_layer_basis(m, cap)
+    assert space.verdict.kind == HOLDS
+    assert sampled_reverify(m, cap, space.basis, SD, SEED, TRIALS, HEIGHT)
 
 
 def test_layer_slices_do_not_depend_on_cap():
     # each cap is built from a cache emptied of the cap-7 slices
     _layer_slice.cache_clear()
-    top = {m: {bd: e.vectors() for bd, e in _layer_echelons(m, 7, 2).items()}
-           for m in (1, 2, 3)}
+    top = {m: s_layer_basis(m, 7).basis for m in (1, 2, 3)}
     _layer_slice.cache_clear()
     for m in (1, 2, 3):
         for cap in range(7):
-            got = {bd: e.vectors() for bd, e in _layer_echelons(m, cap, 2).items()}
-            assert got == {bd: v for bd, v in top[m].items() if sum(bd) <= cap}
+            got = s_layer_basis(m, cap).basis
+            assert got == [b for b in top[m] if b.degree() <= cap]
 
 
 @pytest.mark.parametrize("m,cap,true_dim", [(2, 6, 21), (3, 5, 16)])
 def test_truncation_artifacts_fail_with_replaying_witness(m, cap, true_dim):
-    space = s_layer_basis(m, cap, PitConfig(subst_degree=2))
-    assert space.verdict.kind == FAILS
-    g = space.verdict.witness.offsets[1]
-    assert g == X3 ** 3
-    moved = [b for b in space.basis
-             if not in_layer(invariance_defect(b, g, 0), m - 1, 2)]
-    assert moved
-    # raising the enforced shift degree removes the artifacts
-    deeper = s_layer_basis(m, cap, PitConfig(subst_degree=3))
-    assert deeper.verdict.kind == PROBABLY_HOLDS
-    assert deeper.dim == true_dim
-    assert not any(deeper.contains(b) for b in moved)
+    # the shift degree 2 tower keeps vectors that x2 -> x2 + x3^3 moves
+    # out of the layer below; the closed form has the true dimension and
+    # none of them
+    tower = GradedSubspace(cap, oracle_slices(m, cap, 2), None)
+    moved = [b for b in tower.basis
+             if not layer_contains(invariance_defect(b, X3 ** 3, 0), m - 1)]
+    assert moved and tower.dim > true_dim
+    space = s_layer_basis(m, cap)
+    assert (space.dim, space.verdict.kind) == (true_dim, HOLDS)
+    assert not any(space.contains(b) for b in moved)
+
+
+# (level, cap, shift degree) where the kernel tower is known to be stable
+@pytest.mark.parametrize("m,cap,sd", [(1, 8, 2), (2, 7, 3), (3, 5, 3), (4, 4, 5), (5, 3, 5)])
+def test_closed_form_equals_kernel_tower(m, cap, sd):
+    tower = GradedSubspace(cap, oracle_slices(m, cap, sd), None)
+    assert s_layer_basis(m, cap).basis == tower.basis
+
+
+def test_layer1_cap12_has_fibonacci_dims():
+    # dim L_1 up to degree D is F_(D+1); F_13 = 233
+    assert sum(s_layer_basis(1, 12).dims_by_degree().values()) == 233
+
+
+def test_layer_level_reads_lazard_coordinates():
+    cases = [(NcPoly.zero(3), 0), (NcPoly.constant(5, 3), 1), (C1 * C2 - C3, 1),
+             (X3, 2), (X3 * C1, 2), (X3 ** 3 + C1 * X3, 4),
+             (X2, None), (ring_commutator(X2, C1), None), (ring_commutator(C1, X2), None)]
+    for f, level in cases:
+        assert layer_level(f) == level
+        for m in range(1, 5):
+            assert layer_contains(f, m) == (level is not None and level <= m)
+            cap = int(max(f.degree(), 0))
+            assert s_layer_basis(m, cap).contains(f) == layer_contains(f, m)
+    with pytest.raises(VariableLeakError):
+        layer_level(X1)
 
 
 # -- subalgebra membership -------------------------------------------------------
@@ -434,7 +456,7 @@ def test_identity_deep_case():
 
 
 def test_probe_refutes_layer1():
-    verdict = proposition_noninvariance_probe(1, 1, CFG)
+    verdict = proposition_noninvariance_probe(1, 1)
     assert verdict.kind == FAILS
     g = verdict.witness.offsets[1]
     v = ring_commutator(C1, X2)
@@ -442,11 +464,11 @@ def test_probe_refutes_layer1():
 
 
 def test_probe_refutes_layer2_at_cap5():
-    assert proposition_noninvariance_probe(1, 2, CFG, cap=5).kind == FAILS
+    assert proposition_noninvariance_probe(1, 2).kind == FAILS
 
 
 def test_probe_refutes_k2():
-    assert proposition_noninvariance_probe(2, 1, CFG).kind == FAILS
+    assert proposition_noninvariance_probe(2, 1).kind == FAILS
 
 
 # -- abelianized reports -----------------------------------------------------------
@@ -454,8 +476,7 @@ def test_probe_refutes_k2():
 
 @pytest.mark.parametrize("m,expected_degs", [(1, [0]), (2, [0, 1]), (3, [0, 1, 2])])
 def test_remark_pi_tables(m, expected_degs):
-    cfg = PitConfig(subst_degree=2)
-    report = remark_pi_check(m, 4, cfg)
+    report = remark_pi_check(m, 4)
     assert report.matches
     got = [r.degree for r in report.rows if r.computed_dim]
     assert got == expected_degs
@@ -463,16 +484,15 @@ def test_remark_pi_tables(m, expected_degs):
 
 
 def test_pi_image_of_layer1_is_constants():
-    space = s_layer_basis(1, 4, CFG)
+    space = s_layer_basis(1, 4)
     for b in space.basis:
         img = abelianize(b)
         assert img.is_zero() or img.degree() == 0
 
 
 def test_hypothesis1_containment_and_dims():
-    report = hypothesis1_report(5, CFG)
+    report = hypothesis1_report(5)
     assert report.contained
-    # observed at low degree; reported as evidence, never asserted deeper
     assert report.dims_equal
     assert [r.c_span_dim for r in report.rows] == [1, 0, 1, 1, 2, 3]
 
@@ -481,8 +501,3 @@ def test_c_product_span_counts():
     prods = c_product_span(5)
     degrees = sorted(int(p.degree()) for p in prods)
     assert degrees == [0, 2, 3, 4, 4, 5, 5, 5]
-
-
-def test_pit_config_validation():
-    with pytest.raises(ValueError):
-        PitConfig(subst_degree=0)

@@ -8,9 +8,6 @@ import ast
 import importlib
 from pathlib import Path
 
-import unitri.invariants
-import unitri.linalg
-
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -32,7 +29,3 @@ def test_every_tracer_target_is_held_by_its_own_holder():
             holder = getattr(holder, part)
         assert attr in vars(holder), f"{name}: {path} is not in its holder's own __dict__"
         assert callable(vars(holder)[attr])
-
-
-def test_invariants_uses_the_traced_nullspace():
-    assert unitri.invariants.nullspace is unitri.linalg.nullspace
