@@ -213,7 +213,7 @@ def _rand_coeff(rng, height, allow_zero=False):
     return Fraction(num, rng.randint(1, height))
 
 
-def _rand_offsets(rng, rank, max_degree, height, max_terms=2, first_zero=False):
+def _rand_offsets(rng, rank, max_degree, height, first_zero=False):
     offsets = []
     for i in range(1, rank + 1):
         if first_zero and i == 1:
@@ -223,7 +223,7 @@ def _rand_offsets(rng, rank, max_degree, height, max_terms=2, first_zero=False):
             offsets.append(NcPoly.constant(_rand_coeff(rng, height, allow_zero=True), rank))
             continue
         terms = {}
-        for _ in range(rng.randint(0, max_terms)):
+        for _ in range(rng.randint(0, 2)):
             length = rng.randint(0, max_degree)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
             add_term(terms, word, _rand_coeff(rng, height))

@@ -33,10 +33,6 @@ class OrdinalLevel:
         if self.omega_coeff < 0 or self.finite_part < 0:
             raise ValueError("ordinal parts must be nonnegative")
 
-    @classmethod
-    def finite(cls, b):
-        return cls(0, b)
-
     def __lt__(self, other):
         return (self.omega_coeff, self.finite_part) < (other.omega_coeff,
                                                        other.finite_part)

@@ -52,7 +52,7 @@ USAGE_ERRORS = (
 )
 
 MAX_CAP = 12   # largest --cap and --level: costs grow exponentially
-BOUNDS = {"cap": MAX_CAP, "level": MAX_CAP}
+BOUNDS = {"cap": (0, MAX_CAP), "level": (1, MAX_CAP)}   # flag -> (least, largest)
 
 
 def _add_global_flags(parser, suppress=False):
@@ -265,9 +265,12 @@ def _run(argv):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        for flag, bound in BOUNDS.items():
-            if getattr(args, flag, 0) > bound:
-                raise ValueError(f"--{flag} must be <= {bound}")
+        for flag, (least, largest) in BOUNDS.items():
+            value = getattr(args, flag, least)
+            if value < least:
+                raise ValueError(f"--{flag} must be >= {least}")
+            if value > largest:
+                raise ValueError(f"--{flag} must be <= {largest}")
         return _COMMANDS[args.command](args)
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

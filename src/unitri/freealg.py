@@ -521,7 +521,7 @@ class _Parser:
         acc = {}
         sign = 1
         ch = self.peek()
-        if ch in "+-":
+        if ch and ch in "+-":
             self.take()
             sign = -1 if ch == "-" else 1
         elif not ch:

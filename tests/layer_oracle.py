@@ -18,11 +18,16 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from unitri.freealg import grlex_key
-from unitri.invariants import _bidegree, invariance_defect
+from unitri.freealg import NcPoly, grlex_key
+from unitri.invariants import invariance_defect
 from unitri.linalg import Echelon, nullspace
 
 from conftest import sample_shift
+
+
+def _bidegree(word):
+    k = word.count(2)
+    return (k, len(word) - k)
 
 
 def _derivation(word, v, image):
@@ -80,6 +85,14 @@ def oracle_slices(level, cap, sd):
             if ech is not None:
                 out[(k, l)] = ech
     return out
+
+
+def oracle_basis(level, cap, sd):
+    """The tower's layer `level` up to degree cap as its canonical basis:
+    the slices' vectors sorted by graded-lex pivot."""
+    vecs = [v for ech in oracle_slices(level, cap, sd).values() for v in ech.vectors()]
+    vecs.sort(key=lambda v: grlex_key(min(v, key=grlex_key)))
+    return [NcPoly._raw(3, v) for v in vecs]
 
 
 def in_layer(p, level, sd):

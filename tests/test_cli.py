@@ -169,17 +169,32 @@ def test_invariants_basis_text_is_pinned(capsys, name, argv):
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
+@pytest.mark.parametrize("suite", ["lemma5", "remark-pi"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_layer_suites_output_is_pinned(capsys, suite, as_json):
+    code, out, _ = run(capsys, *(["--json"] if as_json else []), "verify", suite)
+    assert code == 0
+    name = f"verify_{suite.replace('-', '_')}.{'json' if as_json else 'txt'}"
+    assert out == (GOLDEN / name).read_text()
+
+
+# each case is (argv, the expected error message)
 @pytest.mark.parametrize("argv", [
-    ["invariants", "--level", "13", "--cap", "1"],
-    ["classify", "--cap", "13", "x1 + x3^2; x2; x3"],
-    ["straighten", "--cap", "13", "x3*x2"],
-    ["--cap", "13", "invariants", "--level", "1"],
-    ["center-test", "--cap", "13", "x1 + x2*x3; x2; x3"],
+    (["invariants", "--level", "13", "--cap", "1"], "--level must be <= 12"),
+    (["classify", "--cap", "13", "x1 + x3^2; x2; x3"], "--cap must be <= 12"),
+    (["straighten", "--cap", "13", "x3*x2"], "--cap must be <= 12"),
+    (["--cap", "13", "invariants", "--level", "1"], "--cap must be <= 12"),
+    (["center-test", "--cap", "13", "x1 + x2*x3; x2; x3"], "--cap must be <= 12"),
+    (["straighten", "--cap", "-1", "0"], "--cap must be >= 0"),
+    (["classify", "--cap", "-2", "x1; x2; x3"], "--cap must be >= 0"),
+    (["--cap", "-4", "center-test", "x1; x2; x3"], "--cap must be >= 0"),
+    (["invariants", "--cap", "-1"], "--cap must be >= 0"),
+    (["invariants", "--level", "0"], "--level must be >= 1"),
 ])
 def test_cap_and_level_bounds_are_usage_errors(capsys, argv):
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv[0])
     assert code == 2
-    assert out == "" and "must be <= 12" in err
+    assert out == "" and argv[1] in err
 
 
 def test_subst_degree_is_an_unknown_flag(capsys):

@@ -194,6 +194,15 @@ def test_parse_syntax_error_position():
     assert err.value.position == 5
 
 
+def test_parse_empty_input_is_positioned_inside_the_text():
+    for text, message, position in (("", "empty polynomial", 0),
+                                    ("  ", "empty polynomial", 2),
+                                    ("+", "expected a coefficient or variable", 1)):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_poly(text, 3)
+        assert err.value.position == position
+
+
 def test_parse_unknown_variable():
     with pytest.raises(ParseError):
         parse_poly("y2 + 1", 3)

@@ -14,7 +14,6 @@ from unitri.freealg import (
 )
 from unitri.invariants import (
     CapViolationError,
-    GradedSubspace,
     NonHomogeneousGeneratorError,
     _layer_slice,
     c_product_span,
@@ -36,7 +35,7 @@ from unitri.linalg import Echelon, nullspace
 from unitri.verdict import FAILS, HOLDS
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
-from layer_oracle import oracle_slices, sampled_reverify
+from layer_oracle import oracle_basis, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
 SD = 2   # the shift degree of the sampled oracles
@@ -318,10 +317,10 @@ def test_truncation_artifacts_fail_with_replaying_witness(m, cap, true_dim):
     # the shift degree 2 tower keeps vectors that x2 -> x2 + x3^3 moves
     # out of the layer below; the closed form has the true dimension and
     # none of them
-    tower = GradedSubspace(cap, oracle_slices(m, cap, 2), None)
-    moved = [b for b in tower.basis
+    tower = oracle_basis(m, cap, 2)
+    moved = [b for b in tower
              if not layer_contains(invariance_defect(b, X3 ** 3, 0), m - 1)]
-    assert moved and tower.dim > true_dim
+    assert moved and len(tower) > true_dim
     space = s_layer_basis(m, cap)
     assert (space.dim, space.verdict.kind) == (true_dim, HOLDS)
     assert not any(space.contains(b) for b in moved)
@@ -330,8 +329,7 @@ def test_truncation_artifacts_fail_with_replaying_witness(m, cap, true_dim):
 # (level, cap, shift degree) where the kernel tower is known to be stable
 @pytest.mark.parametrize("m,cap,sd", [(1, 8, 2), (2, 7, 3), (3, 5, 3), (4, 4, 5), (5, 3, 5)])
 def test_closed_form_equals_kernel_tower(m, cap, sd):
-    tower = GradedSubspace(cap, oracle_slices(m, cap, sd), None)
-    assert s_layer_basis(m, cap).basis == tower.basis
+    assert s_layer_basis(m, cap).basis == oracle_basis(m, cap, sd)
 
 
 def test_layer1_cap12_has_fibonacci_dims():
@@ -351,6 +349,46 @@ def test_layer_level_reads_lazard_coordinates():
             assert s_layer_basis(m, cap).contains(f) == layer_contains(f, m)
     with pytest.raises(VariableLeakError):
         layer_level(X1)
+
+
+def _random_word_with_x2(rng, length):
+    word = [rng.choice((2, 3)) for _ in range(length)]
+    word[rng.randrange(length)] = 2
+    return tuple(word)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_contains_agrees_with_reduction_against_the_basis(m):
+    # oracle: p is in the space when it reduces to zero against an
+    # Echelon of the space's basis
+    rng = random.Random(4100 + m)
+    for cap in range(7):
+        space = s_layer_basis(m, cap)
+        ech = Echelon(key=grlex_key)
+        for b in space.basis:
+            ech.insert(b.terms)
+        top = [b for b in s_layer_basis(m, cap + 1).basis if b.degree() == cap + 1]
+        for _ in range(4):
+            combo = NcPoly.zero(3)
+            for b in rng.sample(space.basis, rng.randint(1, space.dim)):
+                combo = combo + b * rand_coeff(rng, 5)
+            word = _random_word_with_x2(rng, rng.randint(1, max(cap, 1)))
+            outside = combo + NcPoly._raw(3, {word: rand_coeff(rng, 5)})
+            cases = [(combo, True), (outside, False)]
+            if top:
+                member = NcPoly.zero(3)
+                for b in rng.sample(top, rng.randint(1, len(top))):
+                    member = member + b * rand_coeff(rng, 5)
+                cases.append((member, False))
+            for p, expected in cases:
+                assert (not ech.reduce(p.terms)) == expected
+                assert space.contains(p) == expected
+
+
+def test_contains_rejects_x1():
+    for p in (X1, X1 * C1 + C2):
+        with pytest.raises(VariableLeakError):
+            s_layer_basis(2, 3).contains(p)
 
 
 # -- subalgebra membership -------------------------------------------------------
