@@ -12,8 +12,7 @@ omega band below the upper bands rests on an unchecked bound.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import total_ordering
+from collections import namedtuple
 
 from .autgroup import UniAut
 from .freealg import NcPoly, abelianize
@@ -21,21 +20,15 @@ from .invariants import CapViolationError, invariance_verdict, layer_level
 from .verdict import Verdict
 
 
-@total_ordering
-@dataclass(frozen=True)
-class OrdinalLevel:
+class OrdinalLevel(namedtuple("OrdinalLevel", "omega_coeff finite_part")):
     """The ordinal a*w + b; comparison is lexicographic on (a, b)."""
 
-    omega_coeff: int
-    finite_part: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.omega_coeff < 0 or self.finite_part < 0:
+    def __new__(cls, omega_coeff, finite_part):
+        if omega_coeff < 0 or finite_part < 0:
             raise ValueError("ordinal parts must be nonnegative")
-
-    def __lt__(self, other):
-        return (self.omega_coeff, self.finite_part) < (other.omega_coeff,
-                                                       other.finite_part)
+        return super().__new__(cls, omega_coeff, finite_part)
 
     def __str__(self):
         a, b = self.omega_coeff, self.finite_part

@@ -57,8 +57,7 @@ degree, and dim L_1 up to degree D is the Fibonacci number F_(D+1).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,7 +86,6 @@ class NonHomogeneousGeneratorError(ValueError):
     """Subalgebra generators must be homogeneous of degree >= 1."""
 
 
-@dataclass(frozen=True)
 class PitConfig:
     """An empty configuration.  The layers are exact, so nothing here is
     configurable; the classifier and the centre test accept one and
@@ -540,16 +538,10 @@ def proposition_noninvariance_probe(k, m):
     return Verdict.fails(shift_aut(g, 0))
 
 
-@dataclass
-class PiDegreeRow:
-    degree: int
-    computed_dim: int
-    expected_dim: int
-    match: bool
+PiDegreeRow = namedtuple("PiDegreeRow", "degree computed_dim expected_dim match")
 
 
-@dataclass
-class PiReport:
+class PiReport(namedtuple("PiReport", "level degree_cap rows subspace_match")):
     """Comparison of the abelianized layer with its predicted image.
 
     Under abelianization the order-1 layer collapses to the constants and
@@ -558,10 +550,7 @@ class PiReport:
     the image, and whether the image matches the predicted span exactly.
     """
 
-    level: int
-    degree_cap: int
-    rows: list
-    subspace_match: bool
+    __slots__ = ()
 
     @property
     def matches(self):
@@ -584,23 +573,15 @@ def remark_pi_check(m, cap):
     return PiReport(m, cap, rows, inside)
 
 
-@dataclass
-class H1DegreeRow:
-    degree: int
-    c_span_dim: int
-    layer_dim: int
+H1DegreeRow = namedtuple("H1DegreeRow", "degree c_span_dim layer_dim")
 
 
-@dataclass
-class H1Report:
+class H1Report(namedtuple("H1Report", "degree_cap rows contained dims_equal")):
     """Dimension comparison: products of the c generators vs the order-1
     layer.  Both are exact, and by the module's theorem (L_1 = C) the
     products lie in the layer and span it, degree by degree."""
 
-    degree_cap: int
-    rows: list
-    contained: bool
-    dims_equal: bool
+    __slots__ = ()
 
 
 def hypothesis1_report(cap):

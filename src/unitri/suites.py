@@ -8,7 +8,7 @@ the suites only drive the library.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .autgroup import (
@@ -48,11 +48,7 @@ from .verdict import FAILS, HOLDS
 HEIGHT = 6   # numerator and denominator bound of the suites' random scalars
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 def _rand_y_poly(rng, max_degree, nonzero=False):

@@ -8,24 +8,23 @@ optional provenance string says what such a verdict rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 HOLDS = "holds"
 FAILS = "fails"
 PROBABLY_HOLDS = "probably_holds"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str
-    witness: object = None   # UniAut for FAILS
-    provenance: str | None = None
+class Verdict(namedtuple("Verdict", "kind witness provenance")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (HOLDS, FAILS, PROBABLY_HOLDS):
-            raise ValueError(f"unknown verdict kind {self.kind!r}")
-        if self.kind == FAILS and self.witness is None:
+    def __new__(cls, kind, witness=None, provenance=None):
+        # witness: a UniAut for FAILS; provenance: str or None
+        if kind not in (HOLDS, FAILS, PROBABLY_HOLDS):
+            raise ValueError(f"unknown verdict kind {kind!r}")
+        if kind == FAILS and witness is None:
             raise ValueError("a failing verdict needs a witness")
+        return super().__new__(cls, kind, witness, provenance)
 
     @classmethod
     def holds(cls):

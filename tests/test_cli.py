@@ -6,7 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from unitri import cli, suites
+from unitri.autgroup import NonConstantLastError, VariableLeakError
 from unitri.cli import main
+from unitri.freealg import ArityMismatchError, ParseError, RankMismatchError
+from unitri.invariants import CapViolationError
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -278,6 +282,49 @@ def test_verify_json_shape(capsys):
     assert all(c["passed"] for c in data["checks"])
 
 
-def test_verify_unknown_suite(capsys):
-    code, _, _ = run(capsys, "verify", "lemma99")
+def test_verify_unknown_suite(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = run(capsys, "verify", "lemma99")
     assert code == 2
+    assert out == "" and err == (GOLDEN / "verify_unknown_suite.txt").read_text()
+
+
+def test_verify_help_is_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps help to the terminal
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    assert out == (GOLDEN / "verify_help.txt").read_text()
+
+
+def test_suite_names_are_the_suites():
+    assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
+
+
+def test_usage_errors_are_value_errors():
+    # cli.USAGE_ERRORS catches them as ValueError
+    for exc in (ParseError, RankMismatchError, ArityMismatchError, VariableLeakError,
+                NonConstantLastError, CapViolationError):
+        assert issubclass(exc, ValueError), exc
+
+
+# Runs the CLI and prints which of the listed modules it imported.  -S
+# keeps site-packages hooks, which may import them themselves, out.
+_IMPORT_PROBE = """
+import sys
+from unitri.cli import main
+code = main(sys.argv[1:])
+print(sorted(m for m in ("dataclasses", "inspect", "unitri.suites") if m in sys.modules))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["classify", "--cap", "4", "x1 + x3^4; x2; x3"], []),
+    (["verify", "lemma2"], ["unitri.suites"]),
+])
+def test_only_verify_imports_the_suites(argv, loaded):
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)

@@ -35,7 +35,7 @@ from unitri.linalg import Echelon, nullspace
 from unitri.verdict import FAILS, HOLDS
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
-from layer_oracle import oracle_basis, sampled_reverify
+from layer_oracle import in_layer, oracle_basis, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
 SD = 2   # the shift degree of the sampled oracles
@@ -345,8 +345,10 @@ def test_layer_level_reads_lazard_coordinates():
         assert layer_level(f) == level
         for m in range(1, 5):
             assert layer_contains(f, m) == (level is not None and level <= m)
-            cap = int(max(f.degree(), 0))
-            assert s_layer_basis(m, cap).contains(f) == layer_contains(f, m)
+            # oracle: the kernel tower, which agrees with layer m on these f
+            # from shift degree deg f + m - 2 on
+            deg = int(max(f.degree(), 0))
+            assert s_layer_basis(m, deg).contains(f) == in_layer(f, m, deg + m - 1)
     with pytest.raises(VariableLeakError):
         layer_level(X1)
 
