@@ -37,6 +37,7 @@ from .freealg import (
     ParseError,
     RankMismatchError,
     RankOverflowError,
+    SubstitutionTooLargeError,
     abelianize,
     c_generator,
     format_poly,

@@ -17,7 +17,14 @@ import math
 import random
 from fractions import Fraction
 
-from .freealg import NcPoly, RankMismatchError, format_poly, parse_poly
+from .freealg import (
+    NcPoly,
+    RankMismatchError,
+    format_poly,
+    join_signed_terms,
+    parse_poly,
+    signed_terms,
+)
 from .linalg import add_term
 
 
@@ -250,17 +257,8 @@ def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
 
 def format_aut(phi):
     """Semicolon-separated images, offsets in canonical term order."""
-    parts = []
-    for i, f in enumerate(phi.offsets, start=1):
-        if f.is_zero():
-            parts.append(f"x{i}")
-        else:
-            body = format_poly(f)
-            if body.startswith("-"):
-                parts.append(f"x{i} - {body[1:]}")
-            else:
-                parts.append(f"x{i} + {body}")
-    return "; ".join(parts)
+    return "; ".join(join_signed_terms([(1, f"x{i}")] + signed_terms(f))
+                     for i, f in enumerate(phi.offsets, start=1))
 
 
 def parse_aut(text):

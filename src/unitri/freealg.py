@@ -21,6 +21,7 @@ integer, which keeps predicates of the shape "deg f <= s" uniform.
 from __future__ import annotations
 
 import itertools
+import re
 import sys
 from fractions import Fraction
 from math import lcm
@@ -30,7 +31,10 @@ from .linalg import add_scaled, add_term, clear_denominators, over_denominator
 NEG_INF = float("-inf")
 
 MAX_WORD_LENGTH = 64   # longest word, and so exponent, the parser accepts
-DIGITS = frozenset("0123456789")   # str.isdigit() also takes "²" and "٣"
+# most term products one substitute call may form: about 10x the 20 640
+# that the tests, suites and benchmark session need at most, while
+# (x1 + x2)^30 stops after about 2^17 of its 2^31
+MAX_SUBSTITUTION_TERMS = 200_000
 
 
 class RankMismatchError(ValueError):
@@ -51,6 +55,11 @@ class ParseError(ValueError):
 
 class RankOverflowError(ParseError):
     """A parsed variable index exceeds the declared rank."""
+
+
+class SubstitutionTooLargeError(ValueError):
+    """A substitution would form more than MAX_SUBSTITUTION_TERMS term
+    products."""
 
 
 def grlex_key(word):
@@ -257,7 +266,9 @@ class NcPoly(_TermPoly):
         Word images are built and summed over the integers: each is a pair
         (d, ints) as from linalg.clear_denominators, memoised by prefix,
         with a letter's image converted on first use.  Only the result is
-        brought back to Fractions, one per term.
+        brought back to Fractions, one per term.  The term products the
+        word images need are counted before each is formed, and more than
+        MAX_SUBSTITUTION_TERMS of them raise SubstitutionTooLargeError.
         """
         images = list(images)
         if len(images) != self.rank:
@@ -268,8 +279,10 @@ class NcPoly(_TermPoly):
             raise RankMismatchError(f"images carry mixed ranks {sorted(ranks)}")
         rank = images[0].rank if images else self.rank
         cache = {(): (1, {(): 1})}
+        formed = 0
 
         def image_of(word):
+            nonlocal formed
             got = cache.get(word)
             if got is None:
                 if len(word) == 1:
@@ -277,6 +290,10 @@ class NcPoly(_TermPoly):
                 else:
                     d1, t1 = image_of(word[:-1])
                     d2, t2 = image_of(word[-1:])
+                    formed += len(t1) * len(t2)
+                    if formed > MAX_SUBSTITUTION_TERMS:
+                        raise SubstitutionTooLargeError(
+                            f"substitution needs more than {MAX_SUBSTITUTION_TERMS} terms")
                     got = (d1 * d2, _mul_words(t1, t2))
                 cache[word] = got
             return got
@@ -424,123 +441,95 @@ def join_signed_terms(terms):
     return " ".join(pieces) or "0"
 
 
+def signed_terms(p):
+    """The (coefficient, monomial text) pairs of p in graded-lex order, as
+    join_signed_terms takes them."""
+    return [(p.terms[w], _word_str(w)) for w in sorted(p.terms, key=grlex_key)]
+
+
 def format_poly(p):
     """Canonical rendering: graded-lex term order, explicit '*'."""
-    return join_signed_terms((p.terms[w], _word_str(w))
-                             for w in sorted(p.terms, key=grlex_key))
+    return join_signed_terms(signed_terms(p))
 
 
-class _Parser:
-    def __init__(self, text, rank):
-        self.text = text
-        self.rank = rank
-        self.pos = 0
+# A token is a run of ASCII digits or one other non-space character (\d
+# would also take "٣"); \s is exactly str.isspace().
+_TOKEN = re.compile(r"\s*([0-9]+|\S)")
 
-    def error(self, message, pos=None):
-        raise ParseError(message, self.pos if pos is None else pos)
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+def _fail(text, index, message, shift=0, cls=ParseError):
+    """Raise at the start of token `index` (past the last token: the end of
+    the text), plus `shift`; positions are found only when raising."""
+    starts = [m.start(1) for m in _TOKEN.finditer(text)]
+    raise cls(message, (starts + [len(text)])[index] + shift)
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take(self):
-        ch = self.peek()
-        self.pos += 1
-        return ch
+def _uint(text, toks, i, what, limit=None):
+    """The value of the digit token i, `what` naming it in errors."""
+    tok = toks[i]
+    if not "0" <= tok[:1] <= "9":
+        _fail(text, i, f"expected {what}")
+    digits = tok.lstrip("0") or "0"
+    # compare lengths first, so that no huge digit string is converted
+    if limit is not None and (len(digits), digits) > (len(str(limit)), str(limit)):
+        _fail(text, i, f"{what} exceeds {limit}")
+    max_digits = sys.get_int_max_str_digits()   # int() refuses longer strings
+    if max_digits and len(digits) > max_digits:
+        _fail(text, i, f"{what} has more than {max_digits} digits")
+    return int(digits)
 
-    def parse_uint(self, what, limit=None):
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            self.error(f"expected {what}")
-        digits = self.text[start:self.pos].lstrip("0") or "0"
-        # compare lengths first, so that no huge digit string is converted
-        if limit is not None and (len(digits), digits) > (len(str(limit)), str(limit)):
-            self.error(f"{what} exceeds {limit}", start)
-        max_digits = sys.get_int_max_str_digits()   # int() refuses longer strings
-        if max_digits and len(digits) > max_digits:
-            self.error(f"{what} has more than {max_digits} digits", start)
-        return int(digits)
 
-    def parse_coeff(self):
-        num = self.parse_uint("an integer")
-        if self.peek() == "/":
-            self.take()
-            start = self.pos
-            den = self.parse_uint("a denominator")
-            if den == 0:
-                self.error("zero denominator", start)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def parse_factor(self):
-        ch = self.peek()
-        start = self.pos
-        if ch != "x":
-            if ch.isalpha():
-                self.error(f"unknown variable {ch!r}")
-            self.error("expected a variable")
-        self.take()
-        index = self.parse_uint("a variable index")
-        if index < 1:
-            self.error("variable indices start at 1", start)
-        if index > self.rank:
-            raise RankOverflowError(
-                f"variable x{index} exceeds rank {self.rank}", start)
-        power = 1
-        if self.peek() == "^":
-            self.take()
-            power = self.parse_uint("an exponent", MAX_WORD_LENGTH)
-        return (index,) * power
-
-    def parse_term(self):
-        ch = self.peek()
-        if ch in DIGITS:
-            coeff = self.parse_coeff()
-            word = ()
-        elif ch == "x" or ch.isalpha():
-            coeff = Fraction(1)
-            word = self.parse_factor()
-        else:
-            self.error("expected a coefficient or variable")
-        while self.peek() == "*":
-            self.take()
-            factor = self.parse_factor()
-            if len(word) + len(factor) > MAX_WORD_LENGTH:
-                self.error(f"word longer than {MAX_WORD_LENGTH} letters")
-            word = word + factor
-        return word, coeff
-
-    def parse(self):
-        acc = {}
-        sign = 1
-        ch = self.peek()
-        if ch and ch in "+-":
-            self.take()
-            sign = -1 if ch == "-" else 1
-        elif not ch:
-            self.error("empty polynomial")
-        while True:
-            word, coeff = self.parse_term()
-            add_term(acc, word, sign * coeff)
-            ch = self.peek()
-            if not ch:
-                break
-            if ch not in "+-":
-                self.error(f"expected '+' or '-', found {ch!r}")
-            self.take()
-            sign = -1 if ch == "-" else 1
-        return NcPoly._raw(self.rank, acc)
+def _factor(text, toks, i, rank):
+    """The word of the factor at token i, and the index of the next token."""
+    if toks[i] != "x":
+        _fail(text, i, f"unknown variable {toks[i]!r}" if toks[i].isalpha()
+              else "expected a variable")
+    index = _uint(text, toks, i + 1, "a variable index")
+    if index < 1:
+        _fail(text, i, "variable indices start at 1")
+    if index > rank:
+        _fail(text, i, f"variable x{index} exceeds rank {rank}", cls=RankOverflowError)
+    if toks[i + 2] != "^":
+        return (index,), i + 2
+    return (index,) * _uint(text, toks, i + 3, "an exponent", MAX_WORD_LENGTH), i + 4
 
 
 def parse_poly(text, rank):
     """Parse the text grammar above into a canonical polynomial; a word
     longer than MAX_WORD_LENGTH letters is a ParseError, never built."""
     _require_positive_rank(rank)
-    return _Parser(text, rank).parse()
+    toks = _TOKEN.findall(text) + [""]   # "" marks the end of the text
+    if not toks[0]:
+        _fail(text, 0, "empty polynomial")
+    i = 1 if toks[0] in ("+", "-") else 0
+    sign = -1 if toks[0] == "-" else 1
+    acc = {}
+    while True:
+        num, den, word = 1, 1, ()
+        if "0" <= toks[i][:1] <= "9":
+            num = _uint(text, toks, i, "an integer")
+            i += 1
+            if toks[i] == "/":
+                den = _uint(text, toks, i + 1, "a denominator")
+                if not den:
+                    _fail(text, i, "zero denominator", 1)   # just after the '/'
+                i += 2
+        elif toks[i].isalpha():
+            word, i = _factor(text, toks, i, rank)
+        else:
+            _fail(text, i, "expected a coefficient or variable")
+        while toks[i] == "*":
+            factor, i = _factor(text, toks, i + 1, rank)
+            if len(word) + len(factor) > MAX_WORD_LENGTH:
+                message = f"word longer than {MAX_WORD_LENGTH} letters"
+                if toks[i - 2] == "^":   # reported at the end of the exponent
+                    _fail(text, i - 1, message, len(toks[i - 1]))
+                _fail(text, i, message)   # else at the next token
+            word += factor
+        add_term(acc, word, Fraction(sign * num, den))
+        if not toks[i]:
+            return NcPoly._raw(rank, acc)
+        if toks[i] not in ("+", "-"):
+            _fail(text, i, f"expected '+' or '-', found {toks[i][0]!r}")
+        sign = -1 if toks[i] == "-" else 1
+        i += 1

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -9,7 +10,13 @@ import pytest
 from unitri import cli, suites
 from unitri.autgroup import NonConstantLastError, VariableLeakError
 from unitri.cli import main
-from unitri.freealg import ArityMismatchError, ParseError, RankMismatchError
+from unitri.freealg import (
+    MAX_SUBSTITUTION_TERMS,
+    ArityMismatchError,
+    ParseError,
+    RankMismatchError,
+    SubstitutionTooLargeError,
+)
 from unitri.invariants import CapViolationError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -296,6 +303,30 @@ def test_verify_help_is_pinned(capsys, monkeypatch):
     assert out == (GOLDEN / "verify_help.txt").read_text()
 
 
+def _sum_of_words(n_terms):
+    """The first n_terms words in x2, x3, shortest first, as a sum."""
+    words = itertools.chain.from_iterable(
+        itertools.product((2, 3), repeat=n) for n in itertools.count(1))
+    return " + ".join("*".join(f"x{v}" for v in w) for w in itertools.islice(words, n_terms))
+
+
+@pytest.mark.parametrize("argv", [
+    ["apply", "x1 + x2; x2", "x1^30"],
+    ["invert", "x1 + x2^20*x3^20; x2 + x3^3; x3 + 1"],
+    ["center-test", "x1 + x2^30; x2; x3; x4"],
+    # x1^2 needs 446^2 products, just under the bound; x1^3 would need
+    # 446 times as many more in one step
+    ["apply", f"x1 + {_sum_of_words(446)}; x2; x3", "x1^3"],
+], ids=["apply-binomial", "invert", "center-test", "apply-cube"])
+def test_oversized_substitution_is_a_usage_error(argv):
+    # a fresh process, so that a hang fails on the timeout, not the run
+    proc = subprocess.run([sys.executable, "-m", "unitri.cli", *argv],
+                          capture_output=True, text=True, timeout=30,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == f"error: substitution needs more than {MAX_SUBSTITUTION_TERMS} terms\n"
+
+
 def test_suite_names_are_the_suites():
     assert cli.SUITE_NAMES == tuple(sorted(suites.SUITES))
 
@@ -303,7 +334,7 @@ def test_suite_names_are_the_suites():
 def test_usage_errors_are_value_errors():
     # cli.USAGE_ERRORS catches them as ValueError
     for exc in (ParseError, RankMismatchError, ArityMismatchError, VariableLeakError,
-                NonConstantLastError, CapViolationError):
+                NonConstantLastError, CapViolationError, SubstitutionTooLargeError):
         assert issubclass(exc, ValueError), exc
 
 
