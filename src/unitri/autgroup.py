@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .freealg import (
     NcPoly,
+    ParseError,
     RankMismatchError,
     format_poly,
     join_signed_terms,
@@ -262,15 +263,21 @@ def format_aut(phi):
 
 
 def parse_aut(text):
-    """Parse semicolon-separated images; the rank is the image count."""
+    """Parse semicolon-separated images; the rank is the image count.  A
+    ParseError's position counts from the start of the whole text."""
     parts = text.split(";")
     rank = len(parts)
     if rank < 2:
         raise ValueError("an automorphism needs at least two images")
     offsets = []
+    start = 0
     for i, part in enumerate(parts, start=1):
-        img = parse_poly(part, rank)
+        try:
+            img = parse_poly(part, rank)
+        except ParseError as e:
+            raise type(e)(e.message, start + e.position) from None
         offsets.append(img - NcPoly.variable(i, rank))
+        start += len(part) + 1
     return UniAut(rank, offsets)
 
 

@@ -115,9 +115,10 @@ def un_center_test(phi, cfg=None):
     Central elements move only x1, by an offset fixed under every
     unitriangular automorphism that fixes x1.  A wrong shape fails with
     x1 -> x1 + x_i for a moved x_i; otherwise invariance_verdict decides
-    the offset, and its witness moves the offset, so it does not commute
-    with phi.  Nothing is sampled: cfg is ignored, and still accepted
-    because the benchmark's session launcher passes one.
+    the offset by derivations, and its witness, an elementary map that
+    moves the offset, does not commute with phi.  Nothing is sampled and
+    no substitution is formed: cfg is ignored, and still accepted because
+    the benchmark's session launcher passes one.
     """
     n = phi.rank
     if n < 3:

@@ -50,6 +50,7 @@ class ParseError(ValueError):
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

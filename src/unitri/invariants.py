@@ -116,20 +116,19 @@ def shift_aut(g, h):
     return UniAut(3, [NcPoly.zero(3), g, NcPoly.constant(h, 3)])
 
 
-def _derive(p, images):
-    """Derivation sending x_v to images[v] (variables not listed go to 0)."""
+def _derive(p, v, image):
+    """The derivation sending x_v to image and every other variable to 0."""
     acc = {}
     for word, c in p.terms.items():
         for pos, letter in enumerate(word):
-            img = images.get(letter)
-            if img is None:
+            if letter != v:
                 continue
             head, tail = word[:pos], word[pos + 1:]
-            for mw, mc in img.terms.items():   # add_term inlined: hot loop
+            for mw, mc in image.terms.items():   # add_term inlined: hot loop
                 w = head + mw + tail
-                v = acc.get(w, 0) + c * mc
-                if v:
-                    acc[w] = v
+                x = acc.get(w, 0) + c * mc
+                if x:
+                    acc[w] = x
                 else:
                     acc.pop(w, None)
     return NcPoly._raw(p.rank, acc)
@@ -212,16 +211,17 @@ def _layer_slice(level, k, l):
 class GradedSubspace:
     """The order-`level` layer of Q<x2,x3> up to a degree cap: its
     canonical basis (reduced echelon form under graded-lex, homogeneous
-    in bidegree) and a verdict.  Membership is read off Lazard
-    coordinates, by the same rule as layer_contains."""
+    in bidegree).  Membership is read off Lazard coordinates, by the same
+    rule as layer_contains.  The module's theorem gives every slice
+    exactly, so the verdict is always holds."""
 
     ambient = "Q<x2,x3>"
+    verdict = Verdict.holds()
 
-    def __init__(self, level, degree_cap, basis, verdict):
+    def __init__(self, level, degree_cap, basis):
         self.level = level
         self.degree_cap = degree_cap
         self.basis = basis
-        self.verdict = verdict
 
     @property
     def dim(self):
@@ -252,8 +252,7 @@ def s_layer_basis(m, cap):
 
     Its basis is the union of the bidegree slices.  They have disjoint
     supports, so their vectors sorted by graded-lex pivot are already the
-    canonical basis.  The module's theorem gives every slice exactly, so
-    the verdict holds.
+    canonical basis.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
@@ -262,26 +261,7 @@ def s_layer_basis(m, cap):
     basis = [v for k in range(cap + 1) for l in range(cap + 1 - k)
              for v in _layer_slice(m, k, l)]
     basis.sort(key=lambda v: grlex_key(min(v.terms, key=grlex_key)))
-    return GradedSubspace(m, cap, basis, Verdict.holds())
-
-
-def _least_shift(p, v, image, moves):
-    """The map x_v -> x_v + t*image, least t >= 1, whose defect on p
-    (image of p minus p) `moves`, a test that the defect is nonzero modulo
-    some subspace, given that the derivation x_v -> image moves p.
-
-    The defect is a polynomial in t with no constant term, whose linear
-    coefficient is that derivation's image, and whose degree is at most
-    the x_v-degree of p; so some t up to that degree is no root.
-    """
-    n = p.rank
-    for t in range(1, p.degree_in_var(v) + 1):
-        offsets = [NcPoly.zero(n)] * n
-        offsets[v - 1] = image * t
-        psi = UniAut(n, offsets)
-        if moves(psi.apply(p) - p):
-            return psi
-    raise RuntimeError("a derivation moves p but no shift does; this is a bug")
+    return GradedSubspace(m, cap, basis)
 
 
 def invariance_verdict(f):
@@ -305,10 +285,16 @@ def invariance_verdict(f):
     vanish.  For (c), x_i -> x_n^d*x_(n-1)*x_n^d is injective on words for
     the same reason, so it kills f only when x_i is absent.
 
-    The witness is the one-parameter map of the first failing condition,
-    x_i -> x_i + t*x_n^d*x_(n-1)*x_n^d, x_n -> x_n + t, or
-    x_(n-1) -> x_(n-1) + t*x_n^j with the least such j, at the least
-    t >= 1 that moves f.
+    The witness is the map of the first failing condition at t = 1:
+    x_i -> x_i + x_n^d*x_(n-1)*x_n^d, x_n -> x_n + 1, or
+    x_(n-1) -> x_(n-1) + x_n^j with the least such j.  It moves f: its
+    one-parameter group is psi_t = exp(t*D), D that condition's
+    derivation, with D f != 0, and psi_1^k = psi_k.  Were f fixed by
+    psi_1, it would be fixed by every psi_k with k >= 1; then the
+    polynomial psi_t(f) - f in t vanishes at every positive integer, so
+    identically, and its linear coefficient D f is 0 (van den Essen,
+    Polynomial Automorphisms, 2000, ch. 1).  So the decision forms no
+    substitution.
     """
     n = f.rank
     if n < 3:
@@ -319,18 +305,21 @@ def invariance_verdict(f):
     xn = NcPoly.variable(n, n)
     for i in range(2, n - 1):
         if f.degree_in_var(i) > 0:
-            return _moved_by(f, i, xn ** d * NcPoly.variable(n - 1, n) * xn ** d)
+            return _moved_by(i, xn ** d * NcPoly.variable(n - 1, n) * xn ** d)
     one = NcPoly.one(n)
-    if not _derive(f, {n: one}).is_zero():
-        return _moved_by(f, n, one)
+    if not _derive(f, n, one).is_zero():
+        return _moved_by(n, one)
     for j in range(d + 1):
-        if not _derive(f, {n - 1: xn ** j}).is_zero():
-            return _moved_by(f, n - 1, xn ** j)
+        if not _derive(f, n - 1, xn ** j).is_zero():
+            return _moved_by(n - 1, xn ** j)
     return Verdict.holds()
 
 
-def _moved_by(f, v, image):
-    return Verdict.fails(_least_shift(f, v, image, lambda defect: not defect.is_zero()))
+def _moved_by(v, image):
+    """fails, witnessed by the elementary map x_v -> x_v + image."""
+    offsets = [NcPoly.zero(image.rank)] * image.rank
+    offsets[v - 1] = image
+    return Verdict.fails(UniAut(image.rank, offsets))
 
 
 # -- subalgebra membership ----------------------------------------------------

@@ -23,7 +23,15 @@ from unitri.autgroup import (
     random_aut,
     random_aut_rng,
 )
-from unitri.freealg import NcPoly, c_generator, format_poly, parse_poly, ring_commutator
+from unitri.freealg import (
+    NcPoly,
+    ParseError,
+    RankOverflowError,
+    c_generator,
+    format_poly,
+    parse_poly,
+    ring_commutator,
+)
 
 from conftest import rand_poly
 
@@ -304,6 +312,19 @@ def test_format_splices_signs():
 def test_parse_aut_rejects_scaled_images():
     with pytest.raises(VariableLeakError):
         parse_aut("2*x1; x2 + 1")
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("x1 + *; x2", ParseError, "expected a coefficient or variable (at position 5)"),
+    ("x1 + x2; x2 + *", ParseError, "expected a coefficient or variable (at position 14)"),
+    ("x1; x2; x3 + x9", RankOverflowError, "variable x9 exceeds rank 3 (at position 13)"),
+    ("x1; x2 + x3; x3 + 1/0", ParseError, "zero denominator (at position 20)"),
+], ids=["first-image", "second-image", "third-image-rank", "third-image-denominator"])
+def test_parse_aut_error_position_counts_from_the_whole_text(text, error, message):
+    with pytest.raises(ParseError) as info:
+        parse_aut(text)
+    assert type(info.value) is error
+    assert str(info.value) == message
 
 
 def test_json_round_trip():

@@ -313,11 +313,11 @@ def _sum_of_words(n_terms):
 @pytest.mark.parametrize("argv", [
     ["apply", "x1 + x2; x2", "x1^30"],
     ["invert", "x1 + x2^20*x3^20; x2 + x3^3; x3 + 1"],
-    ["center-test", "x1 + x2^30; x2; x3; x4"],
+    ["compose", "x1 + x2^30; x2; x3", "x1; x2 + x3; x3"],
     # x1^2 needs 446^2 products, just under the bound; x1^3 would need
     # 446 times as many more in one step
     ["apply", f"x1 + {_sum_of_words(446)}; x2; x3", "x1^3"],
-], ids=["apply-binomial", "invert", "center-test", "apply-cube"])
+], ids=["apply-binomial", "invert", "compose", "apply-cube"])
 def test_oversized_substitution_is_a_usage_error(argv):
     # a fresh process, so that a hang fails on the timeout, not the run
     proc = subprocess.run([sys.executable, "-m", "unitri.cli", *argv],
@@ -325,6 +325,20 @@ def test_oversized_substitution_is_a_usage_error(argv):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: substitution needs more than {MAX_SUBSTITUTION_TERMS} terms\n"
+
+
+def test_center_test_of_a_large_offset_forms_no_substitution():
+    # x2^30 occurs in rank 4, so condition (c) decides; replaying the
+    # witness on x2^30 would need 2^30 words
+    argv = [sys.executable, "-m", "unitri.cli", "center-test", "x1 + x2^30; x2; x3; x4"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "fails\n", "")
+    proc = subprocess.run(argv[:3] + ["--json"] + argv[3:], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert proc.returncode == 0
+    witness = json.loads(proc.stdout)["verdict"]["witness"]
+    assert witness["offsets"] == ["0", "x4^30*x3*x4^30", "0", "0"]
 
 
 def test_suite_names_are_the_suites():

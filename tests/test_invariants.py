@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from unitri.autgroup import VariableLeakError, parse_aut
+from unitri.autgroup import UniAut, VariableLeakError, parse_aut
+from unitri.central import un_center_test
 from unitri.freealg import (
     NcPoly,
     abelianize,
@@ -182,6 +183,48 @@ def test_invariance_verdict_witness_order():
         assert verdict.witness.apply(f) != f
     assert invariance_verdict(NcPoly.zero(3)).kind == HOLDS
     assert invariance_verdict(NcPoly.constant(7, 5)).kind == HOLDS
+
+
+def _first_moving_map(f):
+    """The elementary map x_v -> x_v + image of the first derivation, in
+    invariance_verdict's order, that moves f; None when none does."""
+    n = f.rank
+    xn = NcPoly.variable(n, n)
+    d = int(max(f.degree(), 0))
+    maps = [(i, xn ** d * NcPoly.variable(n - 1, n) * xn ** d) for i in range(2, n - 1)]
+    maps += [(n, NcPoly.one(n))] + [(n - 1, xn ** j) for j in range(d + 1)]
+    for v, image in maps:
+        if not _derivation(f, v, image).is_zero():
+            offsets = [NcPoly.zero(n)] * n
+            offsets[v - 1] = image
+            return UniAut(n, offsets)
+    return None
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_center_decision_forms_no_substitution(rng, monkeypatch, n):
+    offsets = []
+    for trial in range(30):
+        f = c_combination(rng, n)
+        if trial % 2:   # one perturbing word
+            word = tuple(rng.choices(range(2, n + 1), k=rng.randint(0, 4)))
+            f = f + NcPoly(n, {word: rand_coeff(rng, 5)})
+        offsets.append(f)
+
+    def refuse(*args):
+        raise AssertionError("the centre decision formed a substitution")
+
+    monkeypatch.setattr(NcPoly, "substitute", refuse)
+    verdicts = [un_center_test(UniAut(n, [f] + [NcPoly.zero(n)] * (n - 1)))
+                for f in offsets]
+    monkeypatch.undo()
+    assert {v.kind for v in verdicts} == {HOLDS, FAILS}
+    for f, verdict in zip(offsets, verdicts):
+        witness = _first_moving_map(f)
+        assert verdict.kind == (HOLDS if witness is None else FAILS)
+        if witness is not None:
+            assert verdict.witness == witness
+            assert witness.apply(f) != f
 
 
 def test_invariance_verdict_rejects_bad_input():
