@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .autgroup import UniAut, VariableLeakError
@@ -72,7 +71,7 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, add_scaled, add_term
+from .linalg import Echelon, add_scaled, add_term, over_denominator
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -124,13 +123,8 @@ def _derive(p, v, image):
             if letter != v:
                 continue
             head, tail = word[:pos], word[pos + 1:]
-            for mw, mc in image.terms.items():   # add_term inlined: hot loop
-                w = head + mw + tail
-                x = acc.get(w, 0) + c * mc
-                if x:
-                    acc[w] = x
-                else:
-                    acc.pop(w, None)
+            for mw, mc in image.terms.items():
+                add_term(acc, head + mw + tail, c * mc)
     return NcPoly._raw(p.rank, acc)
 
 
@@ -186,26 +180,32 @@ def _compositions(n, k):
             yield (i,) + rest
 
 
-# A sweep over every level and cap <= 12 holds 12 * 91 slices, so this
-# bound keeps a full sweep in memory and evicts only beyond it.
-@lru_cache(maxsize=1200)
 def _layer_slice(level, k, l):
     """Canonical basis of the bidegree (k, l) slice of layer `level`
     (>= 1), as a tuple of NcPoly in pivot order; () when the slice is zero.
 
-    The slice is spanned by the products u_(i_1)..u_(i_k) * x3^b with
-    every i >= 1, b < level and sum i + b = l (the module's theorem),
-    each u_i expanded as ad_x3^i(x2).
+    The rows are x3^b * u_(i_1)..u_(i_k) with every i >= 1, b < level and
+    sum i + b = l.  They span the slice: x3*u_i = u_i*x3 + u_(i+1), so
+    sum_(b<m) x3^b*C = sum_(b<m) C*x3^b = L_m.  The least graded-lex word
+    of u_i is x2*x3^i with coefficient (-1)^i, so a row's least word, its
+    pivot, is x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient (-1)^(l-b);
+    it gives back (b, I), so the rows are triangular.  Signed to pivot 1,
+    a row has no word below its pivot: reducing each row by the rows of
+    larger pivot, largest first, stays in ints and gives the unique RREF.
     """
-    ech = Echelon(key=grlex_key)
+    rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
-            prod = {(): 1}
+            prod = {(3,) * b: (-1) ** (l - b)}
             for i in indices:
                 prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
                         for w2, c2 in _leibniz_term(i, 0)}
-            ech.insert({w + (3,) * b: Fraction(c) for w, c in prod.items()})
-    return tuple(NcPoly._raw(AMBIENT_RANK, v) for v in ech.vectors())
+            rows[min(prod)] = prod
+    for pivot, row in sorted(rows.items(), reverse=True):
+        for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
+            add_scaled(row, rows[w], -c)
+    return tuple(NcPoly._raw(AMBIENT_RANK, over_denominator(1, rows[p]))
+                 for p in sorted(rows))
 
 
 class GradedSubspace:

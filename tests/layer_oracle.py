@@ -8,6 +8,10 @@ D_sd (x2 -> x3^sd) taken modulo layer m-1, solved with
 d3 and every D_j with j <= sd; it contains the true layer and equals it
 once sd is high enough for the slice.
 
+`echelon_slice` builds a slice by generic elimination: the products
+u_I * x3^b, which span it, put through a Fraction `Echelon`, with no use
+of a triangular shape.
+
 `sampled_reverify` puts a basis through seeded random substitutions
 x2 -> x2 + g(x3), x3 -> x3 + h with deg g <= sd: an order-1 vector must
 have a zero defect, a deeper one a defect inside the tower's layer below.
@@ -19,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from unitri.freealg import NcPoly, grlex_key
-from unitri.invariants import invariance_defect
+from unitri.invariants import _compositions, _leibniz_term, invariance_defect
 from unitri.linalg import Echelon, nullspace
 
 from conftest import sample_shift
@@ -93,6 +97,21 @@ def oracle_basis(level, cap, sd):
     vecs = [v for ech in oracle_slices(level, cap, sd).values() for v in ech.vectors()]
     vecs.sort(key=lambda v: grlex_key(min(v, key=grlex_key)))
     return [NcPoly._raw(3, v) for v in vecs]
+
+
+def echelon_slice(level, k, l):
+    """The (k, l) slice of layer `level` as _layer_slice returns it, built
+    by eliminating the products u_(i_1)..u_(i_k) * x3^b (every i >= 1,
+    b < level, sum i + b = l) in a graded-lex Echelon over Fractions."""
+    ech = Echelon(key=grlex_key)
+    for b in range(min(level - 1, l) + 1):
+        for indices in _compositions(l - b, k):
+            prod = {(): 1}
+            for i in indices:
+                prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
+                        for w2, c2 in _leibniz_term(i, 0)}
+            ech.insert({w + (3,) * b: Fraction(c) for w, c in prod.items()})
+    return tuple(NcPoly._raw(3, v) for v in ech.vectors())
 
 
 def in_layer(p, level, sd):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -178,6 +179,18 @@ def test_invariants_basis_text_is_pinned(capsys, name, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+# `sha256sum`-style lines: the digest of stdout, two spaces, the argv
+CAP12_HASHES = [line.split("  ") for line in
+                (GOLDEN / "invariants_cap12.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest, argv", CAP12_HASHES)
+def test_invariants_cap12_json_is_pinned(capsys, digest, argv):
+    code, out, _ = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("suite", ["lemma5", "remark-pi"])

@@ -36,7 +36,7 @@ from unitri.linalg import Echelon, nullspace
 from unitri.verdict import FAILS, HOLDS
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
-from layer_oracle import in_layer, oracle_basis, sampled_reverify
+from layer_oracle import echelon_slice, in_layer, oracle_basis, sampled_reverify
 from straighten_oracle import shuffled_solve_straighten
 
 SD = 2   # the shift degree of the sampled oracles
@@ -345,10 +345,7 @@ def test_exact_pass_agrees_with_sampled_oracle(m, cap):
 
 
 def test_layer_slices_do_not_depend_on_cap():
-    # each cap is built from a cache emptied of the cap-7 slices
-    _layer_slice.cache_clear()
     top = {m: s_layer_basis(m, 7).basis for m in (1, 2, 3)}
-    _layer_slice.cache_clear()
     for m in (1, 2, 3):
         for cap in range(7):
             got = s_layer_basis(m, cap).basis
@@ -378,6 +375,57 @@ def test_closed_form_equals_kernel_tower(m, cap, sd):
 def test_layer1_cap12_has_fibonacci_dims():
     # dim L_1 up to degree D is F_(D+1); F_13 = 233
     assert sum(s_layer_basis(1, 12).dims_by_degree().values()) == 233
+
+
+# every bidegree (k, l) with k + l <= 9
+SLICES = [(k, l) for k in range(10) for l in range(10 - k)]
+
+
+def test_layer_slices_equal_the_echelon_oracle():
+    for m in range(1, 13):
+        for k, l in SLICES:
+            got = _layer_slice(m, k, l)
+            assert got == echelon_slice(m, k, l), (m, k, l)
+            assert all(type(c) is Fraction for v in got for c in v.terms.values())
+
+
+def _positive_compositions(n, k):
+    """Tuples of k positive ints with sum n, cut at k - 1 of the n - 1 gaps."""
+    if k == 0 or n < k:
+        return [()] if n == k == 0 else []
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in itertools.combinations(range(1, n), k - 1)]
+
+
+def test_signed_products_are_triangular():
+    # (-1)^(l-b) * x3^b * u_(i_1)..u_(i_k) has least word
+    # x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient 1, distinct over (b, I)
+    u = [X2]
+    for _ in range(9):
+        u.append(ring_commutator(X3, u[-1]))
+    for k, l in SLICES:
+        pivots = []
+        for b in range(l + 1):
+            for indices in _positive_compositions(l - b, k):
+                prod = X3 ** b * (-1) ** (l - b)
+                word = (3,) * b
+                for i in indices:
+                    prod = prod * u[i]
+                    word += (2,) + (3,) * i
+                assert min(prod.terms, key=grlex_key) == word
+                assert prod.terms[word] == 1
+                pivots.append((b, word))
+        assert len({w for _, w in pivots}) == len(pivots)
+        for m in range(1, 13):
+            assert len(_layer_slice(m, k, l)) == sum(b < m for b, _ in pivots)
+
+
+def test_layers_are_built_without_elimination(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Echelon.insert called")
+
+    monkeypatch.setattr(Echelon, "insert", refuse)
+    assert s_layer_basis(12, 12).dim == 608
 
 
 def test_layer_level_reads_lazard_coordinates():
