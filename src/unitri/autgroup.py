@@ -28,6 +28,8 @@ from .freealg import (
 )
 from .linalg import add_term
 
+MAX_RANK = 64   # most images parse_aut accepts, as MAX_WORD_LENGTH bounds a word
+
 
 class VariableLeakError(ValueError):
     """An offset uses a variable of index <= its own slot."""
@@ -263,10 +265,13 @@ def format_aut(phi):
 
 
 def parse_aut(text):
-    """Parse semicolon-separated images; the rank is the image count.  A
-    ParseError's position counts from the start of the whole text."""
+    """Parse semicolon-separated images; the rank is the image count, at
+    most MAX_RANK.  A ParseError's position counts from the start of the
+    whole text."""
+    rank = text.count(";") + 1
+    if rank > MAX_RANK:
+        raise ValueError(f"an automorphism has at most {MAX_RANK} images, got {rank}")
     parts = text.split(";")
-    rank = len(parts)
     if rank < 2:
         raise ValueError("an automorphism needs at least two images")
     offsets = []

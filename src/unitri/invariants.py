@@ -19,8 +19,8 @@ Proof.  Let u_0 = x2, A = Q<u_0, u_1, ...> and delta = ad_x3, so that
 delta(u_i) = u_(i+1).
 1. Coordinates.  Every f has unique coordinates f = sum_b a_b * x3^b
    with a_b in A, and A is free on the u_i (Lazard elimination;
-   Reutenauer, Free Lie Algebras, 1993).  They are computed one word at
-   a time by an integer fold (_lazard_word): appending x3 raises b by
+   Reutenauer, Free Lie Algebras, 1993).  An uncached integer fold over a
+   word's letters computes them (_lazard_word): appending x3 raises b by
    one, and appending x2 uses x3^b * x2 = sum_i C(b,i) * u_i * x3^(b-i).
 2. Derivations.  d3 and each D_j commute with delta, since d3(x3) = 1
    and D_j(x3) = 0 are central; so both kill u_i for i >= 1, and
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from functools import lru_cache
 
 from .autgroup import UniAut, VariableLeakError
 from .freealg import (
@@ -131,21 +130,19 @@ def _derive(p, v, image):
 # -- Lazard coordinates and the layer tower -----------------------------------
 
 
-# A word of degree 12 has at most C(12, 6) = 924 coordinates; this bound
-# keeps the cache within a few tens of MB even when every entry is that big.
-@lru_cache(maxsize=256)
 def _lazard_word(word):
     """Lazard coordinates of a word in x2, x3 as ((u, b), n) pairs, n a
     positive int and u a tuple of indices: word = sum n * u_(u[0])..u_(u[-1])
-    * x3^b.  The word minus its last letter is folded first (and
-    memoised); each of its keys yields distinct keys, so nothing cancels."""
-    if not word:
-        return ((((), 0), 1),)
-    prefix = _lazard_word(word[:-1])
-    if word[-1] == 3:
-        return tuple(((u, b + 1), n) for (u, b), n in prefix)
-    return tuple(((u + (i,), b - i), n * math.comb(b, i))
-                 for (u, b), n in prefix for i in range(b + 1))
+    * x3^b.  The fold starts from the empty word and appends one letter
+    at a time; each key yields distinct keys, so nothing cancels."""
+    coords = [(((), 0), 1)]
+    for letter in word:
+        if letter == 3:
+            coords = [((u, b + 1), n) for (u, b), n in coords]
+        else:
+            coords = [((u + (i,), b - i), n * math.comb(b, i))
+                      for (u, b), n in coords for i in range(b + 1)]
+    return coords
 
 
 def layer_level(f):
@@ -193,13 +190,14 @@ def _layer_slice(level, k, l):
     a row has no word below its pivot: reducing each row by the rows of
     larger pivot, largest first, stays in ints and gives the unique RREF.
     """
+    u = [_leibniz_term(i, 0) for i in range(l + 1)]
     rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
             prod = {(3,) * b: (-1) ** (l - b)}
             for i in indices:
                 prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
-                        for w2, c2 in _leibniz_term(i, 0)}
+                        for w2, c2 in u[i]}
             rows[min(prod)] = prod
     for pivot, row in sorted(rows.items(), reverse=True):
         for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
@@ -409,25 +407,23 @@ def c_product_span(cap):
 # -- free-module straightening ------------------------------------------------
 
 
-@lru_cache(maxsize=256)
 def _leibniz_term(k, j):
     """ad_x2^j(ad_x3^k(x2)) with ad_y(u) = y*u - u*y, as a tuple of
-    (word, integer coefficient) pairs.  It lies in the commutator
-    subalgebra whenever k >= 1."""
-    if j:
-        y, inner = 2, _leibniz_term(k, j - 1)
-    elif k:
-        y, inner = 3, _leibniz_term(k - 1, 0)
-    else:
-        return (((2,), 1),)
+    (word, integer coefficient) pairs, in the commutator subalgebra when
+    k >= 1.  ad_y = L_y - R_y, left minus right multiplication by y, which
+    commute; so ad_y^n(u) = sum_i (-1)^i C(n,i) * y^(n-i) * u * y^i, and
+      ad_x2^j(ad_x3^k(x2)) = sum_(i<=k, h<=j) (-1)^(i+h) C(k,i) C(j,h)
+                             * x2^(j-h) * x3^(k-i) * x2 * x3^i * x2^h,
+    summed by add_term, since i = 0 and i = k may give one word."""
     acc = {}
-    for w, c in inner:
-        add_term(acc, (y,) + w, c)
-        add_term(acc, w + (y,), -c)
+    for i in range(k + 1):
+        for h in range(j + 1):
+            word = (2,) * (j - h) + (3,) * (k - i) + (2,) + (3,) * i + (2,) * h
+            add_term(acc, word, (-1) ** (i + h) * math.comb(k, i) * math.comb(j, h))
     return tuple(acc.items())
 
 
-def _straighten_word(word):
+def _straighten_word(word, leibniz):
     """Integer straightening map {(a, b): {word: int}} of a single word.
 
     The word is folded letter by letter, keeping the prefix in the form
@@ -435,7 +431,8 @@ def _straighten_word(word):
     uses the Leibniz rules
       x3^b * x2 = sum_k C(b,k) * ad_x3^k(x2) * x3^(b-k)
       x2^a * u  = sum_j C(a,j) * ad_x2^j(u) * x2^(a-j)
-    whose k = 0 term is x2^(a+1) * x3^b.
+    whose k = 0 term is x2^(a+1) * x3^b.  `leibniz` maps (k, j) to
+    _leibniz_term(k, j); the terms a word needs are added when missing.
     """
     state = {(0, 0): {(): 1}}
     for letter in word:
@@ -447,7 +444,9 @@ def _straighten_word(word):
             add_scaled(nxt.setdefault((a + 1, b), {}), r)
             for k in range(1, b + 1):
                 for j in range(a + 1):
-                    term = _leibniz_term(k, j)
+                    term = leibniz.get((k, j))
+                    if term is None:
+                        term = leibniz[k, j] = _leibniz_term(k, j)
                     scale = math.comb(b, k) * math.comb(a, j)
                     target = nxt.setdefault((a - j, b - k), {})
                     for w1, c1 in r.items():
@@ -478,9 +477,9 @@ def specht_straighten(f, cap):
     _require_vars(f, (2, 3), "f")
     if f.degree() > cap:
         raise CapViolationError(f"degree {f.degree()} exceeds cap {cap}")
-    out = {}
+    out, leibniz = {}, {}
     for word, coeff in f.terms.items():
-        for key, r in _straighten_word(word).items():
+        for key, r in _straighten_word(word, leibniz).items():
             add_scaled(out.setdefault(key, {}), r, coeff)
     return {k: NcPoly._raw(3, t) for k, t in sorted(out.items()) if t}
 

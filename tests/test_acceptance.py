@@ -129,3 +129,9 @@ def test_criterion_12_derived_series_shape():
     wanted = pick(checks, "commutators freeze the last variable", "solvability shape")
     report(12, "derived-series shape: 100 commutators at shape >= 1; depth-n "
                "chains reach the identity", wanted)
+
+
+def test_criterion_13_centre_in_ranks_4_and_5():
+    checks, _ = suite("theorem3")
+    report(13, "rank 4 and 5 centre: commutator offsets in the last two variables "
+               "hold, non-central shapes fail with replayable witnesses", checks)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from unitri.autgroup import (
+    MAX_RANK,
     NonConstantLastError,
     UniAut,
     VariableLeakError,
@@ -325,6 +326,13 @@ def test_parse_aut_error_position_counts_from_the_whole_text(text, error, messag
         parse_aut(text)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_parse_aut_bounds_the_rank():
+    assert parse_aut("; ".join(f"x{i}" for i in range(1, MAX_RANK + 1))).rank == MAX_RANK
+    # the bound is checked before any image is parsed
+    with pytest.raises(ValueError, match=f"at most {MAX_RANK} images, got {MAX_RANK + 1}"):
+        parse_aut(";" * MAX_RANK)
 
 
 def test_json_round_trip():

@@ -264,3 +264,20 @@ def test_only_sampling_modules_import_random():
             if "random" in names:
                 importers.add(path.name)
     assert importers == {"autgroup.py", "suites.py"}
+
+
+def test_no_module_memoises_with_functools():
+    # every kernel is a closed form or a fold, so no cache size is guessed
+    users = set()
+    for path in Path(unitri.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"lru_cache", "cache"}:
+                users.add(path.name)
+    assert users == set()

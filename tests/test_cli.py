@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from unitri import cli, suites
-from unitri.autgroup import NonConstantLastError, VariableLeakError
+from unitri.autgroup import MAX_RANK, NonConstantLastError, VariableLeakError
 from unitri.cli import main
 from unitri.freealg import (
     MAX_SUBSTITUTION_TERMS,
@@ -338,6 +338,17 @@ def test_oversized_substitution_is_a_usage_error(argv):
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == f"error: substitution needs more than {MAX_SUBSTITUTION_TERMS} terms\n"
+
+
+def test_rank_above_the_bound_is_a_usage_error():
+    # a fresh process, so that a hang fails on the timeout, not the run
+    identity = "; ".join(f"x{i}" for i in range(1, MAX_RANK + 2))
+    proc = subprocess.run([sys.executable, "-m", "unitri.cli", "factor", identity],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: an automorphism has at most {MAX_RANK} images, "
+                           f"got {MAX_RANK + 1}\n")
 
 
 def test_center_test_of_a_large_offset_forms_no_substitution():

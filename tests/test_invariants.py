@@ -17,6 +17,7 @@ from unitri.invariants import (
     CapViolationError,
     NonHomogeneousGeneratorError,
     _layer_slice,
+    _leibniz_term,
     c_product_span,
     hypothesis1_report,
     invariance_defect,
@@ -525,6 +526,19 @@ def test_membership_expression_text():
 
 
 # -- straightening ---------------------------------------------------------------
+
+
+def test_leibniz_term_is_the_ad_tower():
+    # the closed binomial form against ad_x2^j(ad_x3^k(x2)) built by commutators
+    for k in range(11):
+        tower = X2
+        for _ in range(k):
+            tower = ring_commutator(X3, tower)
+        for j in range(11 - k):
+            term = dict(_leibniz_term(k, j))
+            assert term == tower.terms, (k, j)
+            assert all(type(c) is int for c in term.values())
+            tower = ring_commutator(X2, tower)
 
 
 def test_straighten_basis_monomial():
