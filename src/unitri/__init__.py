@@ -32,7 +32,6 @@ from .central import (
 from .freealg import (
     NEG_INF,
     ArityMismatchError,
-    CommPoly,
     NcPoly,
     ParseError,
     RankMismatchError,

@@ -160,6 +160,6 @@ def u3_hypercenter_level_truncated(phi, cap, cfg=None):
     m = layer_level(f1)
     if m is not None:
         return OrdinalLevel(0, m), Verdict.holds()
-    t = max(abelianize(f1).degree_in_var(2), 0)
+    t = max((e[1] for e in abelianize(f1)), default=0)
     return OrdinalLevel(1, t + 1), Verdict.probably_holds(
         provenance="abelianisation bound, unsampled")

@@ -200,7 +200,7 @@ def _cmd_invariants(args):
     data = {"level": args.level, **space.to_json()}
     lines = [f"level {args.level}, degree cap {space.degree_cap}, "
              f"dim {space.dim} ({space.verdict.kind})"]
-    lines += [f"  {format_poly(b)}" for b in space.basis]
+    lines += [f"  {b}" for b in data["basis"]]
     _emit(args, data, "\n".join(lines))
     return 0
 
@@ -208,11 +208,11 @@ def _cmd_invariants(args):
 def _cmd_straighten(args):
     p = parse_poly(args.poly, 3)
     components = specht_straighten(p, args.cap)
-    items = sorted(components.items())
     data = {"input": format_poly(p),
             "components": [{"alpha": a, "beta": b, "coefficient": format_poly(r)}
-                           for (a, b), r in items]}
-    text = "\n".join(f"x2^{a}*x3^{b} : {format_poly(r)}" for (a, b), r in items) or "0"
+                           for (a, b), r in sorted(components.items())]}
+    text = "\n".join(f"x2^{c['alpha']}*x3^{c['beta']} : {c['coefficient']}"
+                     for c in data["components"]) or "0"
     _emit(args, data, text)
     return 0
 

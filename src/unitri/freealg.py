@@ -73,15 +73,14 @@ def _require_positive_rank(rank):
         raise ValueError(f"rank must be >= 1, got {rank}")
 
 
-class _TermPoly:
-    """Sparse polynomial over Q in the zero-free term-map format of
-    `linalg`: `terms` maps a term key to its nonzero Fraction coefficient.
+class NcPoly:
+    """Sparse polynomial with noncommuting variables and Fraction
+    coefficients, in the zero-free term-map format of `linalg`: `terms`
+    maps a word to its nonzero Fraction coefficient.
 
     Instances are immutable by convention: no method mutates `terms`, and
     every operation returns a fresh polynomial in canonical form (no zero
-    coefficients, every key valid for `rank`).  A subclass says what a key
-    is: _check_key validates one, _unit_key is the key of the constant
-    term, and _mul_terms multiplies two term maps.
+    coefficients, every letter a variable index within `rank`).
     """
 
     __slots__ = ("rank", "terms")
@@ -89,10 +88,12 @@ class _TermPoly:
     def __init__(self, rank, terms=None):
         _require_positive_rank(rank)
         clean = {}
-        for key, coeff in (terms or {}).items():
-            key = tuple(key)
-            self._check_key(key, rank)
-            add_term(clean, key, Fraction(coeff))
+        for word, coeff in (terms or {}).items():
+            word = tuple(word)
+            for letter in word:
+                if not 1 <= letter <= rank:
+                    raise ValueError(f"variable index {letter} outside rank {rank}")
+            add_term(clean, word, Fraction(coeff))
         self.rank = rank
         self.terms = clean
 
@@ -111,7 +112,7 @@ class _TermPoly:
     @classmethod
     def constant(cls, value, rank):
         c = Fraction(value)
-        return cls._raw(rank, {cls._unit_key(rank): c} if c else {})
+        return cls._raw(rank, {(): c} if c else {})
 
     def is_zero(self):
         return not self.terms
@@ -125,7 +126,7 @@ class _TermPoly:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.constant(other, self.rank)
-        if not isinstance(other, type(self)):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
@@ -138,7 +139,7 @@ class _TermPoly:
         return self._raw(self.rank, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, type(self))):
+        if not isinstance(other, (int, Fraction, NcPoly)):
             return NotImplemented
         return self + (-other)
 
@@ -151,10 +152,12 @@ class _TermPoly:
             if not c:
                 return self.zero(self.rank)
             return self._raw(self.rank, {k: v * c for k, v in self.terms.items()})
-        if not isinstance(other, type(self)):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
-        return self._raw(self.rank, self._mul_terms(self.terms, other.terms))
+        da, ia = clear_denominators(self.terms)
+        db, ib = clear_denominators(other.terms)
+        return self._raw(self.rank, over_denominator(da * db, _mul_words(ia, ib)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -167,7 +170,7 @@ class _TermPoly:
         return NotImplemented
 
     def __eq__(self, other):
-        if not isinstance(other, type(self)):
+        if not isinstance(other, NcPoly):
             return NotImplemented
         return self.rank == other.rank and self.terms == other.terms
 
@@ -175,33 +178,7 @@ class _TermPoly:
         return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.rank}, {str(self)!r})"
-
-
-class NcPoly(_TermPoly):
-    """Sparse polynomial with noncommuting variables and Fraction
-    coefficients; a term key is a word."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_key(word, rank):
-        for letter in word:
-            if not 1 <= letter <= rank:
-                raise ValueError(f"variable index {letter} outside rank {rank}")
-
-    @staticmethod
-    def _unit_key(rank):
-        return ()
-
-    @staticmethod
-    def _mul_terms(a, b):
-        da, ia = clear_denominators(a)
-        db, ib = clear_denominators(b)
-        return over_denominator(da * db, _mul_words(ia, ib))
-
-    # held in NcPoly's own namespace, where bench/tracer.py looks it up
-    __mul__ = _TermPoly.__mul__
+        return f"NcPoly({self.rank}, {str(self)!r})"
 
     @classmethod
     def one(cls, rank):
@@ -350,56 +327,14 @@ def c_generator(k, i, j, rank=None):
     return c
 
 
-class CommPoly(_TermPoly):
-    """Sparse commutative polynomial: a term key is an exponent vector.
-
-    The image ring of abelianization; just enough arithmetic to state
-    homomorphism properties and compare graded subspaces exactly.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _check_key(exps, rank):
-        if len(exps) != rank or any(e < 0 for e in exps):
-            raise ValueError(f"bad exponent vector {exps} for rank {rank}")
-
-    @staticmethod
-    def _unit_key(rank):
-        return (0,) * rank
-
-    @staticmethod
-    def _mul_terms(a, b):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                add_term(out, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
-        return out
-
-    def degree(self):
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
-
-    def degree_in_var(self, index):
-        if not self.terms:
-            return NEG_INF
-        return max(e[index - 1] for e in self.terms)
-
-    def __str__(self):
-        return join_signed_terms(
-            (self.terms[exps],
-             "*".join(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                      for i, e in enumerate(exps) if e))
-            for exps in sorted(self.terms, key=lambda e: (sum(e), e)))
-
-
 def abelianize(p):
-    """Project to the commutative polynomial ring; commutators die here."""
+    """Project to the commutative polynomial ring, where commutators die:
+    the zero-free term map {exponent vector: Fraction}, the i-th entry of
+    a vector counting x_(i+1)."""
     acc = {}
     for word, coeff in p.terms.items():
         add_term(acc, tuple(word.count(i) for i in range(1, p.rank + 1)), coeff)
-    return CommPoly._raw(p.rank, acc)
+    return acc
 
 
 # -- text format -------------------------------------------------------------

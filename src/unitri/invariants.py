@@ -280,11 +280,15 @@ def invariance_verdict(f):
     D_j f = sum C(u, a+b, v)*u*x_n^(a+b+j)*v, and C does not depend on j.
     For j = d the inserted run is the only x_n-run of length >= d, so the
     words do not collide: D_d f = 0 forces every C, hence every D_j f, to
-    vanish.  For (c), x_i -> x_n^d*x_(n-1)*x_n^d is injective on words for
-    the same reason, so it kills f only when x_i is absent.
+    vanish.  For (c), let D send x_i to P = x_(n-1)*x_n^(d-1), d letters.
+    A word u*x_i*v of f leaves at most d-1 letters in u and v together, so
+    P occurs in u*P*v only at offset |u|: an occurrence starting left of
+    it would need x_n where P starts, one starting right of it would
+    start inside P's x_n-run.  So D is injective on (word, occurrence)
+    pairs and kills f only when x_i is absent.
 
     The witness is the map of the first failing condition at t = 1:
-    x_i -> x_i + x_n^d*x_(n-1)*x_n^d, x_n -> x_n + 1, or
+    x_i -> x_i + x_(n-1)*x_n^(d-1), x_n -> x_n + 1, or
     x_(n-1) -> x_(n-1) + x_n^j with the least such j.  It moves f: its
     one-parameter group is psi_t = exp(t*D), D that condition's
     derivation, with D f != 0, and psi_1^k = psi_k.  Were f fixed by
@@ -303,7 +307,7 @@ def invariance_verdict(f):
     xn = NcPoly.variable(n, n)
     for i in range(2, n - 1):
         if f.degree_in_var(i) > 0:
-            return _moved_by(i, xn ** d * NcPoly.variable(n - 1, n) * xn ** d)
+            return _moved_by(i, NcPoly.variable(n - 1, n) * xn ** (d - 1))
     one = NcPoly.one(n)
     if not _derive(f, n, one).is_zero():
         return _moved_by(n, one)
@@ -550,7 +554,7 @@ def remark_pi_check(m, cap):
     # a bidegree-homogeneous basis vector abelianizes to a multiple of one monomial
     monomials = set()
     for b in s_layer_basis(m, cap).basis:
-        monomials.update(abelianize(b).terms)
+        monomials.update(abelianize(b))
     computed_dims = Counter(sum(e) for e in monomials)
     rows = []
     for d in range(cap + 1):
@@ -566,8 +570,12 @@ H1DegreeRow = namedtuple("H1DegreeRow", "degree c_span_dim layer_dim")
 
 class H1Report(namedtuple("H1Report", "degree_cap rows contained dims_equal")):
     """Dimension comparison: products of the c generators vs the order-1
-    layer.  Both are exact, and by the module's theorem (L_1 = C) the
-    products lie in the layer and span it, degree by degree."""
+    layer.  Graded lex is multiplicative and c_k has least word
+    x2*x3^k, so a product c_(k_1)..c_(k_r) has least word
+    x2*x3^(k_1)..x2*x3^(k_r), and the products are triangular: the span
+    dimension in each degree is the count of distinct least words.
+    dims_equal is False when two products share one.  By the module's
+    theorem (L_1 = C) the products lie in the layer and span it."""
 
     __slots__ = ()
 
@@ -576,15 +584,10 @@ def hypothesis1_report(cap):
     layer = s_layer_basis(1, cap)
     prods = c_product_span(cap)
     contained = all(layer.contains(p) for p in prods)
-    span = Echelon(key=grlex_key)
-    for p in prods:
-        span.insert(p.terms)
-    span_dims = {}
-    for pivot in span.pivots():
-        d = len(pivot)
-        span_dims[d] = span_dims.get(d, 0) + 1
+    least = {min(p.terms, key=grlex_key) for p in prods}
+    span_dims = Counter(len(w) for w in least)
     layer_dims = layer.dims_by_degree()
-    rows = [H1DegreeRow(d, span_dims.get(d, 0), layer_dims.get(d, 0))
-            for d in range(cap + 1)]
-    dims_equal = all(r.c_span_dim == r.layer_dim for r in rows)
+    rows = [H1DegreeRow(d, span_dims[d], layer_dims.get(d, 0)) for d in range(cap + 1)]
+    dims_equal = (len(least) == len(prods)
+                  and all(r.c_span_dim == r.layer_dim for r in rows))
     return H1Report(cap, rows, contained, dims_equal)

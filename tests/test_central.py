@@ -243,7 +243,7 @@ def test_center_test_is_exact_and_every_witness_replays(rng, n):
 
 
 @pytest.mark.parametrize("offset, witness", [
-    ("x2", "x1; x2 + x4*x3*x4; x3; x4"),   # x2 occurs: condition (c)
+    ("x2", "x1; x2 + x3; x3; x4"),         # x2 occurs: condition (c)
     ("x3", "x1; x2; x3 + 1; x4"),          # D_0 moves it: condition (b)
 ])
 def test_un_center_test_rank4_witnesses_replay(offset, witness):

@@ -1,15 +1,23 @@
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-from unitri import cli, suites
-from unitri.autgroup import MAX_RANK, NonConstantLastError, VariableLeakError
+from unitri import cli, freealg, invariants, suites
+from unitri.autgroup import (
+    MAX_RANK,
+    NonConstantLastError,
+    VariableLeakError,
+    aut_from_json,
+    format_aut,
+)
 from unitri.cli import main
 from unitri.freealg import (
     MAX_SUBSTITUTION_TERMS,
@@ -17,11 +25,13 @@ from unitri.freealg import (
     ParseError,
     RankMismatchError,
     SubstitutionTooLargeError,
+    parse_poly,
 )
 from unitri.invariants import CapViolationError
 
 GOLDEN = Path(__file__).parent / "golden"
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -184,6 +194,23 @@ def test_invariants_basis_text_is_pinned(capsys, name, argv):
 # `sha256sum`-style lines: the digest of stdout, two spaces, the argv
 CAP12_HASHES = [line.split("  ") for line in
                 (GOLDEN / "invariants_cap12.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_invariants_formats_each_basis_vector_once(capsys, monkeypatch, as_json):
+    calls = []
+    original = freealg.format_poly
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (freealg, cli, invariants):
+        monkeypatch.setattr(module, "format_poly", counted)
+    code, _, _ = run(capsys, *(["--json"] if as_json else []),
+                     "invariants", "--level", "1", "--cap", "6")
+    # the dim, F_7 = 13: the text and the JSON share one rendering
+    assert code == 0 and len(calls) == 13
 
 
 @pytest.mark.parametrize("digest, argv", CAP12_HASHES)
@@ -362,7 +389,34 @@ def test_center_test_of_a_large_offset_forms_no_substitution():
                           text=True, timeout=30, env=env)
     assert proc.returncode == 0
     witness = json.loads(proc.stdout)["verdict"]["witness"]
-    assert witness["offsets"] == ["0", "x4^30*x3*x4^30", "0", "0"]
+    assert witness["offsets"] == ["0", "x3*x4^29", "0", "0"]
+
+
+def test_center_test_witness_of_a_long_offset_replays():
+    # condition (c) witnesses x2 -> x2 + x3*x4^39, 40 letters, within the
+    # parser's 64, so the printed witness can be fed back to the CLI
+    cmd = [sys.executable, "-m", "unitri.cli"]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(cmd + ["--json", "center-test", "x1 + x2^40; x2; x3; x4"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    witness = aut_from_json(json.loads(proc.stdout)["verdict"]["witness"])
+    proc = subprocess.run(cmd + ["apply", format_aut(witness), "x2"],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "x2 + x3*x4^39\n", "")
+    # the map is exp of the derivation x2 -> x3*x4^39, so it moves x2^40
+    # exactly when that derivation does not kill x2^40 (its full image
+    # has 2^40 words, past the substitution bound)
+    f = parse_poly("x2^40", 4)
+    assert [o.is_zero() for o in witness.offsets] == [True, False, True, True]
+    assert len(invariants._derive(f, 2, witness.offsets[1]).terms) == 40
+
+
+def test_console_script_is_cli_main():
+    scripts = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    assert scripts["unitri"] == "unitri.cli:main"
+    module, _, attr = scripts["unitri"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 def test_suite_names_are_the_suites():

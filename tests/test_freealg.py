@@ -6,7 +6,6 @@ import pytest
 from unitri.freealg import (
     NEG_INF,
     ArityMismatchError,
-    CommPoly,
     NcPoly,
     ParseError,
     RankMismatchError,
@@ -117,13 +116,13 @@ def test_degree():
 
 
 def test_abelianize_kills_commutators():
-    assert abelianize(ring_commutator(x(2), x(3))).is_zero()
-    assert abelianize(c_generator(2, 2, 3)).is_zero()
+    assert abelianize(ring_commutator(x(2), x(3))) == {}
+    assert abelianize(c_generator(2, 2, 3)) == {}
 
 
 def test_abelianize_merges_words():
     p = x(2) * x(3) + x(3) * x(2)
-    assert abelianize(p) == CommPoly(3, {(0, 1, 1): 2})
+    assert abelianize(p) == {(0, 1, 1): Fraction(2)}
 
 
 def test_c_generator_base():
@@ -331,12 +330,28 @@ def test_kernels_match_fraction_oracle_on_edge_cases():
                              fraction_substitute(p.terms, [im.terms for im in images]))
 
 
+def _exponent_map_sum(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _exponent_map_product(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
 def test_abelianize_is_ring_homomorphism(rng):
     for _ in range(50):
         a = rand_poly(rng, 3, 3)
         b = rand_poly(rng, 3, 3)
-        assert abelianize(a * b) == abelianize(a) * abelianize(b)
-        assert abelianize(a + b) == abelianize(a) + abelianize(b)
+        assert abelianize(a * b) == _exponent_map_product(abelianize(a), abelianize(b))
+        assert abelianize(a + b) == _exponent_map_sum(abelianize(a), abelianize(b))
 
 
 def test_jacobi_identity(rng):
@@ -363,8 +378,3 @@ def test_poly_hash_consistency():
     a = parse_poly("x2*x3 - x3*x2", 3)
     b = ring_commutator(NcPoly.variable(2, 3), NcPoly.variable(3, 3))
     assert a == b and hash(a) == hash(b)
-
-
-def test_commpoly_str():
-    p = CommPoly(3, {(0, 1, 1): 2, (0, 0, 0): Fraction(-1, 2)})
-    assert str(p) == "-1/2 + 2*x2*x3"
