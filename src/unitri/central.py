@@ -3,10 +3,11 @@
 Levels of the upper central series are ordinals of the form a*w + b
 (w the first limit ordinal).  In rank 2 the classification is exact and
 closed-form; in every rank >= 3 the centre is decided exactly (see
-invariants.invariance_verdict); in rank 3 the two upper bands and the
-finite levels are exact (the finite ones are read off the Lazard
-coordinates of the x1-offset, see invariants.layer_level), and only the
-omega band below the upper bands rests on an unchecked bound.
+invariants.invariance_verdict).  In rank 3 only the finite levels are
+proved (read off the Lazard coordinates of the x1-offset, see
+invariants.layer_level).  The x2- and x3-mover bands are not: the
+commutator of x1; x2 + x3; x3 with x1; x2; x3 + 1 is x1; x2 + 1; x3, and
+both get 2w+1, against descent (ROADMAP items 1 and 2).
 """
 
 from __future__ import annotations
@@ -134,10 +135,10 @@ def un_center_test(phi, cfg=None):
 def u3_hypercenter_level_truncated(phi, cap, cfg=None):
     """Classify a rank-3 automorphism in the transfinite central series.
 
-    The two upper bands are exact: moving x3 puts the element only at the
-    top level 3w+1, and a nonzero x2-offset of degree d lands at
-    2w + max(d, 1) (a constant offset cannot sit at a limit level, and
-    the finite band above 2w starts at 1).  An element moving only x1 sits
+    A mover of x3 is put at 3w+1 and a nonzero x2-offset of degree d at
+    2w + max(d, 1), both reported holds but unproved and refuted: the
+    commutator of x1; x2 + x3; x3 with x1; x2; x3 + 1 is x1; x2 + 1; x3,
+    both at 2w+1 (ROADMAP items 1 and 2).  An element moving only x1 sits
     at the finite level layer_level(offset), the least m with its offset
     in layer m, and that holds.  An offset in no layer is placed at
     w + (t+1), t the x2-degree of its abelianized image, a bound reported

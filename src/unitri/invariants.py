@@ -70,7 +70,7 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, add_scaled, add_term, over_denominator
+from .linalg import Echelon, add_scaled, add_term, clear_denominators, over_denominator
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -190,7 +190,7 @@ def _layer_slice(level, k, l):
     a row has no word below its pivot: reducing each row by the rows of
     larger pivot, largest first, stays in ints and gives the unique RREF.
     """
-    u = [_leibniz_term(i, 0) for i in range(l + 1)]
+    u = [_ad_tower(i) for i in range(l + 1)]
     rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
@@ -411,81 +411,62 @@ def c_product_span(cap):
 # -- free-module straightening ------------------------------------------------
 
 
-def _leibniz_term(k, j):
-    """ad_x2^j(ad_x3^k(x2)) with ad_y(u) = y*u - u*y, as a tuple of
-    (word, integer coefficient) pairs, in the commutator subalgebra when
-    k >= 1.  ad_y = L_y - R_y, left minus right multiplication by y, which
-    commute; so ad_y^n(u) = sum_i (-1)^i C(n,i) * y^(n-i) * u * y^i, and
-      ad_x2^j(ad_x3^k(x2)) = sum_(i<=k, h<=j) (-1)^(i+h) C(k,i) C(j,h)
-                             * x2^(j-h) * x3^(k-i) * x2 * x3^i * x2^h,
-    summed by add_term, since i = 0 and i = k may give one word."""
-    acc = {}
-    for i in range(k + 1):
-        for h in range(j + 1):
-            word = (2,) * (j - h) + (3,) * (k - i) + (2,) + (3,) * i + (2,) * h
-            add_term(acc, word, (-1) ** (i + h) * math.comb(k, i) * math.comb(j, h))
-    return tuple(acc.items())
-
-
-def _straighten_word(word, leibniz):
-    """Integer straightening map {(a, b): {word: int}} of a single word.
-
-    The word is folded letter by letter, keeping the prefix in the form
-    sum r_(a,b) * x2^a * x3^b.  Appending x3 only raises b; appending x2
-    uses the Leibniz rules
-      x3^b * x2 = sum_k C(b,k) * ad_x3^k(x2) * x3^(b-k)
-      x2^a * u  = sum_j C(a,j) * ad_x2^j(u) * x2^(a-j)
-    whose k = 0 term is x2^(a+1) * x3^b.  `leibniz` maps (k, j) to
-    _leibniz_term(k, j); the terms a word needs are added when missing.
-    """
-    state = {(0, 0): {(): 1}}
-    for letter in word:
-        if letter == 3:
-            state = {(a, b + 1): r for (a, b), r in state.items()}
-            continue
-        nxt = {}
-        for (a, b), r in state.items():
-            add_scaled(nxt.setdefault((a + 1, b), {}), r)
-            for k in range(1, b + 1):
-                for j in range(a + 1):
-                    term = leibniz.get((k, j))
-                    if term is None:
-                        term = leibniz[k, j] = _leibniz_term(k, j)
-                    scale = math.comb(b, k) * math.comb(a, j)
-                    target = nxt.setdefault((a - j, b - k), {})
-                    for w1, c1 in r.items():
-                        c1 *= scale
-                        for w2, c2 in term:   # add_term inlined: hot loop
-                            w = w1 + w2
-                            v = target.get(w, 0) + c1 * c2
-                            if v:
-                                target[w] = v
-                            else:
-                                del target[w]
-        state = nxt
-    return state
+def _ad_tower(k):
+    """u_k = ad_x3^k(x2), with ad_y(u) = y*u - u*y, as a tuple of (word,
+    integer coefficient) pairs.  ad_y = L_y - R_y, left minus right
+    multiplication by y, which commute; so ad_y^k(u) = sum_i (-1)^i C(k,i)
+    * y^(k-i) * u * y^i, whose k+1 words differ in where x2 sits."""
+    return tuple(((3,) * (k - i) + (2,) + (3,) * i, (-1) ** i * math.comb(k, i))
+                 for i in range(k + 1))
 
 
 def specht_straighten(f, cap):
-    """Write f as sum of r_(a,b) * x2^a * x3^b with commutator-subalgebra
-    coefficients r_(a,b) on the left.
+    """Write f as sum of r_(a,b) * x2^a * x3^b with r_(a,b) in the
+    subalgebra B that the commutators generate, keyed by (a, b) in
+    increasing order, zeros omitted.  Q<x2, x3> is a free left B-module on
+    the x2^a * x3^b (Lazard elimination), so the r_(a,b) are unique.
 
-    Q<x2, x3> is a free left module over the subalgebra generated by the
-    commutators, with basis the x2^a * x3^b (Lazard elimination), so the
-    decomposition is unique.  It is computed in closed form: each word is
-    straightened by the Leibniz rules of _straighten_word, whose
-    coefficients are all integers, and f's coefficient multiplies the
-    word's map once at the end.  The result is keyed by (a, b) in
-    increasing order and omits zero coefficients.
+    Closed form.  Let D(p,q) = d2^p d3^q / (p! q!), where d2: x2 -> 1,
+    x3 -> 0 and d3: x3 -> 1, x2 -> 0; on a word it deletes p letters x2
+    and q letters x3, each choice of positions once.  Then
+      r_(a,b) = sum_(i,j) (-1)^(i+j) C(a+i,i) C(b+j,j) D(a+i,b+j)(f) x3^j x2^i.
+    Proof.  d2 and d3 send x2, x3 to scalars, so they commute with ad_x2
+    and ad_x3 and kill B; on r * x2^a * x3^b they act as on commuting
+    variables.  So pi3(g) = sum_j (-1)^j D(0,j)(g) x3^j keeps the b = 0
+    part of g, as sum_j (-1)^j C(b,j) = 0 for b > 0, and pi2 likewise for
+    a.  So r_(a,b), the (0, 0) coefficient of D(a,b)f, is pi2(pi3(D(a,b)f)),
+    and D(i,0) D(0,j) D(a,b) = C(a+i,i) C(b+j,j) D(a+i,b+j).
+
+    Each word is folded once into {(p, q): {subword: n}}, in ints over
+    f's common denominator; then comes the sum over j, then that over i.
     """
     _require_vars(f, (2, 3), "f")
     if f.degree() > cap:
         raise CapViolationError(f"degree {f.degree()} exceeds cap {cap}")
-    out, leibniz = {}, {}
-    for word, coeff in f.terms.items():
-        for key, r in _straighten_word(word, leibniz).items():
-            add_scaled(out.setdefault(key, {}), r, coeff)
-    return {k: NcPoly._raw(3, t) for k, t in sorted(out.items()) if t}
+    den, ints = clear_denominators(f.terms)
+    parts = {}   # (p, q) -> {subword: n}; a word's subword fixes its p, q
+    for word, c in ints.items():
+        subs = {(): c}
+        for letter in word:
+            nxt = dict(subs)   # the letter deleted
+            for s, n in subs.items():
+                s += (letter,)
+                nxt[s] = nxt.get(s, 0) + n
+            subs = nxt
+        for s, n in subs.items():
+            p = word.count(2) - s.count(2)
+            add_term(parts.setdefault((p, len(word) - len(s) - p), {}), s, n)
+    for axis in (1, 0):   # pi3: q and tails x3^j; then pi2: p and tails x2^i
+        out = {}
+        for pq, group in parts.items():
+            e = pq[axis]
+            moves = [(out.setdefault(pq[:axis] + (e - j,) + pq[axis + 1:], {}),
+                      (2 + axis,) * j, (-1) ** j * math.comb(e, j)) for j in range(e + 1)]
+            for s, n in group.items():
+                for target, tail, scale in moves:
+                    add_term(target, s + tail, scale * n)
+        parts = out
+    return {k: NcPoly._raw(3, over_denominator(den, t)) for k, t in sorted(parts.items()) if t}
 
 
 def straighten_reconstruct(components):

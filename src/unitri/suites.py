@@ -405,7 +405,7 @@ def suite_proposition1():
             v = ring_commutator(c_generator(k, 2, 3, 3), NcPoly.variable(2, 3))
             ok = ok and not invariance_defect(v, g, h).is_zero()
     results.append(CheckResult("[c_k, x2] stays outside the layers", ok,
-                               "orders 1 and 2, cap 5, witnesses replayed"))
+                               "orders 1 and 2, witnesses replayed"))
     return results
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from unitri.freealg import NcPoly, grlex_key
-from unitri.invariants import _compositions, _leibniz_term, invariance_defect
+from unitri.invariants import _ad_tower, _compositions, invariance_defect
 from unitri.linalg import Echelon, nullspace
 
 from conftest import sample_shift
@@ -109,7 +109,7 @@ def echelon_slice(level, k, l):
             prod = {(): 1}
             for i in indices:
                 prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
-                        for w2, c2 in _leibniz_term(i, 0)}
+                        for w2, c2 in _ad_tower(i)}
             ech.insert({w + (3,) * b: Fraction(c) for w, c in prod.items()})
     return tuple(NcPoly._raw(3, v) for v in ech.vectors())
 

@@ -3,6 +3,7 @@ import importlib
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -218,6 +219,19 @@ def test_invariants_cap12_json_is_pinned(capsys, digest, argv):
     code, out, _ = run(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_straighten_output_is_pinned(capsys):
+    # the same format, the argv shell-quoted: the benchmark's straighten
+    # inputs for seeds 0-3, its session straightens, and seeded inputs of
+    # degree 1-12 at cap 12
+    lines = (GOLDEN / "straighten_cap12.sha256").read_text().splitlines()
+    changed = []
+    for digest, argv in (line.split("  ", 1) for line in lines):
+        code, out, _ = run(capsys, *shlex.split(argv))
+        if code or hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(argv)
+    assert len(lines) == 525 and not changed
 
 
 @pytest.mark.parametrize("suite", ["lemma5", "remark-pi"])

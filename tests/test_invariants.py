@@ -16,8 +16,9 @@ from unitri.freealg import (
 from unitri.invariants import (
     CapViolationError,
     NonHomogeneousGeneratorError,
+    _ad_tower,
+    _derive,
     _layer_slice,
-    _leibniz_term,
     c_product_span,
     hypothesis1_report,
     invariance_defect,
@@ -529,16 +530,13 @@ def test_membership_expression_text():
 
 
 def test_leibniz_term_is_the_ad_tower():
-    # the closed binomial form against ad_x2^j(ad_x3^k(x2)) built by commutators
+    # the closed binomial form against ad_x3^k(x2) built by commutators
+    tower = X2
     for k in range(11):
-        tower = X2
-        for _ in range(k):
-            tower = ring_commutator(X3, tower)
-        for j in range(11 - k):
-            term = dict(_leibniz_term(k, j))
-            assert term == tower.terms, (k, j)
-            assert all(type(c) is int for c in term.values())
-            tower = ring_commutator(X2, tower)
+        term = dict(_ad_tower(k))
+        assert term == tower.terms, k
+        assert all(type(c) is int for c in term.values())
+        tower = ring_commutator(X3, tower)
 
 
 def test_straighten_basis_monomial():
@@ -568,14 +566,21 @@ def test_straighten_unique_under_reordered_solver(rng):
 
 
 def test_straighten_deep_degree_12(rng):
-    words = [(3,) * 6 + (2,) * 6]
-    words += [tuple(rng.choice((2, 3)) for _ in range(12)) for _ in range(3)]
-    f = NcPoly._raw(3, {w: rand_coeff(rng) for w in words})
-    components = specht_straighten(f, 12)
-    assert straighten_reconstruct(components) == f
-    nonconstant = [r for r in components.values() if not r.is_constant()]
-    assert nonconstant
-    assert all(abelianize(r) == {} for r in nonconstant)
+    # d2 (x2 -> 1) and d3 (x3 -> 1) kill exactly the commutator
+    # subalgebra in characteristic 0 (Specht), so each component must be
+    # killed by both
+    one = NcPoly.one(3)
+    for d in range(6, 13):
+        words = [(3,) * (d // 2) + (2,) * (d - d // 2)]
+        words += [tuple(rng.choice((2, 3)) for _ in range(d)) for _ in range(3)]
+        f = NcPoly._raw(3, {w: rand_coeff(rng) for w in words})
+        components = specht_straighten(f, 12)
+        assert straighten_reconstruct(components) == f
+        nonconstant = [r for r in components.values() if not r.is_constant()]
+        assert nonconstant
+        assert all(abelianize(r) == {} for r in nonconstant)
+        for r in components.values():
+            assert _derive(r, 2, one).is_zero() and _derive(r, 3, one).is_zero(), d
 
 
 def test_straighten_cap_exceeded():
