@@ -234,6 +234,22 @@ def test_straighten_output_is_pinned(capsys):
     assert len(lines) == 525 and not changed
 
 
+# the same format, the argv shell-quoted: all 11 suites, and `factor` and
+# `center-test` on maps of rank 3 to 5 that hold, fail condition (c), (a)
+# or (b) of invariants.invariance_verdict, or have the wrong shape; each
+# in text and --json
+VERIFY_FACTOR_CENTER = [line.split("  ", 1) for line in
+                        (GOLDEN / "verify_factor_center.sha256").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("digest, argv", VERIFY_FACTOR_CENTER,
+                         ids=[argv for _, argv in VERIFY_FACTOR_CENTER])
+def test_verify_factor_and_center_output_is_pinned(capsys, digest, argv):
+    code, out, err = run(capsys, *shlex.split(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("suite", ["lemma5", "remark-pi"])
 @pytest.mark.parametrize("as_json", [False, True])
 def test_layer_suites_output_is_pinned(capsys, suite, as_json):
