@@ -71,6 +71,16 @@ class UniAut:
     def identity(cls, rank):
         return cls(rank, [NcPoly.zero(rank)] * rank)
 
+    @classmethod
+    def elementary(cls, index, offset):
+        """The elementary map x_index -> x_index + offset, every other
+        variable fixed; the rank is the offset's."""
+        rank = offset.rank
+        if not 1 <= index <= rank:
+            raise ValueError(f"variable index {index} outside rank {rank}")
+        zero = NcPoly.zero(rank)
+        return cls(rank, [offset if i == index else zero for i in range(1, rank + 1)])
+
     def is_identity(self):
         return all(f.is_zero() for f in self.offsets)
 
@@ -165,13 +175,7 @@ def factor_semidirect(phi):
     variables, so the factor offsets are literally phi's offsets, making
     the factorization unique.
     """
-    n = phi.rank
-    factors = []
-    for i in range(n):
-        offs = [NcPoly.zero(n)] * n
-        offs[i] = phi.offsets[i]
-        factors.append(UniAut(n, offs))
-    return factors
+    return [UniAut.elementary(i, f) for i, f in enumerate(phi.offsets, start=1)]
 
 
 def derived_level_shape(phi):
@@ -223,36 +227,30 @@ def _rand_coeff(rng, height, allow_zero=False):
     return Fraction(num, rng.randint(1, height))
 
 
-def _rand_offsets(rng, rank, max_degree, height, first_zero=False):
+def random_aut(rank, max_degree, coeff_height, seed):
+    """Deterministic pseudo-random automorphism within the given bounds."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    return random_aut_rng(random.Random(seed), rank, max_degree, coeff_height)
+
+
+def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
+    """Like random_aut but drawing from a caller-owned generator."""
     offsets = []
     for i in range(1, rank + 1):
         if first_zero and i == 1:
             offsets.append(NcPoly.zero(rank))
             continue
         if i == rank:
-            offsets.append(NcPoly.constant(_rand_coeff(rng, height, allow_zero=True), rank))
+            offsets.append(NcPoly.constant(_rand_coeff(rng, coeff_height, allow_zero=True), rank))
             continue
         terms = {}
         for _ in range(rng.randint(0, 2)):
             length = rng.randint(0, max_degree)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
-            add_term(terms, word, _rand_coeff(rng, height))
+            add_term(terms, word, _rand_coeff(rng, coeff_height))
         offsets.append(NcPoly._raw(rank, terms))
-    return offsets
-
-
-def random_aut(rank, max_degree, coeff_height, seed):
-    """Deterministic pseudo-random automorphism within the given bounds."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
-    rng = random.Random(seed)
-    return UniAut(rank, _rand_offsets(rng, rank, max_degree, coeff_height))
-
-
-def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
-    """Like random_aut but drawing from a caller-owned generator."""
-    return UniAut(rank, _rand_offsets(rng, rank, max_degree, coeff_height,
-                                      first_zero=first_zero))
+    return UniAut(rank, offsets)
 
 
 # -- text and JSON forms ------------------------------------------------------

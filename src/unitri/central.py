@@ -126,9 +126,7 @@ def un_center_test(phi, cfg=None):
         raise ValueError("rank must be >= 3")
     for i in range(2, n + 1):
         if not phi.offsets[i - 1].is_zero():
-            offs = [NcPoly.zero(n)] * n
-            offs[0] = NcPoly.variable(i, n)
-            return Verdict.fails(UniAut(n, offs))
+            return Verdict.fails(UniAut.elementary(1, NcPoly.variable(i, n)))
     return invariance_verdict(phi.offsets[0])
 
 

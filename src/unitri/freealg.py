@@ -24,7 +24,7 @@ import itertools
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .linalg import add_scaled, add_term, clear_denominators, over_denominator
 
@@ -309,22 +309,23 @@ def ring_commutator(a, b):
 
 
 def c_generator(k, i, j, rank=None):
-    """The iterated commutator c_k built from x_i and x_j.
+    """The iterated commutator c_k built from x_i and x_j: c_1 = [x_i, x_j]
+    and c_(k+1) = [c_k, x_j], homogeneous of total degree k + 1 and of
+    degree 1 in x_i.  In closed form
 
-    c_1 = [x_i, x_j] and c_{k+1} = [c_k, x_j]; the result is homogeneous
-    of total degree k + 1 and of degree 1 in x_i.
+        c_k = sum_s (-1)^s * C(k,s) * x_j^s * x_i * x_j^(k-s).
+
+    Proof: [y, x_j] = (R_j - L_j)(y) for right and left multiplication by
+    x_j, which commute, so the binomial theorem expands (R_j - L_j)^k(x_i).
+    For i < j the least graded-lex word, x_i * x_j^k, has coefficient 1.
     """
     if i == j:
         raise ValueError("c generators need two distinct variables")
     if k < 1:
         raise ValueError("k must be >= 1")
     rank = rank if rank is not None else max(i, j)
-    xi = NcPoly.variable(i, rank)
-    xj = NcPoly.variable(j, rank)
-    c = ring_commutator(xi, xj)
-    for _ in range(k - 1):
-        c = ring_commutator(c, xj)
-    return c
+    return NcPoly(rank, {(j,) * s + (i,) + (j,) * (k - s): (-1) ** s * comb(k, s)
+                         for s in range(k + 1)})
 
 
 def abelianize(p):

@@ -181,23 +181,24 @@ def _layer_slice(level, k, l):
     """Canonical basis of the bidegree (k, l) slice of layer `level`
     (>= 1), as a tuple of NcPoly in pivot order; () when the slice is zero.
 
-    The rows are x3^b * u_(i_1)..u_(i_k) with every i >= 1, b < level and
-    sum i + b = l.  They span the slice: x3*u_i = u_i*x3 + u_(i+1), so
+    The rows are x3^b * c_(i_1)..c_(i_k) with every i >= 1, b < level and
+    sum i + b = l.  They span the slice: x3*c_i = c_i*x3 - c_(i+1), so
     sum_(b<m) x3^b*C = sum_(b<m) C*x3^b = L_m.  The least graded-lex word
-    of u_i is x2*x3^i with coefficient (-1)^i, so a row's least word, its
-    pivot, is x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient (-1)^(l-b);
-    it gives back (b, I), so the rows are triangular.  Signed to pivot 1,
-    a row has no word below its pivot: reducing each row by the rows of
-    larger pivot, largest first, stays in ints and gives the unique RREF.
+    of c_i is x2*x3^i with coefficient 1, so a row's least word, its
+    pivot, is x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient 1; it gives
+    back (b, I), so the rows are triangular and none has a word below its
+    pivot.  Reducing each row by the rows of larger pivot, largest first,
+    stays in ints and gives the unique RREF.
     """
-    u = [_ad_tower(i) for i in range(l + 1)]
+    gens = {i: clear_denominators(c_generator(i, 2, 3, AMBIENT_RANK).terms)[1].items()
+            for i in range(1, l + 1)}
     rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
-            prod = {(3,) * b: (-1) ** (l - b)}
+            prod = {(3,) * b: 1}
             for i in indices:
                 prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
-                        for w2, c2 in u[i]}
+                        for w2, c2 in gens[i]}
             rows[min(prod)] = prod
     for pivot, row in sorted(rows.items(), reverse=True):
         for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
@@ -307,21 +308,14 @@ def invariance_verdict(f):
     xn = NcPoly.variable(n, n)
     for i in range(2, n - 1):
         if f.degree_in_var(i) > 0:
-            return _moved_by(i, NcPoly.variable(n - 1, n) * xn ** (d - 1))
+            return Verdict.fails(UniAut.elementary(i, NcPoly.variable(n - 1, n) * xn ** (d - 1)))
     one = NcPoly.one(n)
     if not _derive(f, n, one).is_zero():
-        return _moved_by(n, one)
+        return Verdict.fails(UniAut.elementary(n, one))
     for j in range(d + 1):
         if not _derive(f, n - 1, xn ** j).is_zero():
-            return _moved_by(n - 1, xn ** j)
+            return Verdict.fails(UniAut.elementary(n - 1, xn ** j))
     return Verdict.holds()
-
-
-def _moved_by(v, image):
-    """fails, witnessed by the elementary map x_v -> x_v + image."""
-    offsets = [NcPoly.zero(image.rank)] * image.rank
-    offsets[v - 1] = image
-    return Verdict.fails(UniAut(image.rank, offsets))
 
 
 # -- subalgebra membership ----------------------------------------------------
@@ -409,15 +403,6 @@ def c_product_span(cap):
 
 
 # -- free-module straightening ------------------------------------------------
-
-
-def _ad_tower(k):
-    """u_k = ad_x3^k(x2), with ad_y(u) = y*u - u*y, as a tuple of (word,
-    integer coefficient) pairs.  ad_y = L_y - R_y, left minus right
-    multiplication by y, which commute; so ad_y^k(u) = sum_i (-1)^i C(k,i)
-    * y^(k-i) * u * y^i, whose k+1 words differ in where x2 sits."""
-    return tuple(((3,) * (k - i) + (2,) + (3,) * i, (-1) ** i * math.comb(k, i))
-                 for i in range(k + 1))
 
 
 def specht_straighten(f, cap):

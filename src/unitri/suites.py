@@ -187,10 +187,10 @@ def suite_lemma2():
     disagreements = 0
     for i in range(100):
         if i % 5 == 0:
-            phi = UniAut(2, [NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2),
-                             NcPoly.zero(2)])
+            phi = UniAut.elementary(
+                1, NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2))
         elif i % 5 == 1:
-            phi = UniAut(2, [_rand_y_poly(rng, 3), NcPoly.zero(2)])
+            phi = UniAut.elementary(1, _rand_y_poly(rng, 3))
         else:
             phi = _rand_u2(rng, 3)
         fresh = [_rand_u2(rng, 3) for _ in range(50)]
@@ -224,25 +224,25 @@ def suite_lemma3():
         if r.substitute([x, y + 1]) - r != target:
             ok = False
             break
-        phi = UniAut(2, [NcPoly.zero(2), NcPoly.one(2)])
-        psi = UniAut(2, [-r, NcPoly.zero(2)])
-        if group_commutator(phi, psi) != UniAut(2, [target, NcPoly.zero(2)]):
+        phi = UniAut.elementary(2, NcPoly.one(2))
+        psi = UniAut.elementary(1, -r)
+        if group_commutator(phi, psi) != UniAut.elementary(1, target):
             ok = False
             break
     results.append(CheckResult("every first-row element is a commutator", ok,
                                "20 random targets, degree <= 4"))
 
-    first_row = UniAut(2, [parse_poly("x2^2", 2), NcPoly.zero(2)])
+    first_row = UniAut.elementary(1, parse_poly("x2^2", 2))
     ok = u2_centralizer_classify(first_row) is CentralizerClass.FIRST_ROW
     for _ in range(50):
-        inside = UniAut(2, [_rand_y_poly(rng, 3), NcPoly.zero(2)])
+        inside = UniAut.elementary(1, _rand_y_poly(rng, 3))
         outside = UniAut(2, [_rand_y_poly(rng, 3),
                              NcPoly.constant(_rand_coeff(rng, HEIGHT), 2)])
         ok = ok and commutes(first_row, inside) and not commutes(first_row, outside)
     results.append(CheckResult("first-row centralizer", ok,
                                "50 commuting + 50 non-commuting probes"))
 
-    translation = UniAut(2, [NcPoly.zero(2), NcPoly.one(2)])
+    translation = UniAut.elementary(2, NcPoly.one(2))
     ok = u2_centralizer_classify(translation) is CentralizerClass.CONSTANT_PAIRS
     for _ in range(50):
         inside = UniAut(2, [NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2),
@@ -266,7 +266,7 @@ def suite_lemma4():
         f = _rand_y_poly(rng, deg, nonzero=True)
         while f.degree() < 1:
             f = _rand_y_poly(rng, deg, nonzero=True)
-        phi = UniAut(2, [f, NcPoly.zero(2)])
+        phi = UniAut.elementary(1, f)
         level = u2_hypercenter_level(phi)
         for _ in range(50):
             psi = _rand_u2(rng, 3)
@@ -296,11 +296,11 @@ def suite_theorem1():
     results = []
     ok = True
     for k in range(1, 5):
-        phi = UniAut(3, [c_generator(k, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
+        phi = UniAut.elementary(1, c_generator(k, 2, 3, rank=3))
         ok = ok and un_center_test(phi).kind == HOLDS
     results.append(CheckResult("c-generator offsets are central", ok, "k <= 4"))
 
-    phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
+    phi = UniAut.elementary(1, NcPoly.variable(2, 3))
     verdict = un_center_test(phi)
     replayed = (verdict.kind == FAILS
                 and not commutes(phi, verdict.witness)
@@ -308,7 +308,7 @@ def suite_theorem1():
     results.append(CheckResult("movable offset fails with a replayable witness",
                                replayed, "offset x2"))
 
-    phi = UniAut(3, [NcPoly.zero(3), NcPoly.zero(3), NcPoly.one(3)])
+    phi = UniAut.elementary(3, NcPoly.one(3))
     verdict = un_center_test(phi)
     replayed = verdict.kind == FAILS and not commutes(phi, verdict.witness)
     results.append(CheckResult("wrong shape fails with a replayable witness",
@@ -346,13 +346,13 @@ def suite_theorem2_trunc():
     c2 = c_generator(2, 2, 3, 3)
     c3 = c_generator(3, 2, 3, 3)
     for f1 in (c1, c2, c3, c1 * c1, c1 + 2, c2 * 3 - c1, c1 * c1 - c2):
-        phi = UniAut(3, [f1, zero, zero])
+        phi = UniAut.elementary(1, f1)
         level, verdict = u3_hypercenter_level_truncated(phi, 6)
         ok = ok and level == OrdinalLevel(0, 1) and verdict.kind == HOLDS
     results.append(CheckResult("c-product offsets reach the center", ok,
                                "7 cases, certified"))
 
-    phi = UniAut(3, [zero, x3 ** 2, zero])
+    phi = UniAut.elementary(2, x3 ** 2)
     level, _ = u3_hypercenter_level_truncated(phi, 6)
     results.append(CheckResult("worked example: (x1, x2 + x3^2, x3) -> 2w+2",
                                level == OrdinalLevel(2, 2), str(level)))
@@ -366,24 +366,16 @@ def suite_theorem3():
         c1 = c_generator(1, rank - 1, rank, rank=rank)
         c2 = c_generator(2, rank - 1, rank, rank=rank)
         for f1 in (c1, c2, c1 * c1 + 2 * c2):
-            offs = [NcPoly.zero(rank)] * rank
-            offs[0] = f1
-            ok = ok and un_center_test(UniAut(rank, offs)).kind == HOLDS
+            ok = ok and un_center_test(UniAut.elementary(1, f1)).kind == HOLDS
     results.append(CheckResult("commutator offsets in the last two variables are central",
                                ok, "ranks 4 and 5"))
 
     ok = True
     for rank in (4, 5):
-        offs = [NcPoly.zero(rank)] * rank
-        offs[0] = NcPoly.variable(2, rank)
-        verdict = un_center_test(UniAut(rank, offs))
-        ok = ok and verdict.kind == FAILS and not commutes(UniAut(rank, offs),
-                                                           verdict.witness)
-        offs = [NcPoly.zero(rank)] * rank
-        offs[1] = NcPoly.variable(rank, rank)
-        verdict = un_center_test(UniAut(rank, offs))
-        ok = ok and verdict.kind == FAILS and not commutes(UniAut(rank, offs),
-                                                           verdict.witness)
+        for phi in (UniAut.elementary(1, NcPoly.variable(2, rank)),
+                    UniAut.elementary(2, NcPoly.variable(rank, rank))):
+            verdict = un_center_test(phi)
+            ok = ok and verdict.kind == FAILS and not commutes(phi, verdict.witness)
     results.append(CheckResult("non-central shapes fail with replayable witnesses",
                                ok, "ranks 4 and 5"))
     return results

@@ -22,8 +22,8 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 
-from unitri.freealg import NcPoly, grlex_key
-from unitri.invariants import _ad_tower, _compositions, invariance_defect
+from unitri.freealg import NcPoly, grlex_key, ring_commutator
+from unitri.invariants import _compositions, invariance_defect
 from unitri.linalg import Echelon, nullspace
 
 from conftest import sample_shift
@@ -102,15 +102,19 @@ def oracle_basis(level, cap, sd):
 def echelon_slice(level, k, l):
     """The (k, l) slice of layer `level` as _layer_slice returns it, built
     by eliminating the products u_(i_1)..u_(i_k) * x3^b (every i >= 1,
-    b < level, sum i + b = l) in a graded-lex Echelon over Fractions."""
+    b < level, sum i + b = l) in a graded-lex Echelon over Fractions.
+    u_0 = x2 and u_(i+1) = x3*u_i - u_i*x3, by ring commutators."""
+    x3 = NcPoly.variable(3, 3)
+    u = [NcPoly.variable(2, 3)]
+    for _ in range(l):
+        u.append(ring_commutator(x3, u[-1]))
     ech = Echelon(key=grlex_key)
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
-            prod = {(): 1}
+            prod = NcPoly.one(3)
             for i in indices:
-                prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
-                        for w2, c2 in _ad_tower(i)}
-            ech.insert({w + (3,) * b: Fraction(c) for w, c in prod.items()})
+                prod = prod * u[i]
+            ech.insert((prod * x3 ** b).terms)
     return tuple(NcPoly._raw(3, v) for v in ech.vectors())
 
 

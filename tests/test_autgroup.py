@@ -295,6 +295,33 @@ def test_factor_recomposes_random(rng):
         assert compose_chain(list(reversed(factor_semidirect(phi)))) == phi
 
 
+def test_elementary_maps_recompose_the_factorization(rng):
+    for _ in range(40):
+        rank = rng.randint(2, 5)
+        phi = random_aut_rng(rng, rank, 3, 8)
+        factors = [UniAut.elementary(i, f) for i, f in enumerate(phi.offsets, start=1)]
+        for i, g in enumerate(factors, start=1):   # x_i -> x_i + f_i, the rest fixed
+            for v in range(1, rank + 1):
+                xv = NcPoly.variable(v, rank)
+                assert g.apply(xv) == (xv + phi.offsets[i - 1] if v == i else xv)
+        assert factors == factor_semidirect(phi)
+        assert compose_chain(factors[::-1]) == phi
+
+
+@pytest.mark.parametrize("index", [0, 4, -1])
+def test_elementary_rejects_an_index_outside_the_rank(index):
+    # index 0 must not fill the last slot, as offsets[index - 1] would
+    with pytest.raises(ValueError, match=f"variable index {index} outside rank 3"):
+        UniAut.elementary(index, NcPoly.constant(1, 3))
+
+
+def test_elementary_checks_its_offset():
+    with pytest.raises(VariableLeakError):
+        UniAut.elementary(2, parse_poly("x2*x3", 3))
+    with pytest.raises(NonConstantLastError):
+        UniAut.elementary(3, parse_poly("x3", 3))
+
+
 # -- text and JSON forms --------------------------------------------------------
 
 

@@ -149,6 +149,19 @@ def test_c_generator_recursion(k):
     assert c_generator(k, 2, 3) == ring_commutator(c_generator(k - 1, 2, 3), x(3))
 
 
+@pytest.mark.parametrize("i, j, rank", [(2, 3, 3), (3, 2, 3), (3, 4, 4)])
+def test_c_generator_is_the_commutator_tower(i, j, rank):
+    # the closed binomial form against c_1 = [x_i, x_j], c_(k+1) = [c_k, x_j]
+    xj = x(j, rank)
+    tower = ring_commutator(x(i, rank), xj)
+    for k in range(1, 11):
+        ck = c_generator(k, i, j, rank)
+        assert ck == tower, k
+        if i < j:   # the least word x_i*x_j^k has coefficient 1
+            assert ck.terms[min(ck.terms)] == 1 and min(ck.terms) == (i,) + (j,) * k
+        tower = ring_commutator(tower, xj)
+
+
 def test_c_generator_rejects_equal_vars():
     with pytest.raises(ValueError):
         c_generator(1, 3, 3)

@@ -16,7 +16,6 @@ from unitri.freealg import (
 from unitri.invariants import (
     CapViolationError,
     NonHomogeneousGeneratorError,
-    _ad_tower,
     _derive,
     _layer_slice,
     c_product_span,
@@ -527,16 +526,6 @@ def test_membership_expression_text():
 
 
 # -- straightening ---------------------------------------------------------------
-
-
-def test_leibniz_term_is_the_ad_tower():
-    # the closed binomial form against ad_x3^k(x2) built by commutators
-    tower = X2
-    for k in range(11):
-        term = dict(_ad_tower(k))
-        assert term == tower.terms, k
-        assert all(type(c) is int for c in term.values())
-        tower = ring_commutator(X3, tower)
 
 
 def test_straighten_basis_monomial():
