@@ -14,23 +14,9 @@ import os
 import re
 import sys
 
-from .autgroup import (
-    aut_to_json,
-    compose_chain,
-    conjugate,
-    factor_semidirect,
-    group_commutator,
-    format_aut,
-    parse_aut,
-)
-from .central import (
-    u2_center_test,
-    u2_hypercenter_level,
-    u3_hypercenter_level_truncated,
-    un_center_test,
-)
+# each command imports what else it uses, so a call compiles only the
+# modules that its command runs
 from .freealg import format_poly, parse_poly
-from .invariants import s_layer_basis, specht_straighten
 
 # every usage error the package raises (ParseError, CapViolationError, ...)
 # subclasses ValueError; any other exception is a bug and propagates
@@ -134,29 +120,35 @@ def _cmd_parse(args):
 
 
 def _emit_aut(args, phi):
+    from .autgroup import aut_to_json, format_aut
     _emit(args, aut_to_json(phi), format_aut(phi))
     return 0
 
 
 def _cmd_compose(args):
+    from .autgroup import compose_chain, parse_aut
     if len(args.auts) < 2:
         raise ValueError("compose needs at least two automorphisms")
     return _emit_aut(args, compose_chain([parse_aut(s) for s in args.auts]))
 
 
 def _cmd_invert(args):
+    from .autgroup import parse_aut
     return _emit_aut(args, parse_aut(args.aut).invert())
 
 
 def _cmd_commutator(args):
+    from .autgroup import group_commutator, parse_aut
     return _emit_aut(args, group_commutator(parse_aut(args.phi), parse_aut(args.psi)))
 
 
 def _cmd_conjugate(args):
+    from .autgroup import conjugate, parse_aut
     return _emit_aut(args, conjugate(parse_aut(args.phi), parse_aut(args.psi)))
 
 
 def _cmd_apply(args):
+    from .autgroup import parse_aut
     phi = parse_aut(args.aut)
     p = parse_poly(args.poly, phi.rank)
     result = phi.apply(p)
@@ -166,6 +158,7 @@ def _cmd_apply(args):
 
 
 def _cmd_factor(args):
+    from .autgroup import aut_to_json, factor_semidirect, format_aut, parse_aut
     factors = factor_semidirect(parse_aut(args.aut))
     data = {"rank": factors[0].rank,
             "order": "recompose last variable first",
@@ -176,6 +169,8 @@ def _cmd_factor(args):
 
 
 def _cmd_classify(args):
+    from .autgroup import parse_aut
+    from .central import u2_hypercenter_level, u3_hypercenter_level_truncated
     phi = parse_aut(args.aut)
     if phi.rank == 2:
         level = u2_hypercenter_level(phi)
@@ -190,6 +185,8 @@ def _cmd_classify(args):
 
 
 def _cmd_center_test(args):
+    from .autgroup import parse_aut
+    from .central import u2_center_test, un_center_test
     phi = parse_aut(args.aut)
     if phi.rank == 2:
         central = u2_center_test(phi)
@@ -201,6 +198,7 @@ def _cmd_center_test(args):
 
 
 def _cmd_invariants(args):
+    from .invariants import s_layer_basis
     space = s_layer_basis(args.level, args.cap)
     data = {"level": args.level, **space.to_json()}
     lines = [f"level {args.level}, degree cap {space.degree_cap}, "
@@ -211,6 +209,7 @@ def _cmd_invariants(args):
 
 
 def _cmd_straighten(args):
+    from .invariants import specht_straighten
     p = parse_poly(args.poly, 3)
     components = specht_straighten(p, args.cap)
     data = {"input": format_poly(p),

@@ -20,7 +20,6 @@ integer, which keeps predicates of the shape "deg f <= s" uniform.
 
 from __future__ import annotations
 
-import itertools
 import re
 import sys
 from fractions import Fraction
@@ -350,10 +349,12 @@ def abelianize(p):
 
 
 def _word_str(word):
-    parts = []
-    for letter, run in itertools.groupby(word):
-        n = len(list(run))
-        parts.append(f"x{letter}" if n == 1 else f"x{letter}^{n}")
+    parts, start = [], 0
+    for end in range(1, len(word) + 1):
+        if end == len(word) or word[end] != word[start]:   # a run ends here
+            n = end - start
+            parts.append(f"x{word[start]}" if n == 1 else f"x{word[start]}^{n}")
+            start = end
     return "*".join(parts)
 
 

@@ -504,15 +504,24 @@ def test_usage_errors_are_value_errors():
         assert issubclass(exc, ValueError), exc
 
 
-# Runs the CLI and prints which of the listed modules it imported.  -S
-# keeps site-packages hooks, which may import them themselves, out.
+# Runs the CLI on argv[2:] and prints which of the comma-separated modules
+# in argv[1] it imported.  -S keeps site-packages hooks, which may import
+# them themselves, out.
 _IMPORT_PROBE = """
 import sys
 from unitri.cli import main
-code = main(sys.argv[1:])
-print(sorted(m for m in ("dataclasses", "inspect", "unitri.suites") if m in sys.modules))
+code = main(sys.argv[2:])
+print(sorted(m for m in sys.argv[1].split(",") if m in sys.modules))
 sys.exit(code)
 """
+
+
+def _imported(modules, argv):
+    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, ",".join(modules), *argv],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -520,8 +529,32 @@ sys.exit(code)
     (["verify", "lemma2"], ["unitri.suites"]),
 ])
 def test_only_verify_imports_the_suites(argv, loaded):
-    proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, *argv],
-                          capture_output=True, text=True, timeout=120,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == repr(loaded)
+    assert _imported(("dataclasses", "inspect", "unitri.suites"), argv) == repr(loaded)
+
+
+GROUP = ["unitri.autgroup"]
+LAYERS = ["unitri.autgroup", "unitri.invariants"]
+CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants"]
+
+
+COMMAND_IMPORTS = [
+    (["parse", "x2"], []),
+    (["compose", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    (["invert", "x1 + x2^2; x2 + 1"], GROUP),
+    (["commutator", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    (["conjugate", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    (["apply", "x1 + x2; x2", "x1^2"], GROUP),
+    (["factor", "x1 + x2*x3; x2 + x3; x3"], GROUP),
+    (["invariants", "--level", "1", "--cap", "3"], LAYERS),
+    (["straighten", "x3*x2"], LAYERS),
+    (["classify", "x1 + x2^2; x2"], CENTRAL),
+    (["center-test", "x1 + x3; x2; x3"], CENTRAL),
+    (["verify", "lemma2"], CENTRAL + ["unitri.suites"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", COMMAND_IMPORTS,
+                         ids=[argv[0] for argv, _ in COMMAND_IMPORTS])
+def test_each_command_imports_only_what_it_runs(argv, loaded):
+    modules = ("unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.suites")
+    assert _imported(modules, ["--json", *argv]) == repr(loaded)
