@@ -61,7 +61,7 @@ class UniAut:
         if offsets[-1].degree() > 0:
             raise NonConstantLastError("last offset must lie in Q")
         for pos, f in enumerate(offsets, start=1):
-            low = min((min(w) for w in f.terms if w), default=pos + 1)
+            low = min((min(w) for w in f.ints if w), default=pos + 1)
             if low <= pos:
                 raise VariableLeakError(pos, f"offset {pos} involves x{low}")
         self.rank = rank
@@ -86,9 +86,10 @@ class UniAut:
 
     def image(self, index):
         """The polynomial x_index + f_index."""
-        x = NcPoly.variable(index, self.rank)
-        # f_index never holds the word x_index, so no coefficient adds up
-        return NcPoly._raw(self.rank, {**x.terms, **self.offsets[index - 1].terms})
+        f = self.offsets[index - 1]
+        # f_index never holds the word x_index, so no coefficient adds up,
+        # and gcd(f.den, f.den, *f.ints) is still 1
+        return NcPoly._make(self.rank, f.den, {(index,): f.den, **f.ints})
 
     def images(self):
         return [self.image(i) for i in range(1, self.rank + 1)]

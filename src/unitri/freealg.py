@@ -1,18 +1,19 @@
 """Exact arithmetic in the free associative algebra Q<x1,...,xn>.
 
 Monomials are words over the variables, stored as tuples of 1-based
-indices; the empty word is the unit.  A polynomial keeps a finite map
-word -> nonzero Fraction, so equality of canonical forms is plain
-equality of the term maps.  The term order used everywhere (formatting
-and row reduction) is graded lexicographic: shorter words first, ties
-broken left to right by variable index.
+indices; the empty word is the unit.  The term order used everywhere
+(formatting and row reduction) is graded lexicographic: shorter words
+first, ties broken left to right by variable index.
 
-No float ever enters the arithmetic.  Stored coefficients are always
-Fractions, but products and substitutions do not compute with them term
-by term: each operand is put over one common denominator d as an int
-word map (linalg.clear_denominators), the word products are multiplied
-and summed over the integers, and the result is turned back into one
-normalised Fraction per term (linalg.over_denominator).
+No float ever enters the arithmetic.  A polynomial is stored over one
+common denominator: a positive int `den` and a zero-free map `ints`,
+word -> int, with gcd(den, *ints.values()) == 1, so the coefficient of
+a word is ints[word] / den.  That form is unique, so equality of
+polynomials is plain equality of (rank, den, ints).  Sums, products and
+substitutions compute in ints and divide out one gcd per result; a
+Fraction is built only at the boundary: when a polynomial is built from
+a term map (linalg.clear_denominators), when its `terms` view is read
+(linalg.over_denominator), and for a non-unit denominator in output.
 
 The degree of the zero polynomial is NEG_INF, a sentinel below every
 integer, which keeps predicates of the shape "deg f <= s" uniform.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .linalg import add_scaled, add_term, clear_denominators, over_denominator
 
@@ -72,17 +73,28 @@ def _require_positive_rank(rank):
         raise ValueError(f"rank must be >= 1, got {rank}")
 
 
-class NcPoly:
-    """Sparse polynomial with noncommuting variables and Fraction
-    coefficients, in the zero-free term-map format of `linalg`: `terms`
-    maps a word to its nonzero Fraction coefficient.
+def _coefficient(value):
+    """A coefficient given from outside as a Fraction; a float is refused,
+    since its binary expansion is not the number it was written as."""
+    if isinstance(value, float):
+        raise TypeError(f"coefficients must be ints or Fractions, not float {value!r}")
+    return Fraction(value)
 
-    Instances are immutable by convention: no method mutates `terms`, and
-    every operation returns a fresh polynomial in canonical form (no zero
-    coefficients, every letter a variable index within `rank`).
+
+class NcPoly:
+    """Sparse polynomial with noncommuting variables and rational
+    coefficients, stored over one common denominator (see the module
+    docstring): `den` is a positive int and `ints` a zero-free map
+    word -> int with gcd(den, *ints.values()) == 1.  `terms` is the
+    {word: Fraction} view of the same polynomial, in the term-map format
+    of `linalg`, built on each read.
+
+    Instances are immutable by convention: no method mutates `ints`, and
+    every operation returns a fresh polynomial in canonical form (the form
+    above, every letter a variable index within `rank`).
     """
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank", "den", "ints")
 
     def __init__(self, rank, terms=None):
         _require_positive_rank(rank)
@@ -92,29 +104,51 @@ class NcPoly:
             for letter in word:
                 if not 1 <= letter <= rank:
                     raise ValueError(f"variable index {letter} outside rank {rank}")
-            add_term(clean, word, Fraction(coeff))
+            add_term(clean, word, _coefficient(coeff))
         self.rank = rank
-        self.terms = clean
+        self.den, self.ints = clear_denominators(clean)
 
     @classmethod
-    def _raw(cls, rank, terms):
-        # trusted constructor: terms already canonical (Fraction values, no zeros)
+    def _make(cls, rank, den, ints):
+        # trusted constructor: (den, ints) already canonical
         p = cls.__new__(cls)
         p.rank = rank
-        p.terms = terms
+        p.den = den
+        p.ints = ints
         return p
 
     @classmethod
+    def _reduced(cls, rank, den, ints):
+        # trusted constructor: ints zero-free and den > 0; divides out
+        # gcd(den, *ints), which is den itself when ints is empty
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {w: n // g for w, n in ints.items()}
+        return cls._make(rank, den, ints)
+
+    @classmethod
+    def _raw(cls, rank, terms):
+        # trusted constructor: terms a zero-free map word -> int or Fraction
+        return cls._make(rank, *clear_denominators(terms))
+
+    @property
+    def terms(self):
+        """The {word: Fraction} view, one normalised Fraction per term."""
+        return over_denominator(self.den, self.ints)
+
+    @classmethod
     def zero(cls, rank):
-        return cls._raw(rank, {})
+        return cls._make(rank, 1, {})
 
     @classmethod
     def constant(cls, value, rank):
-        c = Fraction(value)
-        return cls._raw(rank, {(): c} if c else {})
+        c = _coefficient(value)
+        return cls._make(rank, c.denominator, {(): c.numerator} if c else {})
 
     def is_zero(self):
-        return not self.terms
+        return not self.ints
 
     # -- ring operations ---------------------------------------------------
 
@@ -128,14 +162,16 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self.terms)
-        add_scaled(out, other.terms)
-        return self._raw(self.rank, out)
+        da, db = self.den, other.den
+        d = da if da == db else lcm(da, db)
+        out = dict(self.ints) if d == da else {w: n * (d // da) for w, n in self.ints.items()}
+        add_scaled(out, other.ints, d // db)
+        return self._reduced(self.rank, d, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.rank, {k: -c for k, c in self.terms.items()})
+        return self._make(self.rank, self.den, {w: -n for w, n in self.ints.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (int, Fraction, NcPoly)):
@@ -147,16 +183,16 @@ class NcPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return self.zero(self.rank)
-            return self._raw(self.rank, {k: v * c for k, v in self.terms.items()})
+            num = other.numerator
+            return self._reduced(self.rank, self.den * other.denominator,
+                                 {w: n * num for w, n in self.ints.items()})
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
-        da, ia = clear_denominators(self.terms)
-        db, ib = clear_denominators(other.terms)
-        return self._raw(self.rank, over_denominator(da * db, _mul_words(ia, ib)))
+        return self._reduced(self.rank, self.den * other.den,
+                             _mul_words(self.ints, other.ints))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -171,23 +207,23 @@ class NcPoly:
     def __eq__(self, other):
         if not isinstance(other, NcPoly):
             return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
+        return self.rank == other.rank and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
+        return hash((self.rank, self.den, frozenset(self.ints.items())))
 
     def __repr__(self):
         return f"NcPoly({self.rank}, {str(self)!r})"
 
     @classmethod
     def one(cls, rank):
-        return cls._raw(rank, {(): Fraction(1)})
+        return cls._make(rank, 1, {(): 1})
 
     @classmethod
     def variable(cls, index, rank):
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} outside rank {rank}")
-        return cls._raw(rank, {(index,): Fraction(1)})
+        return cls._make(rank, 1, {(index,): 1})
 
     @classmethod
     def monomial(cls, word, coeff, rank):
@@ -196,32 +232,32 @@ class NcPoly:
     # -- predicates and degrees -------------------------------------------
 
     def is_constant(self):
-        return all(not w for w in self.terms)
+        return all(not w for w in self.ints)
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.ints.get((), 0), self.den)
 
     def degree(self):
         """Total degree; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        return max(len(w) for w in self.terms)
+        return max(len(w) for w in self.ints)
 
     def degree_in_var(self, index):
         """Largest occurrence count of x_index in any word; NEG_INF for 0."""
-        if not self.terms:
+        if not self.ints:
             return NEG_INF
-        return max(w.count(index) for w in self.terms)
+        return max(w.count(index) for w in self.ints)
 
     def is_homogeneous(self):
-        return len({len(w) for w in self.terms}) <= 1
+        return len({len(w) for w in self.ints}) <= 1
 
     def homogeneous_components(self):
         """Split into total-degree components, as a map degree -> NcPoly."""
         parts = {}
-        for w, c in self.terms.items():
-            parts.setdefault(len(w), {})[w] = c
-        return {d: NcPoly._raw(self.rank, t) for d, t in sorted(parts.items())}
+        for w, n in self.ints.items():
+            parts.setdefault(len(w), {})[w] = n
+        return {d: NcPoly._reduced(self.rank, self.den, t) for d, t in sorted(parts.items())}
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -238,14 +274,15 @@ class NcPoly:
 
         Requires one image per variable of this polynomial; the images fix
         the rank of the result and must all share it.  Words map to the
-        ordered product of their letters' images; constants are fixed.
+        ordered product of their letters' images; constants are fixed, so
+        a zero or constant polynomial comes back at once, in the images'
+        rank.
 
         Word images are built and summed over the integers: each is a pair
-        (d, ints) as from linalg.clear_denominators, memoised by prefix,
-        with a letter's image converted on first use.  Only the result is
-        brought back to Fractions, one per term.  The term products the
-        word images need are counted before each is formed, and more than
-        MAX_SUBSTITUTION_TERMS of them raise SubstitutionTooLargeError.
+        (d, ints), memoised by prefix, a letter's image being its
+        (den, ints).  The term products the word images need are counted
+        before each is formed, and more than MAX_SUBSTITUTION_TERMS of
+        them raise SubstitutionTooLargeError.
         """
         images = list(images)
         if len(images) != self.rank:
@@ -255,6 +292,8 @@ class NcPoly:
         if len(ranks) > 1:
             raise RankMismatchError(f"images carry mixed ranks {sorted(ranks)}")
         rank = images[0].rank if images else self.rank
+        if not any(self.ints):   # no word but the empty one
+            return NcPoly._make(rank, self.den, self.ints)
         cache = {(): (1, {(): 1})}
         formed = 0
 
@@ -263,7 +302,8 @@ class NcPoly:
             got = cache.get(word)
             if got is None:
                 if len(word) == 1:
-                    got = clear_denominators(images[word[0] - 1].terms)
+                    im = images[word[0] - 1]
+                    got = (im.den, im.ints)
                 else:
                     d1, t1 = image_of(word[:-1])
                     d2, t2 = image_of(word[-1:])
@@ -275,13 +315,12 @@ class NcPoly:
                 cache[word] = got
             return got
 
-        dp, coeffs = clear_denominators(self.terms)
-        parts = [(n, image_of(word)) for word, n in coeffs.items()]
+        parts = [(n, image_of(word)) for word, n in self.ints.items()]
         d = lcm(*[dw for _, (dw, _) in parts])
         acc = {}
         for n, (dw, ints) in parts:
             add_scaled(acc, ints, n * (d // dw))
-        return NcPoly._raw(rank, over_denominator(dp * d, acc))
+        return NcPoly._reduced(rank, self.den * d, acc)
 
     def __str__(self):
         return format_poly(self)
@@ -381,8 +420,12 @@ def join_signed_terms(terms):
 
 def signed_terms(p):
     """The (coefficient, monomial text) pairs of p in graded-lex order, as
-    join_signed_terms takes them."""
-    return [(p.terms[w], _word_str(w)) for w in sorted(p.terms, key=grlex_key)]
+    join_signed_terms takes them; an int coefficient when den is 1."""
+    ints, den = p.ints, p.den
+    words = sorted(ints, key=grlex_key)
+    if den == 1:
+        return [(ints[w], _word_str(w)) for w in words]
+    return [(Fraction(ints[w], den), _word_str(w)) for w in words]
 
 
 def format_poly(p):
@@ -441,7 +484,7 @@ def parse_poly(text, rank):
         _fail(text, 0, "empty polynomial")
     i = 1 if toks[0] in ("+", "-") else 0
     sign = -1 if toks[0] == "-" else 1
-    acc = {}
+    parsed = []   # (word, signed numerator, denominator) per term
     while True:
         num, den, word = 1, 1, ()
         if "0" <= toks[i][:1] <= "9":
@@ -464,9 +507,13 @@ def parse_poly(text, rank):
                     _fail(text, i - 1, message, len(toks[i - 1]))
                 _fail(text, i, message)   # else at the next token
             word += factor
-        add_term(acc, word, Fraction(sign * num, den))
+        parsed.append((word, sign * num, den))
         if not toks[i]:
-            return NcPoly._raw(rank, acc)
+            d = lcm(*[dw for _, _, dw in parsed])
+            acc = {}
+            for w, n, dw in parsed:
+                add_term(acc, w, n * (d // dw))
+            return NcPoly._reduced(rank, d, acc)
         if toks[i] not in ("+", "-"):
             _fail(text, i, f"expected '+' or '-', found {toks[i][0]!r}")
         sign = -1 if toks[i] == "-" else 1

@@ -70,7 +70,7 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, add_scaled, add_term, clear_denominators, over_denominator
+from .linalg import Echelon, add_scaled, add_term
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -117,14 +117,14 @@ def shift_aut(g, h):
 def _derive(p, v, image):
     """The derivation sending x_v to image and every other variable to 0."""
     acc = {}
-    for word, c in p.terms.items():
+    for word, c in p.ints.items():
         for pos, letter in enumerate(word):
             if letter != v:
                 continue
             head, tail = word[:pos], word[pos + 1:]
-            for mw, mc in image.terms.items():
+            for mw, mc in image.ints.items():
                 add_term(acc, head + mw + tail, c * mc)
-    return NcPoly._raw(p.rank, acc)
+    return NcPoly._reduced(p.rank, p.den * image.den, acc)
 
 
 # -- Lazard coordinates and the layer tower -----------------------------------
@@ -152,7 +152,7 @@ def layer_level(f):
     coefficient involves u_0 = x2."""
     _require_vars(f, (2, 3), "f")
     coords = {}
-    for word, c in f.terms.items():
+    for word, c in f.ints.items():
         for key, n in _lazard_word(word):
             add_term(coords, key, c * n)
     if any(0 in u for u, _ in coords):
@@ -190,8 +190,7 @@ def _layer_slice(level, k, l):
     pivot.  Reducing each row by the rows of larger pivot, largest first,
     stays in ints and gives the unique RREF.
     """
-    gens = {i: clear_denominators(c_generator(i, 2, 3, AMBIENT_RANK).terms)[1].items()
-            for i in range(1, l + 1)}
+    gens = {i: c_generator(i, 2, 3, AMBIENT_RANK).ints.items() for i in range(1, l + 1)}
     rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
@@ -203,8 +202,7 @@ def _layer_slice(level, k, l):
     for pivot, row in sorted(rows.items(), reverse=True):
         for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
             add_scaled(row, rows[w], -c)
-    return tuple(NcPoly._raw(AMBIENT_RANK, over_denominator(1, rows[p]))
-                 for p in sorted(rows))
+    return tuple(NcPoly._make(AMBIENT_RANK, 1, rows[p]) for p in sorted(rows))
 
 
 class GradedSubspace:
@@ -259,7 +257,7 @@ def s_layer_basis(m, cap):
         raise ValueError("degree cap must be >= 0")
     basis = [v for k in range(cap + 1) for l in range(cap + 1 - k)
              for v in _layer_slice(m, k, l)]
-    basis.sort(key=lambda v: grlex_key(min(v.terms, key=grlex_key)))
+    basis.sort(key=lambda v: grlex_key(min(v.ints, key=grlex_key)))
     return GradedSubspace(m, cap, basis)
 
 
@@ -428,9 +426,8 @@ def specht_straighten(f, cap):
     _require_vars(f, (2, 3), "f")
     if f.degree() > cap:
         raise CapViolationError(f"degree {f.degree()} exceeds cap {cap}")
-    den, ints = clear_denominators(f.terms)
     parts = {}   # (p, q) -> {subword: n}; a word's subword fixes its p, q
-    for word, c in ints.items():
+    for word, c in f.ints.items():
         subs = {(): c}
         for letter in word:
             nxt = dict(subs)   # the letter deleted
@@ -451,7 +448,7 @@ def specht_straighten(f, cap):
                 for target, tail, scale in moves:
                     add_term(target, s + tail, scale * n)
         parts = out
-    return {k: NcPoly._raw(3, over_denominator(den, t)) for k, t in sorted(parts.items()) if t}
+    return {k: NcPoly._reduced(3, f.den, t) for k, t in sorted(parts.items()) if t}
 
 
 def straighten_reconstruct(components):
@@ -550,7 +547,7 @@ def hypothesis1_report(cap):
     layer = s_layer_basis(1, cap)
     prods = c_product_span(cap)
     contained = all(layer.contains(p) for p in prods)
-    least = {min(p.terms, key=grlex_key) for p in prods}
+    least = {min(p.ints, key=grlex_key) for p in prods}
     span_dims = Counter(len(w) for w in least)
     layer_dims = layer.dims_by_degree()
     rows = [H1DegreeRow(d, span_dims[d], layer_dims.get(d, 0)) for d in range(cap + 1)]

@@ -5,11 +5,12 @@ row or combination of an Echelon, a straightening map -- is a dict
 mapping hashable term keys to nonzero coefficients: a stored coefficient
 is never 0.  add_term and add_scaled are the two updates that keep that
 so, by deleting any entry that cancels; the few hot loops that inline
-them say so.  At rest the coefficients are Fractions.  For integer
-arithmetic in a hot loop, clear_denominators writes a map as (d, ints),
-int values over one common denominator d, and over_denominator turns
-such a pair back into Fractions, one per term; add_term and add_scaled
-work on int values as well.
+them say so; they work on int and Fraction values alike.  A polynomial
+stores its coefficients as ints over one common denominator, (d, ints);
+clear_denominators writes a Fraction-valued map in that form, and
+over_denominator turns such a pair back into Fractions, one per term.
+The other maps here, an Echelon's rows and combinations among them,
+hold Fractions.
 
 An Echelon, the one elimination routine here, keeps a reduced row-echelon
 basis under a caller-supplied term order; the pivot of a row is its

@@ -1,7 +1,7 @@
-"""The Fraction loops NcPoly once multiplied and substituted with, kept as
-an oracle for its integer kernels.
+"""The Fraction loops NcPoly once added, multiplied and substituted with,
+kept as an oracle for its integer kernels.
 
-Both work on term maps (word -> nonzero Fraction) and add one product of
+All work on term maps (word -> nonzero Fraction) and add one product of
 coefficients at a time, each sum a normalised Fraction; nothing here
 calls the package, so a fault in linalg's helpers cannot hide in both.
 """
@@ -15,6 +15,14 @@ def _add(acc, key, c):
         acc[key] = v
     else:
         acc.pop(key, None)
+
+
+def fraction_add_terms(a, b):
+    """Term map of the sum of the term maps a and b."""
+    out = dict(a)
+    for w, c in b.items():
+        _add(out, w, c)
+    return out
 
 
 def fraction_mul_terms(a, b):

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from unitri import freealg
 from unitri.freealg import (
     NEG_INF,
     ArityMismatchError,
@@ -10,6 +12,7 @@ from unitri.freealg import (
     ParseError,
     RankMismatchError,
     RankOverflowError,
+    SubstitutionTooLargeError,
     abelianize,
     c_generator,
     format_poly,
@@ -18,7 +21,7 @@ from unitri.freealg import (
 )
 
 from conftest import rand_poly
-from poly_oracle import fraction_mul_terms, fraction_substitute
+from poly_oracle import fraction_add_terms, fraction_mul_terms, fraction_substitute
 
 
 def x(i, rank=3):
@@ -341,6 +344,85 @@ def test_kernels_match_fraction_oracle_on_edge_cases():
     for p, images in cancel:
         _assert_oracle_terms(p.substitute(images),
                              fraction_substitute(p.terms, [im.terms for im in images]))
+
+
+# -- the stored form: ints over one common denominator ------------------------
+
+
+def _assert_stored_form(p, want):
+    """p is canonical, its Fraction view is the oracle's term map `want`,
+    and building from `want` gives the same stored form and hash."""
+    assert type(p.den) is int and p.den >= 1
+    assert all(type(n) is int and n for n in p.ints.values())
+    assert math.gcd(p.den, *p.ints.values()) == 1
+    assert p.terms == want
+    same = NcPoly(p.rank, want)
+    assert (same.den, same.ints) == (p.den, p.ints) and hash(same) == hash(p)
+
+
+def _negated(terms):
+    return {w: -c for w, c in terms.items()}
+
+
+def test_stored_form_matches_fraction_oracle():
+    # mixed denominators, sums that cancel in part or to 0, constants and
+    # zero, and substitution into images of another rank
+    rng = random.Random(67)
+    for _ in range(200):
+        rank = rng.randint(2, 4)
+        p, r = (_oracle_poly(rng, rank, 3, 4) for _ in range(2))
+        c = _oracle_coeff(rng)
+        others = (r, NcPoly(rank, fraction_add_terms(r.terms, _negated(p.terms))),
+                  NcPoly(rank, _negated(p.terms)), NcPoly.constant(c, rank), NcPoly.zero(rank))
+        for q in others:
+            _assert_stored_form(p + q, fraction_add_terms(p.terms, q.terms))
+            _assert_stored_form(p - q, fraction_add_terms(p.terms, _negated(q.terms)))
+            _assert_stored_form(p * q, fraction_mul_terms(p.terms, q.terms))
+            assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+        _assert_stored_form(-p, _negated(p.terms))
+        _assert_stored_form(p * c, {w: v * c for w, v in p.terms.items()})
+        _assert_stored_form(p / c, {w: v / c for w, v in p.terms.items()})
+        image_rank = rng.randint(1, 5)
+        images = [_oracle_poly(rng, image_rank, 2, 3) for _ in range(rank)]
+        got = p.substitute(images)
+        assert got.rank == image_rank
+        _assert_stored_form(got, fraction_substitute(p.terms, [im.terms for im in images]))
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NcPoly.constant(0.1, 2),
+    lambda: NcPoly(2, {(2,): 0.1}),
+    lambda: NcPoly.monomial((2,), 0.5, 2),
+    lambda: x(2) * 0.5,
+    lambda: x(2) + 0.5,
+], ids=["constant", "init", "monomial", "mul", "add"])
+def test_float_coefficients_are_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_substitute_into_zero_and_constants(monkeypatch):
+    images = [NcPoly.variable(4, 4), parse_poly("x1 - 1/2", 4)]
+    for p in (NcPoly.zero(2), NcPoly.constant(Fraction(-3, 4), 2)):
+        with pytest.raises(ArityMismatchError):
+            p.substitute(images[:1])
+        with pytest.raises(RankMismatchError):
+            p.substitute([images[0], NcPoly.variable(1, 3)])
+        got = p.substitute(images)
+        assert got.rank == 4 and got == NcPoly.constant(p.constant_term(), 4)
+    # the bound counts the term products of word images; a constant term
+    # forms none: x1*x2 -> (x4)(x1 - 1/2) takes 2, x1*x2*x1 then 2 more
+    p = parse_poly("5 + x1*x2 + x1*x2*x1", 2)
+    for bound, fits in ((0, False), (3, False), (4, True)):
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", bound)
+        assert NcPoly.constant(7, 2).substitute(images) == NcPoly.constant(7, 4)
+        if fits:
+            assert p.substitute(images) == parse_poly("5 + x4*x1 - 1/2*x4 + x4*x1*x4 - 1/2*x4^2", 4)
+        else:
+            with pytest.raises(SubstitutionTooLargeError):
+                p.substitute(images)
 
 
 def _exponent_map_sum(a, b):
