@@ -26,7 +26,6 @@ from .freealg import (
     parse_poly,
     signed_terms,
 )
-from .linalg import add_term
 
 MAX_RANK = 64   # most images parse_aut accepts, as MAX_WORD_LENGTH bounds a word
 
@@ -68,6 +67,15 @@ class UniAut:
         self.offsets = offsets
 
     @classmethod
+    def _make(cls, rank, offsets):
+        # trusted constructor: offsets a tuple of rank-`rank` polynomials
+        # that is already unitriangular, as every product and inverse is
+        phi = cls.__new__(cls)
+        phi.rank = rank
+        phi.offsets = offsets
+        return phi
+
+    @classmethod
     def identity(cls, rank):
         return cls(rank, [NcPoly.zero(rank)] * rank)
 
@@ -86,10 +94,7 @@ class UniAut:
 
     def image(self, index):
         """The polynomial x_index + f_index."""
-        f = self.offsets[index - 1]
-        # f_index never holds the word x_index, so no coefficient adds up,
-        # and gcd(f.den, f.den, *f.ints) is still 1
-        return NcPoly._make(self.rank, f.den, {(index,): f.den, **f.ints})
+        return _shifted_variable(index, self.offsets[index - 1])
 
     def images(self):
         return [self.image(i) for i in range(1, self.rank + 1)]
@@ -101,13 +106,21 @@ class UniAut:
         return p.substitute(self.images())
 
     def compose(self, other):
-        """self followed by other: x^(self other) = apply(other, x^self)."""
+        """self followed by other: x^(self other) = apply(other, x^self).
+
+        Offset i of the product is g_i + f_i(x_j + g_j), f the offsets of
+        self and g those of other.  A constant f_i, zero included, is its
+        own image and is added to g_i as it is; any other is substituted
+        with g_i as the addend, so that g_i and the word images are summed
+        in one int accumulator.  Each such substitution is bounded by
+        MAX_SUBSTITUTION_TERMS, as `apply` is.
+        """
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
         images = other.images()
-        new = [other.offsets[i] + self.offsets[i].substitute(images)
-               for i in range(self.rank)]
-        return UniAut(self.rank, new)
+        new = tuple(g + f if f.is_constant() else f._substitute(images, g)
+                    for f, g in zip(self.offsets, other.offsets))
+        return UniAut._make(self.rank, new)
 
     __mul__ = compose
 
@@ -116,15 +129,17 @@ class UniAut:
 
         The offset g_i of the inverse must cancel f_i after the variables
         above i are already corrected, so g_i = -f_i(x_j + g_j : j > i);
-        triangularity makes each step depend only on later slots.
+        triangularity makes each step depend only on later slots.  The
+        image x_i + g_i that the next steps substitute is built as `image`
+        builds it, since g_i holds no x_i.
         """
         n = self.rank
         imgs = [NcPoly.variable(j, n) for j in range(1, n + 1)]
         inv = [None] * n
         for i in range(n - 1, -1, -1):
             inv[i] = -self.offsets[i].substitute(imgs)
-            imgs[i] = imgs[i] + inv[i]
-        return UniAut(n, inv)
+            imgs[i] = _shifted_variable(i + 1, inv[i])
+        return UniAut._make(n, tuple(inv))
 
     def __eq__(self, other):
         if not isinstance(other, UniAut):
@@ -139,6 +154,12 @@ class UniAut:
 
     def __repr__(self):
         return f"UniAut({format_aut(self)!r})"
+
+
+def _shifted_variable(index, f):
+    """x_index + f for an offset f that holds no word x_index: no
+    coefficient adds up, and gcd(f.den, f.den, *f.ints) is still 1."""
+    return NcPoly._make(f.rank, f.den, {(index,): f.den, **f.ints})
 
 
 def compose(phi, psi):
@@ -220,12 +241,15 @@ def difference_preimage(target, shift=1):
 # -- sampling ----------------------------------------------------------------
 
 
-def _rand_coeff(rng, height, allow_zero=False):
+def _rand_ratio(rng, height, allow_zero=False):
+    """A random scalar as an unreduced pair (num, den) of ints, num in
+    [-height, height] (nonzero unless allow_zero) and den in [1, height],
+    drawn in that order."""
     num = rng.randint(-height, height)
     if not allow_zero:
         while num == 0:
             num = rng.randint(-height, height)
-    return Fraction(num, rng.randint(1, height))
+    return num, rng.randint(1, height)
 
 
 def random_aut(rank, max_degree, coeff_height, seed):
@@ -243,14 +267,15 @@ def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
             offsets.append(NcPoly.zero(rank))
             continue
         if i == rank:
-            offsets.append(NcPoly.constant(_rand_coeff(rng, coeff_height, allow_zero=True), rank))
+            offsets.append(NcPoly._from_ratios(
+                rank, [((), *_rand_ratio(rng, coeff_height, allow_zero=True))]))
             continue
-        terms = {}
+        drawn = []
         for _ in range(rng.randint(0, 2)):
             length = rng.randint(0, max_degree)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
-            add_term(terms, word, _rand_coeff(rng, coeff_height))
-        offsets.append(NcPoly._raw(rank, terms))
+            drawn.append((word, *_rand_ratio(rng, coeff_height)))
+        offsets.append(NcPoly._from_ratios(rank, drawn))
     return UniAut(rank, offsets)
 
 

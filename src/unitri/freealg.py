@@ -129,6 +129,16 @@ class NcPoly:
         return cls._make(rank, den, ints)
 
     @classmethod
+    def _from_ratios(cls, rank, ratios):
+        # trusted constructor: the sum of num/den * word over (word, num,
+        # den) int triples, den > 0; words may repeat and nums may be 0
+        d = lcm(*[den for _, _, den in ratios])
+        acc = {}
+        for word, num, den in ratios:
+            add_term(acc, word, num * (d // den))
+        return cls._reduced(rank, d, acc)
+
+    @classmethod
     def _raw(cls, rank, terms):
         # trusted constructor: terms a zero-free map word -> int or Fraction
         return cls._make(rank, *clear_denominators(terms))
@@ -280,47 +290,60 @@ class NcPoly:
 
         Word images are built and summed over the integers: each is a pair
         (d, ints), memoised by prefix, a letter's image being its
-        (den, ints).  The term products the word images need are counted
-        before each is formed, and more than MAX_SUBSTITUTION_TERMS of
-        them raise SubstitutionTooLargeError.
+        (den, ints).  A loop starts each word from its longest memoised
+        prefix and multiplies in the images of its remaining letters one
+        at a time, so a prefix of two or more letters is formed once, by
+        one product of its own prefix and last letter, and a lone letter
+        by none.  The term products are counted before each is formed,
+        and more than MAX_SUBSTITUTION_TERMS of them in one call raise
+        SubstitutionTooLargeError.
         """
+        return self._substitute(images, None)
+
+    def _substitute(self, images, addend):
+        # addend + self(images), summed in one int accumulator; addend is
+        # None for plain substitution, else an NcPoly of the images' rank
         images = list(images)
         if len(images) != self.rank:
             raise ArityMismatchError(
                 f"need {self.rank} images, got {len(images)}")
-        ranks = {im.rank for im in images}
-        if len(ranks) > 1:
-            raise RankMismatchError(f"images carry mixed ranks {sorted(ranks)}")
-        rank = images[0].rank if images else self.rank
-        if not any(self.ints):   # no word but the empty one
-            return NcPoly._make(rank, self.den, self.ints)
+        rank = images[0].rank
         cache = {(): (1, {(): 1})}
+        for letter, im in enumerate(images, start=1):
+            if im.rank != rank:
+                raise RankMismatchError(
+                    f"images carry mixed ranks {sorted({im.rank for im in images})}")
+            cache[(letter,)] = (im.den, im.ints)
+        if addend is None and not any(self.ints):   # a constant is fixed
+            return NcPoly._make(rank, self.den, self.ints)
         formed = 0
-
-        def image_of(word):
-            nonlocal formed
-            got = cache.get(word)
-            if got is None:
-                if len(word) == 1:
-                    im = images[word[0] - 1]
-                    got = (im.den, im.ints)
-                else:
-                    d1, t1 = image_of(word[:-1])
-                    d2, t2 = image_of(word[-1:])
-                    formed += len(t1) * len(t2)
-                    if formed > MAX_SUBSTITUTION_TERMS:
-                        raise SubstitutionTooLargeError(
-                            f"substitution needs more than {MAX_SUBSTITUTION_TERMS} terms")
-                    got = (d1 * d2, _mul_words(t1, t2))
-                cache[word] = got
-            return got
-
-        parts = [(n, image_of(word)) for word, n in self.ints.items()]
-        d = lcm(*[dw for _, (dw, _) in parts])
-        acc = {}
-        for n, (dw, ints) in parts:
-            add_scaled(acc, ints, n * (d // dw))
-        return NcPoly._reduced(rank, self.den * d, acc)
+        parts = []
+        for word, n in self.ints.items():
+            k = len(word)
+            while word[:k] not in cache:
+                k -= 1
+            d, ints = cache[word[:k]]
+            for j in range(k, len(word)):
+                im = images[word[j] - 1]
+                formed += len(ints) * len(im.ints)
+                if formed > MAX_SUBSTITUTION_TERMS:
+                    raise SubstitutionTooLargeError(
+                        f"substitution needs more than {MAX_SUBSTITUTION_TERMS} terms")
+                d, ints = d * im.den, _mul_words(ints, im.ints)
+                cache[word[:j + 1]] = (d, ints)
+            parts.append((n, d, ints))
+        d = lcm(*[dw for _, dw, _ in parts])
+        den = self.den * d
+        if addend is None:
+            acc, scale = {}, 1
+        else:
+            total = lcm(den, addend.den)
+            up = total // addend.den
+            acc = {w: c * up for w, c in addend.ints.items()} if up != 1 else dict(addend.ints)
+            den, scale = total, total // den
+        for n, dw, ints in parts:
+            add_scaled(acc, ints, n * (d // dw) * scale)
+        return NcPoly._reduced(rank, den, acc)
 
     def __str__(self):
         return format_poly(self)
@@ -509,11 +532,7 @@ def parse_poly(text, rank):
             word += factor
         parsed.append((word, sign * num, den))
         if not toks[i]:
-            d = lcm(*[dw for _, _, dw in parsed])
-            acc = {}
-            for w, n, dw in parsed:
-                add_term(acc, w, n * (d // dw))
-            return NcPoly._reduced(rank, d, acc)
+            return NcPoly._from_ratios(rank, parsed)
         if toks[i] not in ("+", "-"):
             _fail(text, i, f"expected '+' or '-', found {toks[i][0]!r}")
         sign = -1 if toks[i] == "-" else 1

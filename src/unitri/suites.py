@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .autgroup import (
     UniAut,
-    _rand_coeff,
+    _rand_ratio,
     compose_chain,
     conjugate,
     derived_level_shape,
@@ -51,23 +51,26 @@ HEIGHT = 6   # numerator and denominator bound of the suites' random scalars
 CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
+def _rand_constant(rng, allow_zero=True):
+    """Random scalar of height HEIGHT, as a rank-2 constant polynomial."""
+    return NcPoly._from_ratios(2, [((), *_rand_ratio(rng, HEIGHT, allow_zero))])
+
+
 def _rand_y_poly(rng, max_degree, nonzero=False):
     """Random element of Q<y> inside the rank-2 algebra (y = x2)."""
     while True:
-        terms = {}
+        drawn = []
         for d in range(max_degree + 1):
             if rng.random() < 0.5:
-                c = _rand_coeff(rng, HEIGHT, allow_zero=True)
-                if c:
-                    terms[(2,) * d] = c
-        p = NcPoly._raw(2, terms)
-        if terms or not nonzero:
-            return p
+                num, den = _rand_ratio(rng, HEIGHT, allow_zero=True)
+                if num:
+                    drawn.append(((2,) * d, num, den))
+        if drawn or not nonzero:
+            return NcPoly._from_ratios(2, drawn)
 
 
 def _rand_u2(rng, max_degree):
-    return UniAut(2, [_rand_y_poly(rng, max_degree),
-                      NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
+    return UniAut(2, [_rand_y_poly(rng, max_degree), _rand_constant(rng)])
 
 
 def suite_group_axioms():
@@ -144,7 +147,7 @@ def _solvability_generators(rank):
                 continue
             length = rng.randint(1, 2)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
-            offsets.append(NcPoly._raw(rank, {word: Fraction(rng.randint(1, 2))}))
+            offsets.append(NcPoly._from_ratios(rank, [(word, rng.randint(1, 2), 1)]))
         out.append(UniAut(rank, offsets))
     return out
 
@@ -161,8 +164,8 @@ def suite_lemma1():
     for _ in range(100):
         f = _rand_y_poly(rng, 4)
         h = _rand_y_poly(rng, 4)
-        b = _rand_coeff(rng, HEIGHT, allow_zero=True)
-        c = _rand_coeff(rng, HEIGHT, allow_zero=True)
+        b = Fraction(*_rand_ratio(rng, HEIGHT, allow_zero=True))
+        c = Fraction(*_rand_ratio(rng, HEIGHT, allow_zero=True))
         phi = UniAut(2, [f, NcPoly.constant(b, 2)])
         psi = UniAut(2, [h, NcPoly.constant(c, 2)])
         inv_expected = UniAut(2, [-shifted(f, -b), NcPoly.constant(-b, 2)])
@@ -187,8 +190,7 @@ def suite_lemma2():
     disagreements = 0
     for i in range(100):
         if i % 5 == 0:
-            phi = UniAut.elementary(
-                1, NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2))
+            phi = UniAut.elementary(1, _rand_constant(rng))
         elif i % 5 == 1:
             phi = UniAut.elementary(1, _rand_y_poly(rng, 3))
         else:
@@ -236,8 +238,7 @@ def suite_lemma3():
     ok = u2_centralizer_classify(first_row) is CentralizerClass.FIRST_ROW
     for _ in range(50):
         inside = UniAut.elementary(1, _rand_y_poly(rng, 3))
-        outside = UniAut(2, [_rand_y_poly(rng, 3),
-                             NcPoly.constant(_rand_coeff(rng, HEIGHT), 2)])
+        outside = UniAut(2, [_rand_y_poly(rng, 3), _rand_constant(rng, allow_zero=False)])
         ok = ok and commutes(first_row, inside) and not commutes(first_row, outside)
     results.append(CheckResult("first-row centralizer", ok,
                                "50 commuting + 50 non-commuting probes"))
@@ -245,13 +246,11 @@ def suite_lemma3():
     translation = UniAut.elementary(2, NcPoly.one(2))
     ok = u2_centralizer_classify(translation) is CentralizerClass.CONSTANT_PAIRS
     for _ in range(50):
-        inside = UniAut(2, [NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2),
-                            NcPoly.constant(_rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
+        inside = UniAut(2, [_rand_constant(rng), _rand_constant(rng)])
         h = _rand_y_poly(rng, 3, nonzero=True)
         while h.degree() < 1:
             h = _rand_y_poly(rng, 3, nonzero=True)
-        outside = UniAut(2, [h, NcPoly.constant(
-            _rand_coeff(rng, HEIGHT, allow_zero=True), 2)])
+        outside = UniAut(2, [h, _rand_constant(rng)])
         ok = ok and commutes(translation, inside) and not commutes(translation, outside)
     results.append(CheckResult("translation centralizer", ok,
                                "50 commuting + 50 non-commuting probes"))

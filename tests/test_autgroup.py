@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from unitri import suites
 from unitri.autgroup import (
     MAX_RANK,
     NonConstantLastError,
@@ -34,7 +35,13 @@ from unitri.freealg import (
     ring_commutator,
 )
 
-from conftest import rand_poly
+from conftest import rand_coeff, rand_poly
+from draw_oracle import (
+    fraction_rand_constant,
+    fraction_rand_u2,
+    fraction_rand_y_poly,
+    fraction_random_aut_rng,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -320,6 +327,119 @@ def test_elementary_checks_its_offset():
         UniAut.elementary(2, parse_poly("x2*x3", 3))
     with pytest.raises(NonConstantLastError):
         UniAut.elementary(3, parse_poly("x3", 3))
+
+
+
+# -- the group operations against their written definitions ----------------------
+
+
+def _compose_ref(phi, psi):
+    """Offset-wise: g_i + f_i(x_j + g_j), each sum a separate `+`."""
+    n = phi.rank
+    images = [NcPoly.variable(j, n) + g for j, g in enumerate(psi.offsets, start=1)]
+    return UniAut(n, [g + f.substitute(images) for f, g in zip(phi.offsets, psi.offsets)])
+
+
+def _invert_ref(phi):
+    """Back-substitution from x_n upward, each next image a `+`."""
+    n = phi.rank
+    imgs = [NcPoly.variable(j, n) for j in range(1, n + 1)]
+    inv = [None] * n
+    for i in range(n - 1, -1, -1):
+        inv[i] = -phi.offsets[i].substitute(imgs)
+        imgs[i] = imgs[i] + inv[i]
+    return UniAut(n, inv)
+
+
+def _mixed_denominator_map(rng, rank):
+    """Offsets of up to 3 terms over denominators up to 12, of degree at
+    most 3 (2 from rank 4 on), the last a constant that may be 0."""
+    degree = 3 if rank < 4 else 2
+    offsets = [rand_poly(rng, rank, degree, height=12, max_terms=3, vars_from=i + 1)
+               for i in range(1, rank)]
+    return UniAut(rank, offsets + [NcPoly.constant(rand_coeff(rng, 12, allow_zero=True), rank)])
+
+
+def _group_cases(rng):
+    for rank in (2, 3, 4, 5):
+        for _ in range(12):
+            phi = _mixed_denominator_map(rng, rank)
+            psi = _mixed_denominator_map(rng, rank)
+            yield phi, psi
+            yield phi, _invert_ref(phi)   # every offset of the product cancels to 0
+
+
+def test_group_operations_match_their_definitions(rng):
+    for phi, psi in _group_cases(rng):
+        inv_phi, inv_psi = _invert_ref(phi), _invert_ref(psi)
+        expected = {
+            "compose": _compose_ref(phi, psi),
+            "invert": inv_phi,
+            "conjugate": _compose_ref(_compose_ref(inv_psi, phi), psi),
+            "commutator": _compose_ref(_compose_ref(_compose_ref(inv_phi, inv_psi), phi), psi),
+        }
+        got = {
+            "compose": phi * psi,
+            "invert": phi.invert(),
+            "conjugate": conjugate(phi, psi),
+            "commutator": group_commutator(phi, psi),
+        }
+        for name, result in got.items():
+            assert result == expected[name], name
+            # the trusted results pass the full check of the constructor
+            assert UniAut(result.rank, result.offsets) == result, name
+        if psi == inv_phi:
+            assert got["compose"].is_identity()
+
+
+def test_fused_substitution_equals_the_sum(rng):
+    x = [NcPoly.variable(j, 3) for j in (1, 2, 3)]
+    f = parse_poly("x2*x3 - 2/3*x3^2 + x2 + 5", 3)
+    images = [x[0], x[1] + parse_poly("1/2*x3", 3), x[2] + Fraction(1, 3)]
+    cases = [
+        -f.substitute(images),                        # the sum cancels to 0
+        -f.substitute(images) + Fraction(4, 7),       # ... all but a constant
+        parse_poly("3/7*x2*x3 + 1/7", 3),             # den 7, images over 2 and 3
+        parse_poly("x3^3 - 1", 3),                    # den 1
+        NcPoly.zero(3),
+    ]
+    for _ in range(40):
+        cases.append(rand_poly(rng, 3, 3, height=12, vars_from=2))
+    for g in cases:
+        assert f._substitute(images, g) == g + f.substitute(images)
+    assert f._substitute(images, cases[0]) == NcPoly.zero(3)
+    assert f._substitute(images, cases[0]).den == 1
+    for _ in range(40):
+        p = rand_poly(rng, 3, 3, height=12)
+        g = rand_poly(rng, 3, 3, height=12)
+        assert p._substitute(images, g) == g + p.substitute(images)
+        assert p._substitute(images, -p.substitute(images)).is_zero()
+
+
+# -- sampling: integer draws against the Fraction draws ---------------------------
+
+
+def test_random_aut_draws_match_the_fraction_draws():
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for rank in (2, 3, 4, 5):
+            for first_zero in (False, True):
+                assert random_aut_rng(rng, rank, 3, 10, first_zero) == \
+                    fraction_random_aut_rng(ref, rank, 3, 10, first_zero)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_suite_draws_match_the_fraction_draws():
+    for seed in range(40):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for deg in range(6):
+            assert suites._rand_y_poly(rng, deg) == fraction_rand_y_poly(ref, deg)
+            assert suites._rand_y_poly(rng, deg, nonzero=True) == \
+                fraction_rand_y_poly(ref, deg, nonzero=True)
+            assert suites._rand_u2(rng, deg) == fraction_rand_u2(ref, deg)
+        for allow_zero in (True, False):
+            assert suites._rand_constant(rng, allow_zero) == fraction_rand_constant(ref, allow_zero)
+        assert rng.getstate() == ref.getstate()
 
 
 # -- text and JSON forms --------------------------------------------------------

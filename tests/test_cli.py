@@ -389,7 +389,8 @@ def _sum_of_words(n_terms):
     # x1^2 needs 446^2 products, just under the bound; x1^3 would need
     # 446 times as many more in one step
     ["apply", f"x1 + {_sum_of_words(446)}; x2; x3", "x1^3"],
-], ids=["apply-binomial", "invert", "compose", "apply-cube"])
+    ["commutator", "x1 + x2^20; x2 + x3^3; x3 + 1", "x1; x2 + x3^5; x3 + 2"],
+], ids=["apply-binomial", "invert", "compose", "apply-cube", "commutator"])
 def test_oversized_substitution_is_a_usage_error(argv):
     # a fresh process, so that a hang fails on the timeout, not the run
     proc = subprocess.run([sys.executable, "-m", "unitri.cli", *argv],

@@ -423,6 +423,18 @@ def test_substitute_into_zero_and_constants(monkeypatch):
         else:
             with pytest.raises(SubstitutionTooLargeError):
                 p.substitute(images)
+    # words that share prefixes and end in a lone letter: each prefix of two
+    # or more letters is formed once, by its own prefix times its last
+    # letter, and a lone letter by none: x1*x2 takes 1*2, x2*x1 2*1 and
+    # x2*x1*x2 2*2, 8 in all, in either order of the words
+    for text in ("x2 + x1*x2 + x2*x1*x2", "x2*x1*x2 + x1*x2 + x2"):
+        p = parse_poly(text, 2)
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", 7)
+        with pytest.raises(SubstitutionTooLargeError):
+            p.substitute(images)
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", 8)
+        assert p.substitute(images) == parse_poly(
+            "-1/2 + x1 - 1/4*x4 - 1/2*x1*x4 + 1/2*x4*x1 + x1*x4*x1", 4)
 
 
 def _exponent_map_sum(a, b):
