@@ -18,9 +18,11 @@ import random
 from fractions import Fraction
 
 from .freealg import (
+    MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
     RankMismatchError,
+    _coefficient,
     format_poly,
     join_signed_terms,
     parse_poly,
@@ -222,7 +224,7 @@ def difference_preimage(target, shift=1):
     top-down solve: the y^j coefficient of the difference is
     sum_{k>j} C(k, j) shift^(k-j) r_k.  Any target is reachable, which is
     what makes every first-row element a commutator."""
-    shift = Fraction(shift)
+    shift = _coefficient(shift)
     if not shift:
         raise ValueError("shift must be nonzero")
     if target.rank != 2 or target.degree_in_var(1) > 0:
@@ -235,7 +237,7 @@ def difference_preimage(target, shift=1):
         need = coeffs.get(j, Fraction(0)) - acc
         if need:
             r[j + 1] = need / ((j + 1) * shift)
-    return NcPoly._raw(2, {(2,) * k: v for k, v in r.items() if v})
+    return NcPoly(2, {(2,) * k: v for k, v in r.items()})
 
 
 # -- sampling ----------------------------------------------------------------
@@ -254,13 +256,17 @@ def _rand_ratio(rng, height, allow_zero=False):
 
 def random_aut(rank, max_degree, coeff_height, seed):
     """Deterministic pseudo-random automorphism within the given bounds."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
     return random_aut_rng(random.Random(seed), rank, max_degree, coeff_height)
 
 
 def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
-    """Like random_aut but drawing from a caller-owned generator."""
+    """Like random_aut but drawing from a caller-owned generator.  Bounds
+    outside 2 <= rank <= MAX_RANK, 0 <= max_degree <= MAX_WORD_LENGTH and
+    coeff_height >= 1 raise ValueError before anything is drawn."""
+    if not (2 <= rank <= MAX_RANK and 0 <= max_degree <= MAX_WORD_LENGTH
+            and coeff_height >= 1):
+        raise ValueError(f"no random automorphism of rank {rank}, degree <= "
+                         f"{max_degree} and coefficient height {coeff_height}")
     offsets = []
     for i in range(1, rank + 1):
         if first_zero and i == 1:

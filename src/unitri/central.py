@@ -38,16 +38,6 @@ class OrdinalLevel(namedtuple("OrdinalLevel", "omega_coeff finite_part")):
         head = "w" if a == 1 else f"{a}w"
         return f"{head}+{b}" if b else head
 
-    @classmethod
-    def parse(cls, text):
-        text = text.strip()
-        if "w" not in text:
-            return cls(0, int(text))
-        head, _, tail = text.partition("w")
-        a = int(head) if head else 1
-        b = int(tail.lstrip("+")) if tail else 0
-        return cls(a, b)
-
 
 class CentralizerClass(enum.Enum):
     WHOLE_GROUP = "whole-group"

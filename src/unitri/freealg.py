@@ -12,8 +12,15 @@ a word is ints[word] / den.  That form is unique, so equality of
 polynomials is plain equality of (rank, den, ints).  Sums, products and
 substitutions compute in ints and divide out one gcd per result; a
 Fraction is built only at the boundary: when a polynomial is built from
-a term map (linalg.clear_denominators), when its `terms` view is read
-(linalg.over_denominator), and for a non-unit denominator in output.
+a term map, when its `terms` view is read, and for a non-unit
+denominator in output.
+
+This module owns the term-map format that every sparse object in the
+package shares -- a polynomial, its abelianisation, a row of an Echelon,
+a straightening map: a dict mapping hashable term keys to nonzero
+coefficients, int or Fraction.  add_term and add_scaled are the two
+updates that keep a stored coefficient nonzero, by deleting any entry
+that cancels; the few hot loops that inline them say so.
 
 The degree of the zero polynomial is NEG_INF, a sentinel below every
 integer, which keeps predicates of the shape "deg f <= s" uniform.
@@ -25,8 +32,6 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm
-
-from .linalg import add_scaled, add_term, clear_denominators, over_denominator
 
 NEG_INF = float("-inf")
 
@@ -81,13 +86,50 @@ def _coefficient(value):
     return Fraction(value)
 
 
+def add_term(acc, key, c):
+    """acc[key] += c in place, dropping the entry if it cancels.  A new
+    key takes c itself: 0 + c would cost a Fraction add and a gcd."""
+    old = acc.get(key)
+    if old is None:
+        if c:
+            acc[key] = c
+        return
+    v = old + c
+    if v:
+        acc[key] = v
+    else:
+        del acc[key]
+
+
+def add_scaled(acc, vec, c=1):
+    """acc += c * vec in place, dropping every entry that cancels.
+
+    The default c, the int 1, adds the values of vec as they are, with no
+    multiply; any other c, even Fraction(1), multiplies each value."""
+    if not c:
+        return
+    get = acc.get
+    unscaled = type(c) is int and c == 1
+    for t, v in vec.items():   # add_term inlined: hot loop
+        if not unscaled:
+            v = c * v
+        old = get(t)
+        if old is None:
+            acc[t] = v
+            continue
+        v += old
+        if v:
+            acc[t] = v
+        else:
+            del acc[t]
+
+
 class NcPoly:
     """Sparse polynomial with noncommuting variables and rational
     coefficients, stored over one common denominator (see the module
     docstring): `den` is a positive int and `ints` a zero-free map
     word -> int with gcd(den, *ints.values()) == 1.  `terms` is the
-    {word: Fraction} view of the same polynomial, in the term-map format
-    of `linalg`, built on each read.
+    {word: Fraction} term map of the same polynomial, built on each read.
 
     Instances are immutable by convention: no method mutates `ints`, and
     every operation returns a fresh polynomial in canonical form (the form
@@ -98,15 +140,16 @@ class NcPoly:
 
     def __init__(self, rank, terms=None):
         _require_positive_rank(rank)
-        clean = {}
+        ratios = []
         for word, coeff in (terms or {}).items():
             word = tuple(word)
             for letter in word:
                 if not 1 <= letter <= rank:
                     raise ValueError(f"variable index {letter} outside rank {rank}")
-            add_term(clean, word, _coefficient(coeff))
-        self.rank = rank
-        self.den, self.ints = clear_denominators(clean)
+            c = _coefficient(coeff)
+            ratios.append((word, c.numerator, c.denominator))
+        p = self._from_ratios(rank, ratios)
+        self.rank, self.den, self.ints = rank, p.den, p.ints
 
     @classmethod
     def _make(cls, rank, den, ints):
@@ -138,15 +181,11 @@ class NcPoly:
             add_term(acc, word, num * (d // den))
         return cls._reduced(rank, d, acc)
 
-    @classmethod
-    def _raw(cls, rank, terms):
-        # trusted constructor: terms a zero-free map word -> int or Fraction
-        return cls._make(rank, *clear_denominators(terms))
-
     @property
     def terms(self):
         """The {word: Fraction} view, one normalised Fraction per term."""
-        return over_denominator(self.den, self.ints)
+        den = self.den
+        return {w: Fraction(n, den) for w, n in self.ints.items()}
 
     @classmethod
     def zero(cls, rank):
@@ -234,10 +273,6 @@ class NcPoly:
         if not 1 <= index <= rank:
             raise ValueError(f"variable index {index} outside rank {rank}")
         return cls._make(rank, 1, {(index,): 1})
-
-    @classmethod
-    def monomial(cls, word, coeff, rank):
-        return cls(rank, {tuple(word): coeff})
 
     # -- predicates and degrees -------------------------------------------
 

@@ -64,13 +64,15 @@ from .freealg import (
     NcPoly,
     RankMismatchError,
     abelianize,
+    add_scaled,
+    add_term,
     c_generator,
     format_poly,
     grlex_key,
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon, add_scaled, add_term
+from .linalg import Echelon
 from .verdict import Verdict
 
 AMBIENT_RANK = 3

@@ -1,82 +1,19 @@
-"""Exact sparse linear algebra over Q, and the owner of the term-map format.
-
-Every sparse object in the package -- a polynomial, its abelianisation, a
-row or combination of an Echelon, a straightening map -- is a dict
-mapping hashable term keys to nonzero coefficients: a stored coefficient
-is never 0.  add_term and add_scaled are the two updates that keep that
-so, by deleting any entry that cancels; the few hot loops that inline
-them say so; they work on int and Fraction values alike.  A polynomial
-stores its coefficients as ints over one common denominator, (d, ints);
-clear_denominators writes a Fraction-valued map in that form, and
-over_denominator turns such a pair back into Fractions, one per term.
-The other maps here, an Echelon's rows and combinations among them,
-hold Fractions.
+"""Exact sparse elimination over Q, on the term maps of `freealg`.
 
 An Echelon, the one elimination routine here, keeps a reduced row-echelon
 basis under a caller-supplied term order; the pivot of a row is its
 smallest term and carries coefficient 1, so the stored rows are the
-unique canonical basis of their span.
+unique canonical basis of their span.  Its rows, and the combinations
+among them that it can track, hold Fractions.  nullspace reads a kernel
+basis off an Echelon.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
-from math import lcm
 
-
-def add_term(acc, key, c):
-    """acc[key] += c in place, dropping the entry if it cancels.  A new
-    key takes c itself: 0 + c would cost a Fraction add and a gcd."""
-    old = acc.get(key)
-    if old is None:
-        if c:
-            acc[key] = c
-        return
-    v = old + c
-    if v:
-        acc[key] = v
-    else:
-        del acc[key]
-
-
-def add_scaled(acc, vec, c=1):
-    """acc += c * vec in place, dropping every entry that cancels.
-
-    The default c, the int 1, adds the values of vec as they are, with no
-    multiply; any other c, even Fraction(1), multiplies each value."""
-    if not c:
-        return
-    get = acc.get
-    unscaled = type(c) is int and c == 1
-    for t, v in vec.items():   # add_term inlined: hot loop
-        if not unscaled:
-            v = c * v
-        old = get(t)
-        if old is None:
-            acc[t] = v
-            continue
-        v += old
-        if v:
-            acc[t] = v
-        else:
-            del acc[t]
-
-
-def clear_denominators(terms):
-    """Common-denominator form (d, ints) of a term map: d is the lcm of the
-    denominators of its values and ints[key] = d * terms[key], an int, so
-    that terms == over_denominator(d, ints).  Zero-free in, zero-free out."""
-    d = lcm(*[c.denominator for c in terms.values()])
-    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
-
-
-def over_denominator(d, ints):
-    """The Fraction term map ints / d: one normalised Fraction per term.
-    ints must be zero-free, as every map built with add_term/add_scaled is."""
-    if d == 1:
-        return {k: Fraction(n) for k, n in ints.items()}
-    return {k: Fraction(n, d) for k, n in ints.items()}
+from .freealg import add_scaled
 
 
 class Echelon:

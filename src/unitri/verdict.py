@@ -31,16 +31,12 @@ class Verdict(namedtuple("Verdict", "kind witness provenance")):
         return cls(HOLDS)
 
     @classmethod
-    def fails(cls, witness, provenance=None):
-        return cls(FAILS, witness=witness, provenance=provenance)
+    def fails(cls, witness):
+        return cls(FAILS, witness=witness)
 
     @classmethod
     def probably_holds(cls, provenance=None):
         return cls(PROBABLY_HOLDS, provenance=provenance)
-
-    def is_positive(self):
-        """True for holds and probably_holds."""
-        return self.kind != FAILS
 
     def to_json(self):
         from .autgroup import aut_to_json

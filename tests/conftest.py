@@ -24,7 +24,7 @@ def sample_shift(rng, degree, height):
                 c = rand_coeff(rng, height, allow_zero=True)
                 if c:
                     terms[(3,) * j] = c
-        g = NcPoly._raw(3, terms)
+        g = NcPoly(3, terms)
         h = rand_coeff(rng, height, allow_zero=True)
         if terms or h:
             return g, h
@@ -40,7 +40,7 @@ def rand_poly(rng, rank, max_degree, height=10, max_terms=4, vars_from=1):
             terms[word] = c
         else:
             terms.pop(word, None)
-    return NcPoly._raw(rank, terms)
+    return NcPoly(rank, terms)
 
 
 def c_combination(rng, n):

@@ -3,12 +3,11 @@ for their integer draws.
 
 Each coefficient is one Fraction from conftest.rand_coeff, which makes
 the same rng calls in the same order as autgroup._rand_ratio; the
-polynomials are built from the Fraction term maps with NcPoly._raw.
+polynomials are built from the Fraction term maps by `NcPoly`.
 """
 
 from unitri.autgroup import UniAut
-from unitri.freealg import NcPoly
-from unitri.linalg import add_term
+from unitri.freealg import NcPoly, add_term
 
 from conftest import rand_coeff
 
@@ -27,7 +26,7 @@ def fraction_rand_y_poly(rng, max_degree, nonzero=False):
                 c = rand_coeff(rng, HEIGHT, allow_zero=True)
                 if c:
                     terms[(2,) * d] = c
-        p = NcPoly._raw(2, terms)
+        p = NcPoly(2, terms)
         if terms or not nonzero:
             return p
 
@@ -50,5 +49,5 @@ def fraction_random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=Fals
             length = rng.randint(0, max_degree)
             word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
             add_term(terms, word, rand_coeff(rng, coeff_height))
-        offsets.append(NcPoly._raw(rank, terms))
+        offsets.append(NcPoly(rank, terms))
     return UniAut(rank, offsets)

@@ -96,7 +96,7 @@ def oracle_basis(level, cap, sd):
     the slices' vectors sorted by graded-lex pivot."""
     vecs = [v for ech in oracle_slices(level, cap, sd).values() for v in ech.vectors()]
     vecs.sort(key=lambda v: grlex_key(min(v, key=grlex_key)))
-    return [NcPoly._raw(3, v) for v in vecs]
+    return [NcPoly(3, v) for v in vecs]
 
 
 def echelon_slice(level, k, l):
@@ -115,7 +115,7 @@ def echelon_slice(level, k, l):
             for i in indices:
                 prod = prod * u[i]
             ech.insert((prod * x3 ** b).terms)
-    return tuple(NcPoly._raw(3, v) for v in ech.vectors())
+    return tuple(NcPoly(3, v) for v in ech.vectors())
 
 
 def in_layer(p, level, sd):

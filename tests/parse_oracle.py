@@ -8,8 +8,7 @@ character at a time, skipping whitespace before each token.
 import sys
 from fractions import Fraction
 
-from unitri.freealg import MAX_WORD_LENGTH, NcPoly, ParseError, RankOverflowError
-from unitri.linalg import add_term
+from unitri.freealg import MAX_WORD_LENGTH, NcPoly, ParseError, RankOverflowError, add_term
 
 DIGITS = frozenset("0123456789")   # str.isdigit() also takes "²" and "٣"
 
@@ -120,7 +119,7 @@ class _Parser:
                 self.error(f"expected '+' or '-', found {ch!r}")
             self.take()
             sign = -1 if ch == "-" else 1
-        return NcPoly._raw(self.rank, acc)
+        return NcPoly(self.rank, acc)
 
 
 

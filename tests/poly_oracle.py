@@ -3,7 +3,7 @@ kept as an oracle for its integer kernels.
 
 All work on term maps (word -> nonzero Fraction) and add one product of
 coefficients at a time, each sum a normalised Fraction; nothing here
-calls the package, so a fault in linalg's helpers cannot hide in both.
+calls the package, so a fault in freealg's helpers cannot hide in both.
 """
 
 from fractions import Fraction

@@ -26,6 +26,7 @@ from unitri.autgroup import (
     random_aut_rng,
 )
 from unitri.freealg import (
+    MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
     RankOverflowError,
@@ -226,6 +227,30 @@ def test_random_aut_respects_bounds():
         assert phi.offsets[-1].degree() <= 0
 
 
+@pytest.mark.parametrize("rank, max_degree, coeff_height", [
+    (1, 2, 3), (MAX_RANK + 1, 2, 3), (2, -1, 3), (2, MAX_WORD_LENGTH + 1, 3),
+    (2, 10**9, 3), (3, 2, 0), (3, 2, -1),
+], ids=["rank-1", "rank-too-large", "degree-negative", "degree-too-large",
+        "degree-huge", "height-0", "height-negative"])
+def test_random_aut_refuses_bounds_before_drawing(rank, max_degree, coeff_height):
+    # a zero height once redrew a zero numerator forever, and a huge
+    # degree ran until killed
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError):
+        random_aut_rng(rng, rank, max_degree, coeff_height)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError):
+        random_aut(rank, max_degree, coeff_height, seed=5)
+
+
+def test_random_aut_accepts_the_extreme_bounds():
+    for rank, max_degree in ((2, 0), (MAX_RANK, MAX_WORD_LENGTH)):
+        phi = random_aut(rank, max_degree, 1, seed=5)
+        assert phi.rank == rank
+        assert all(f.degree() <= max_degree for f in phi.offsets)
+
+
 # -- group laws on random samples ----------------------------------------------
 
 
@@ -277,6 +302,13 @@ def test_difference_preimage_solves(rng):
         target = rand_poly(rng, 2, 4, vars_from=2)
         r = difference_preimage(target, 1)
         assert r.substitute([x1, y + 1]) - r == target
+
+
+def test_difference_preimage_takes_exact_shifts_only():
+    target = parse_poly("x2", 2)
+    assert difference_preimage(target, Fraction(1, 10)) == parse_poly("5*x2^2 - 1/2*x2", 2)
+    with pytest.raises(TypeError):
+        difference_preimage(target, 0.1)   # not 1/10 in binary
 
 
 def test_any_first_row_element_is_a_commutator():

@@ -27,8 +27,6 @@ def test_ordinal_level_order_and_str():
               OrdinalLevel(1, 1), OrdinalLevel(2, 2), OrdinalLevel(3, 1)]
     assert levels == sorted(levels)
     assert [str(l) for l in levels] == ["0", "4", "w", "w+1", "2w+2", "3w+1"]
-    for l in levels:
-        assert OrdinalLevel.parse(str(l)) == l
 
 
 def test_ordinal_level_validation():
@@ -40,8 +38,8 @@ def test_verdict_fails_needs_witness():
     with pytest.raises(ValueError):
         Verdict(FAILS)
     v = Verdict.fails(UniAut.identity(2))
-    assert not v.is_positive()
-    assert Verdict.holds().is_positive()
+    assert v.kind == FAILS
+    assert Verdict.holds().kind == HOLDS
 
 
 def test_u2_center_test_examples():

@@ -534,8 +534,8 @@ def test_only_verify_imports_the_suites(argv, loaded):
 
 
 GROUP = ["unitri.autgroup"]
-LAYERS = ["unitri.autgroup", "unitri.invariants"]
-CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants"]
+LAYERS = ["unitri.autgroup", "unitri.invariants", "unitri.linalg"]
+CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.linalg"]
 
 
 COMMAND_IMPORTS = [
@@ -557,5 +557,6 @@ COMMAND_IMPORTS = [
 @pytest.mark.parametrize("argv, loaded", COMMAND_IMPORTS,
                          ids=[argv[0] for argv, _ in COMMAND_IMPORTS])
 def test_each_command_imports_only_what_it_runs(argv, loaded):
-    modules = ("unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.suites")
+    modules = ("unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.linalg",
+               "unitri.suites")
     assert _imported(modules, ["--json", *argv]) == repr(loaded)

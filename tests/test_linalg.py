@@ -1,8 +1,8 @@
 import random
 from fractions import Fraction
 
-from unitri.freealg import NcPoly, abelianize
-from unitri.linalg import Echelon, add_scaled, add_term, nullspace
+from unitri.freealg import NcPoly, abelianize, add_scaled, add_term
+from unitri.linalg import Echelon, nullspace
 
 
 def F(n, d=1):
@@ -51,7 +51,7 @@ def test_no_operation_stores_a_zero_coefficient():
     rng = random.Random(5)
     word = lambda: tuple(rng.choices((1, 2), k=rng.randint(0, 2)))
     for _ in range(200):
-        p, q = (NcPoly._raw(2, _random_terms(rng, word)) for _ in range(2))
+        p, q = (NcPoly(2, _random_terms(rng, word)) for _ in range(2))
         assert _nonzero_fractions(NcPoly(2, {**_random_terms(rng, word), word(): 0}).terms)
         c = F(rng.randint(-2, 2), rng.randint(1, 2))
         for r in (p + q, p - q, p + c, c - p, -p, p * q, p * c, p - p):
@@ -60,8 +60,8 @@ def test_no_operation_stores_a_zero_coefficient():
             assert _nonzero_fractions(abelianize(r))
         if c:
             assert _nonzero_fractions((p / c).terms)
-        images = [NcPoly._raw(2, _random_terms(rng, word)) for _ in range(2)]
-        nc = NcPoly._raw(2, _random_terms(rng, word))
+        images = [NcPoly(2, _random_terms(rng, word)) for _ in range(2)]
+        nc = NcPoly(2, _random_terms(rng, word))
         assert _nonzero_fractions(nc.substitute(images).terms)
         ech = Echelon(track=True)
         for tag in range(4):
