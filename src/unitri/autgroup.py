@@ -20,9 +20,10 @@ from fractions import Fraction
 from .freealg import (
     MAX_WORD_LENGTH,
     NcPoly,
-    ParseError,
     RankMismatchError,
     _coefficient,
+    _read_sum,
+    _tokens,
     format_poly,
     join_signed_terms,
     parse_poly,
@@ -30,6 +31,7 @@ from .freealg import (
 )
 
 MAX_RANK = 64   # most images parse_aut accepts, as MAX_WORD_LENGTH bounds a word
+_IMAGE_ENDS = (";", "")   # the tokens that close an image: its ';', the end of the text
 
 
 class VariableLeakError(ValueError):
@@ -296,23 +298,24 @@ def format_aut(phi):
 
 def parse_aut(text):
     """Parse semicolon-separated images; the rank is the image count, at
-    most MAX_RANK.  A ParseError's position counts from the start of the
-    whole text."""
+    most MAX_RANK.  The whole text is split into tokens once, and the
+    walk that parse_poly uses reads each image up to its ';', so a
+    ParseError's position counts from the start of the whole text.
+    Offset i is one NcPoly._from_ratios over the image's terms and -x_i;
+    UniAut then checks that the offsets are unitriangular."""
     rank = text.count(";") + 1
     if rank > MAX_RANK:
         raise ValueError(f"an automorphism has at most {MAX_RANK} images, got {rank}")
-    parts = text.split(";")
     if rank < 2:
         raise ValueError("an automorphism needs at least two images")
+    toks = _tokens(text)
     offsets = []
-    start = 0
-    for i, part in enumerate(parts, start=1):
-        try:
-            img = parse_poly(part, rank)
-        except ParseError as e:
-            raise type(e)(e.message, start + e.position) from None
-        offsets.append(img - NcPoly.variable(i, rank))
-        start += len(part) + 1
+    i = 0
+    for index in range(1, rank + 1):
+        ratios, i = _read_sum(text, toks, i, rank, _IMAGE_ENDS)
+        ratios.append(((index,), -1, 1))
+        offsets.append(NcPoly._from_ratios(rank, ratios))
+        i += 1   # past the ';'
     return UniAut(rank, offsets)
 
 

@@ -496,6 +496,11 @@ def format_poly(p):
 _TOKEN = re.compile(r"\s*([0-9]+|\S)")
 
 
+def _tokens(text):
+    """The tokens of text, then "", which marks the end of the text."""
+    return _TOKEN.findall(text) + [""]
+
+
 def _fail(text, index, message, shift=0, cls=ParseError):
     """Raise at the start of token `index` (past the last token: the end of
     the text), plus `shift`; positions are found only when raising."""
@@ -533,16 +538,17 @@ def _factor(text, toks, i, rank):
     return (index,) * _uint(text, toks, i + 3, "an exponent", MAX_WORD_LENGTH), i + 4
 
 
-def parse_poly(text, rank):
-    """Parse the text grammar above into a canonical polynomial; a word
-    longer than MAX_WORD_LENGTH letters is a ParseError, never built."""
-    _require_positive_rank(rank)
-    toks = _TOKEN.findall(text) + [""]   # "" marks the end of the text
-    if not toks[0]:
-        _fail(text, 0, "empty polynomial")
-    i = 1 if toks[0] in ("+", "-") else 0
-    sign = -1 if toks[0] == "-" else 1
-    parsed = []   # (word, signed numerator, denominator) per term
+def _read_sum(text, toks, i, rank, ends):
+    """The (word, signed numerator, denominator) triples of the sum whose
+    first token is toks[i], and the index of the token in `ends` that
+    closes it: "" (the end of the text) must be among `ends`."""
+    if toks[i] in ends:
+        _fail(text, i, "empty polynomial")
+    sign = 1
+    if toks[i] in ("+", "-"):
+        sign = -1 if toks[i] == "-" else 1
+        i += 1
+    parsed = []
     while True:
         num, den, word = 1, 1, ()
         if "0" <= toks[i][:1] <= "9":
@@ -566,9 +572,19 @@ def parse_poly(text, rank):
                 _fail(text, i, message)   # else at the next token
             word += factor
         parsed.append((word, sign * num, den))
-        if not toks[i]:
-            return NcPoly._from_ratios(rank, parsed)
+        if toks[i] in ends:
+            return parsed, i
         if toks[i] not in ("+", "-"):
             _fail(text, i, f"expected '+' or '-', found {toks[i][0]!r}")
         sign = -1 if toks[i] == "-" else 1
         i += 1
+
+
+def parse_poly(text, rank):
+    """Parse the text grammar above into a canonical polynomial; a word
+    longer than MAX_WORD_LENGTH letters is a ParseError, never built.
+    One walk over the tokens collects the terms as triples (_read_sum,
+    which parse_aut shares) and NcPoly._from_ratios sums them; the sum
+    runs to the end of the text, so a ';' is a syntax error here."""
+    _require_positive_rank(rank)
+    return NcPoly._from_ratios(rank, _read_sum(text, _tokens(text), 0, rank, ("",))[0])

@@ -59,7 +59,6 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 
-from .autgroup import UniAut, VariableLeakError
 from .freealg import (
     NcPoly,
     RankMismatchError,
@@ -72,7 +71,6 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-from .linalg import Echelon
 from .verdict import Verdict
 
 AMBIENT_RANK = 3
@@ -101,6 +99,7 @@ def _require_vars(p, allowed, what):
     _require_rank3(p, what)
     for v in range(1, p.rank + 1):
         if v not in allowed and p.degree_in_var(v) > 0:
+            from .autgroup import VariableLeakError
             raise VariableLeakError(v, f"{what} must not involve x{v}")
 
 
@@ -113,6 +112,7 @@ def invariance_defect(f, g, h):
 
 def shift_aut(g, h):
     """The substitution above as a rank-3 automorphism fixing x1."""
+    from .autgroup import UniAut
     return UniAut(3, [NcPoly.zero(3), g, NcPoly.constant(h, 3)])
 
 
@@ -299,6 +299,7 @@ def invariance_verdict(f):
     Polynomial Automorphisms, 2000, ch. 1).  So the decision forms no
     substitution.
     """
+    from .autgroup import UniAut, VariableLeakError
     n = f.rank
     if n < 3:
         raise ValueError(f"rank must be >= 3, got {n}")
@@ -371,6 +372,7 @@ def subalgebra_membership(f, gens):
     either expresses the component or rules it out.  Returns the found
     expression, or None.
     """
+    from .linalg import Echelon
     gens = list(gens)
     for g in gens:
         if g.is_zero() or not g.is_homogeneous() or g.degree() < 1:

@@ -39,9 +39,9 @@ class Verdict(namedtuple("Verdict", "kind witness provenance")):
         return cls(PROBABLY_HOLDS, provenance=provenance)
 
     def to_json(self):
-        from .autgroup import aut_to_json
         out = {"kind": self.kind}
         if self.witness is not None:
+            from .autgroup import aut_to_json
             out["witness"] = aut_to_json(self.witness)
         if self.provenance is not None:
             out["provenance"] = self.provenance

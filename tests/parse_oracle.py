@@ -1,5 +1,7 @@
 """The character-stepping parser freealg.parse_poly once used, kept as the
-reference that tests/test_parse.py compares the token scan against.
+reference that tests/test_parse.py compares the token scan against, and
+the split-and-subtract autgroup.parse_aut, kept as the reference for the
+one-pass map parser.
 
 `_Parser` is the class as it stood, unchanged: it walks the text one
 character at a time, skipping whitespace before each token.
@@ -8,7 +10,15 @@ character at a time, skipping whitespace before each token.
 import sys
 from fractions import Fraction
 
-from unitri.freealg import MAX_WORD_LENGTH, NcPoly, ParseError, RankOverflowError, add_term
+from unitri.autgroup import MAX_RANK, UniAut
+from unitri.freealg import (
+    MAX_WORD_LENGTH,
+    NcPoly,
+    ParseError,
+    RankOverflowError,
+    add_term,
+    parse_poly,
+)
 
 DIGITS = frozenset("0123456789")   # str.isdigit() also takes "²" and "٣"
 
@@ -128,3 +138,25 @@ def oracle_parse_poly(text, rank):
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     return _Parser(text, rank).parse()
+
+
+def oracle_parse_aut(text):
+    """parse_aut as it first stood: split the text on ';', parse each part
+    on its own, shift a ParseError's position by the part's start, and
+    subtract x_i from image i."""
+    rank = text.count(";") + 1
+    if rank > MAX_RANK:
+        raise ValueError(f"an automorphism has at most {MAX_RANK} images, got {rank}")
+    parts = text.split(";")
+    if rank < 2:
+        raise ValueError("an automorphism needs at least two images")
+    offsets = []
+    start = 0
+    for i, part in enumerate(parts, start=1):
+        try:
+            img = parse_poly(part, rank)
+        except ParseError as e:
+            raise type(e)(e.message, start + e.position) from None
+        offsets.append(img - NcPoly.variable(i, rank))
+        start += len(part) + 1
+    return UniAut(rank, offsets)

@@ -499,7 +499,15 @@ def test_parse_aut_rejects_scaled_images():
     ("x1 + x2; x2 + *", ParseError, "expected a coefficient or variable (at position 14)"),
     ("x1; x2; x3 + x9", RankOverflowError, "variable x9 exceeds rank 3 (at position 13)"),
     ("x1; x2 + x3; x3 + 1/0", ParseError, "zero denominator (at position 20)"),
-], ids=["first-image", "second-image", "third-image-rank", "third-image-denominator"])
+    ("x1;", ParseError, "empty polynomial (at position 3)"),
+    ("x1; ;x3", ParseError, "empty polynomial (at position 4)"),
+    (" ; x2", ParseError, "empty polynomial (at position 1)"),
+    ("x1 + x; x2", ParseError, "expected a variable index (at position 6)"),
+    ("x1 + 2*; x2", ParseError, "expected a variable (at position 7)"),
+    ("x1 + x2\t;x2 +", ParseError, "expected a coefficient or variable (at position 13)"),
+], ids=["first-image", "second-image", "third-image-rank", "third-image-denominator",
+        "trailing-semicolon", "blank-middle-image", "blank-first-image",
+        "bare-x-before-semicolon", "bare-star-before-semicolon", "tab-before-semicolon"])
 def test_parse_aut_error_position_counts_from_the_whole_text(text, error, message):
     with pytest.raises(ParseError) as info:
         parse_aut(text)

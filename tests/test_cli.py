@@ -534,8 +534,8 @@ def test_only_verify_imports_the_suites(argv, loaded):
 
 
 GROUP = ["unitri.autgroup"]
-LAYERS = ["unitri.autgroup", "unitri.invariants", "unitri.linalg"]
-CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.linalg"]
+LAYERS = ["unitri.invariants"]
+CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants"]
 
 
 COMMAND_IMPORTS = [

@@ -1,13 +1,15 @@
-"""The polynomial text grammar: pinned error text, and parse_poly against
-the character-stepping parser kept in tests/parse_oracle.py."""
+"""The polynomial text grammar: pinned error text, parse_poly against the
+character-stepping parser kept in tests/parse_oracle.py, and parse_aut
+against the split-and-subtract map parser kept there."""
 
 import random
 import re
 import sys
 from pathlib import Path
 
-from parse_oracle import oracle_parse_poly
+from parse_oracle import oracle_parse_aut, oracle_parse_poly
 
+from unitri.autgroup import MAX_RANK, parse_aut
 from unitri.cli import main
 from unitri.freealg import parse_poly
 
@@ -130,3 +132,87 @@ def test_parse_poly_matches_the_character_stepping_oracle():
     # messages the grammar can give (numbers and quoted text aside)
     assert parsed > 2_000
     assert len(kinds) == 16, sorted(kinds)
+
+
+# -- parse_aut against the split-and-subtract oracle ---------------------------
+
+# edits that a map text can also take: a ';' with or without spaces, and
+# a term left unfinished just before a ';'
+MAP_PIECES = PIECES + [";", ";", " ;", "; ", " ; ", "x;", "2*;"]
+
+
+def _offset_term(rng, low, rank):
+    """A term in x_low..x_rank, a constant when that range is empty."""
+    pieces = [f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"] if rng.random() < 0.3 else []
+    if low <= rank:
+        for _ in range(rng.randint(0 if pieces else 1, 3)):
+            pieces += ["*", f"x{rng.randint(low, rank)}"]
+            if rng.random() < 0.3:
+                pieces += ["^", str(rng.randint(1, 3))]
+    elif not pieces:
+        pieces = [str(rng.randint(0, 9))]
+    return pieces[1:] if pieces[0] == "*" else pieces
+
+
+def _image_text(rng, i, rank):
+    """Image i of a rank-`rank` map: mostly x_i plus an offset in the later
+    variables, else blank, unfinished, or a fuzzed polynomial."""
+    kind = rng.random()
+    if kind < 0.05:
+        return rng.choice(SPACES)
+    if kind < 0.1:
+        return f"x{i} + " + rng.choice(["x", "2*", "x ", "2 *"])
+    if kind < 0.2:
+        return fuzz_text(rng, rank + 1)
+    tokens = [f"x{i}"]
+    for _ in range(rng.randint(0, 2)):
+        tokens += [rng.choice("+-"), *_offset_term(rng, i + 1, rank)]
+    if rng.random() < 0.08:   # a term that leaks x_j, j <= i, or ends the map non-constant
+        tokens += ["+", f"x{rng.randint(1, rank)}"]
+    return "".join(rng.choice(SPACES) + t for t in tokens) + rng.choice(SPACES)
+
+
+def fuzz_map_text(rng):
+    """A map text of 1 to 6 images, sometimes with a trailing ';' or a few
+    edits drawn from MAP_PIECES."""
+    rank = rng.randint(1, 6)
+    tokens = [_image_text(rng, i, rank) for i in range(1, rank + 1)]
+    text = ";".join(t + rng.choice(SPACES) for t in tokens)
+    if rng.random() < 0.05:
+        text += rng.choice([";", "; ", ";x1"])
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        i = rng.randint(0, len(text))
+        text = text[:i] + rng.choice(MAP_PIECES) + text[i + rng.choice([0, 0, 1]):]
+    return text
+
+
+def _map_outcome(parse, text):
+    try:
+        phi = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return phi.rank, [list(f.terms.items()) for f in phi.offsets]
+
+
+def test_parse_aut_matches_the_split_and_subtract_oracle():
+    rng = random.Random(14056288)
+    texts = [fuzz_map_text(rng) for _ in range(20_000)]
+    texts.append(";".join(f" x{i} " for i in range(1, MAX_RANK + 2)))   # one image too many
+    kinds = set()
+    parsed = 0
+    for text in texts:
+        got = _map_outcome(parse_aut, text)
+        assert got == _map_outcome(oracle_parse_aut, text), text
+        if isinstance(got[0], int):
+            kinds.add("parsed")
+            parsed += 1
+        elif got[0] is ValueError:
+            kinds.add(re.sub(r"[0-9]+", "_", got[1]))
+        else:
+            kinds.add(got[0].__name__)
+    # the texts reach a parse, each error the map layer adds, and the
+    # polynomial grammar's errors
+    assert parsed > 2_000
+    assert {"parsed", "VariableLeakError", "NonConstantLastError", "RankOverflowError",
+            "ParseError", "an automorphism needs at least two images",
+            "an automorphism has at most _ images, got _"} <= kinds, sorted(kinds)
