@@ -4,6 +4,13 @@ Each offset f_i may involve only variables of index greater than i, and
 the last offset is a constant, so these substitutions are always
 invertible and form a group under composition.
 
+That shape fixes the last two slots of every map: f_n is a constant and
+f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products and
+inverses fill slot n by adding or negating a constant and slot n-1 by
+one Taylor shift (freealg._taylor_shift); only slots 1..n-2 substitute
+word images.  In rank 2, U_2 = {(x + f(y), y + b)} multiplies as
+(f, b)(h, c) = (h + f(y + c), b + c), with no substitution at all.
+
 Composition order: the product phi * psi acts as phi first, then psi,
 i.e. x^(phi psi) = apply(psi, x^phi).  This is the unique convention
 under which conjugation in rank 2 comes out as the closed form
@@ -23,6 +30,7 @@ from .freealg import (
     RankMismatchError,
     _coefficient,
     _read_sum,
+    _taylor_shift,
     _tokens,
     format_poly,
     join_signed_terms,
@@ -113,18 +121,26 @@ class UniAut:
         """self followed by other: x^(self other) = apply(other, x^self).
 
         Offset i of the product is g_i + f_i(x_j + g_j), f the offsets of
-        self and g those of other.  A constant f_i, zero included, is its
-        own image and is added to g_i as it is; any other is substituted
-        with g_i as the addend, so that g_i and the word images are summed
-        in one int accumulator.  Each such substitution is bounded by
+        self and g those of other.  Unitriangularity fixes the last two
+        slots: f_n is a constant, so slot n is g_n + f_n, and f_(n-1) lies
+        in Q[x_n] while x_n maps to x_n + g_n, so slot n-1 is one Taylor
+        shift (freealg._taylor_shift) with g_(n-1) as the addend.  In
+        slots 1..n-2 a constant f_i, zero included, is its own image and
+        is added to g_i as it is; any other is substituted with g_i as
+        the addend, so that g_i and the word images are summed in one int
+        accumulator.  The shift and each substitution are bounded by
         MAX_SUBSTITUTION_TERMS, as `apply` is.
         """
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
-        images = other.images()
-        new = tuple(g + f if f.is_constant() else f._substitute(images, g)
-                    for f, g in zip(self.offsets, other.offsets))
-        return UniAut._make(self.rank, new)
+        f, g = self.offsets, other.offsets
+        head = ()
+        if self.rank > 2:
+            images = other.images()
+            head = tuple(gi + fi if fi.is_constant() else fi._substitute(images, gi)
+                         for fi, gi in zip(f[:-2], g))
+        return UniAut._make(self.rank, head + (_taylor_shift(f[-2], g[-1], g[-2]),
+                                               g[-1] + f[-1]))
 
     __mul__ = compose
 
@@ -133,16 +149,24 @@ class UniAut:
 
         The offset g_i of the inverse must cancel f_i after the variables
         above i are already corrected, so g_i = -f_i(x_j + g_j : j > i);
-        triangularity makes each step depend only on later slots.  The
-        image x_i + g_i that the next steps substitute is built as `image`
-        builds it, since g_i holds no x_i.
+        triangularity makes each step depend only on later slots.  So
+        g_n = -f_n, and g_(n-1) = -f_(n-1)(x_n + g_n) is one Taylor shift
+        (freealg._taylor_shift).  Below that a constant f_i is negated and
+        any other substituted.  The image x_i + g_i that the next steps
+        substitute is built as `image` builds it, since g_i holds no x_i,
+        and only for the slots 2..n that a later step reads.
         """
         n = self.rank
-        imgs = [NcPoly.variable(j, n) for j in range(1, n + 1)]
-        inv = [None] * n
-        for i in range(n - 1, -1, -1):
-            inv[i] = -self.offsets[i].substitute(imgs)
-            imgs[i] = _shifted_variable(i + 1, inv[i])
+        f = self.offsets
+        last = -f[-1]
+        inv = [None] * (n - 2) + [_taylor_shift(f[-2], last, sign=-1), last]
+        if n > 2:
+            imgs = [NcPoly.variable(j, n) for j in range(1, n - 1)]
+            imgs += [_shifted_variable(n - 1, inv[-2]), _shifted_variable(n, last)]
+            for i in range(n - 3, -1, -1):
+                inv[i] = -f[i] if f[i].is_constant() else -f[i].substitute(imgs)
+                if i:
+                    imgs[i] = _shifted_variable(i + 1, inv[i])
         return UniAut._make(n, tuple(inv))
 
     def __eq__(self, other):
@@ -248,12 +272,18 @@ def difference_preimage(target, shift=1):
 def _rand_ratio(rng, height, allow_zero=False):
     """A random scalar as an unreduced pair (num, den) of ints, num in
     [-height, height] (nonzero unless allow_zero) and den in [1, height],
-    drawn in that order."""
-    num = rng.randint(-height, height)
-    if not allow_zero:
-        while num == 0:
-            num = rng.randint(-height, height)
-    return num, rng.randint(1, height)
+    drawn in that order.
+
+    The draws are exactly those of rng.randint(-height, height) and
+    rng.randint(1, height): randint(a, b) is a + rng._randbelow(b - a + 1)
+    (the method that randint itself calls, also in a subclass of
+    random.Random), so one Python call does the work of three, with no
+    table of the range to draw from, whatever the height."""
+    below = rng._randbelow
+    num = below(2 * height + 1) - height
+    while not (num or allow_zero):
+        num = below(2 * height + 1) - height
+    return num, below(height) + 1
 
 
 def random_aut(rank, max_degree, coeff_height, seed):

@@ -384,6 +384,79 @@ class NcPoly:
         return format_poly(self)
 
 
+def _taylor_shift(f, shift, addend=None, sign=1):
+    """addend + sign * f(x_r + shift) for f in Q[x_r], r = f.rank, a
+    constant polynomial `shift` and an addend of rank r (None: zero).
+
+    With f = sum_k a_k x^k / D of degree K and shift = p/q,
+    q^K f(x + p/q) = sum_k a_k q^(K-k) (qx + p)^k / D, which is B(y + p)/D
+    at y = qx for the int polynomial B(y) = sum_k b_k y^k, b_k =
+    a_k q^(K-k).  The coefficients h_j of B(y + p) = sum_j h_j y^j are
+    the remainders of repeated synthetic division of B by (y - p).  Pass
+    i divides sum_(j>=i) b_j y^(j-i) by (y - p) from the top, b_j +=
+    p * b_(j+1) for j = K-1 down to i: b_i becomes the remainder h_i,
+    and b_(i+1..K) the quotient that the next pass divides.  So K(K+1)/2
+    int multiply-adds give f(x + p/q) = sum_j h_j q^j x^j / (D q^K),
+    and one _reduced makes it canonical.
+
+    The bound charges what NcPoly._substitute's prefix loop forms for
+    the same f and image x_r + shift, so SubstitutionTooLargeError
+    fires on the same inputs.  There the words of f are powers of x_r,
+    the letter x_r is memoised, and each prefix x_r^j, 2 <= j <= K, is
+    formed once, as the product of the image of x_r^(j-1), which has j
+    terms for p != 0 and 1 for p = 0, with the image of x_r, of 2 terms
+    or 1.  That is sum_(j=2..K) 2j = K^2 + K - 2 products for p != 0,
+    and K - 1 for p = 0.  The loop checks its running count, which only
+    grows, as it forms each product, so it raises exactly when that
+    total exceeds MAX_SUBSTITUTION_TERMS, whatever the order of the
+    words; for K <= 1 it forms no product and checks nothing.
+    """
+    rank = f.rank
+    K = max(map(len, f.ints), default=0)
+    b = [0] * (K + 1)
+    for w, n in f.ints.items():
+        b[len(w)] = n
+    p, q = shift.ints.get((), 0), shift.den
+    if K > 1 and (K * K + K - 2 if p else K - 1) > MAX_SUBSTITUTION_TERMS:
+        raise SubstitutionTooLargeError(
+            f"substitution needs more than {MAX_SUBSTITUTION_TERMS} terms")
+    den = f.den
+    if p:
+        if q != 1:   # b_k = a_k q^(K-k), in place
+            qk = 1
+            for k in range(K, -1, -1):
+                b[k] *= qk
+                qk *= q
+            den *= qk // q
+        for i in range(K):
+            acc = b[K]
+            for j in range(K - 1, i - 1, -1):
+                acc = b[j] = b[j] + p * acc
+        if q != 1:   # h_j q^j, in place
+            qk = 1
+            for j in range(K + 1):
+                b[j] *= qk
+                qk *= q
+    if addend is None:
+        acc, scale = {}, sign
+    else:
+        total = den if den == addend.den else lcm(den, addend.den)
+        up = total // addend.den
+        acc = {w: c * up for w, c in addend.ints.items()} if up != 1 else dict(addend.ints)
+        den, scale = total, sign * (total // den)
+    get = acc.get
+    w = ()
+    for n in b:   # add_term inlined: hot loop; w is x_rank^j for b[j]
+        if n:
+            v = get(w, 0) + n * scale
+            if v:
+                acc[w] = v
+            else:
+                del acc[w]
+        w += (rank,)
+    return NcPoly._reduced(rank, den, acc)
+
+
 def _mul_words(a, b):
     """Product of two zero-free word maps with int values, zero-free."""
     out = {}

@@ -157,6 +157,8 @@ def suite_lemma1():
     x = NcPoly.variable(1, 2)
     y = NcPoly.variable(2, 2)
 
+    # the expected forms shift through NcPoly.substitute, not the Taylor
+    # shift that compose and invert use, so they check it independently
     def shifted(p, t):
         return p.substitute([x, y + NcPoly.constant(t, 2)])
 

@@ -4,12 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from unitri import suites
+from unitri import freealg, suites
 from unitri.autgroup import (
     MAX_RANK,
     NonConstantLastError,
     UniAut,
     VariableLeakError,
+    _rand_ratio,
     aut_from_json,
     aut_to_json,
     compose,
@@ -30,6 +31,7 @@ from unitri.freealg import (
     NcPoly,
     ParseError,
     RankOverflowError,
+    SubstitutionTooLargeError,
     c_generator,
     format_poly,
     parse_poly,
@@ -42,6 +44,12 @@ from draw_oracle import (
     fraction_rand_u2,
     fraction_rand_y_poly,
     fraction_random_aut_rng,
+)
+from group_oracle import (
+    oracle_compose,
+    oracle_conjugate,
+    oracle_group_commutator,
+    oracle_invert,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -448,6 +456,107 @@ def test_fused_substitution_equals_the_sum(rng):
         assert p._substitute(images, -p.substitute(images)).is_zero()
 
 
+# -- the last two slots: Taylor shift against the substitution oracle --------------
+
+
+SHIFTS = [0, 3, -2, Fraction(5, 7), Fraction(-7, 3), Fraction(1, 1000003)]
+
+
+def _x_n_poly(rng, rank, degree, height=12):
+    """A random element of Q[x_rank] of exactly the given degree, dense or
+    sparse below the top."""
+    density = rng.choice((0.2, 1.0))
+    terms = {(rank,) * k: rand_coeff(rng, height, allow_zero=True)
+             for k in range(degree) if rng.random() < density}
+    terms[(rank,) * degree] = rand_coeff(rng, height)
+    return NcPoly(rank, {w: c for w, c in terms.items() if c})
+
+
+def _penultimate_cases(rng, rank, max_degree):
+    """Slot n-1 offsets: zero, constants, and polynomials in x_n up to
+    max_degree."""
+    yield NcPoly.zero(rank)
+    yield NcPoly.constant(Fraction(-9, 4), rank)
+    yield NcPoly.constant(5, rank)
+    for degree in sorted({1, 2, 3, rng.randint(4, max_degree), max_degree}):
+        yield _x_n_poly(rng, rank, degree)
+
+
+def _tail_map(rng, rank, penultimate, shift):
+    """A seeded map whose slots 1..n-2 come from random_aut_rng and whose
+    last two offsets are the given ones."""
+    head = random_aut_rng(rng, rank, 2, 6).offsets[:-2]
+    return UniAut(rank, [*head, penultimate, NcPoly.constant(shift, rank)])
+
+
+def _outcome(op):
+    try:
+        return op()
+    except SubstitutionTooLargeError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_compose_and_invert_match_the_substitution_oracle(rank):
+    rng = random.Random(2400 + rank)
+    for penultimate in _penultimate_cases(rng, rank, 12):
+        for shift in SHIFTS:
+            phi = _tail_map(rng, rank, penultimate, shift)
+            psi = _tail_map(rng, rank, _x_n_poly(rng, rank, rng.randint(0, 4)),
+                            rng.choice(SHIFTS))
+            for a, b in ((phi, psi), (psi, phi), (phi, phi)):
+                assert a * b == oracle_compose(a, b)
+            assert phi.invert() == oracle_invert(phi)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_degree_64_shifts_match_the_substitution_oracle(rank):
+    rng = random.Random(6400 + rank)
+    for shift in SHIFTS:
+        for _ in range(2):
+            phi = _tail_map(rng, rank, _x_n_poly(rng, rank, MAX_WORD_LENGTH), shift)
+            psi = _tail_map(rng, rank, _x_n_poly(rng, rank, rng.randint(0, 64)),
+                            rng.choice(SHIFTS))
+            assert phi * psi == oracle_compose(phi, psi)
+            assert psi * phi == oracle_compose(psi, phi)
+            assert phi.invert() == oracle_invert(phi)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_conjugate_and_commutator_match_the_substitution_oracle(rank):
+    rng = random.Random(2500 + rank)
+    for penultimate in _penultimate_cases(rng, rank, 6):
+        phi = _tail_map(rng, rank, penultimate, rng.choice(SHIFTS))
+        psi = _tail_map(rng, rank, _x_n_poly(rng, rank, rng.randint(0, 6)),
+                        rng.choice(SHIFTS))
+        for a, b in ((phi, psi), (psi, phi)):
+            assert _outcome(lambda: conjugate(a, b)) == \
+                _outcome(lambda: oracle_conjugate(a, b))
+            assert _outcome(lambda: group_commutator(a, b)) == \
+                _outcome(lambda: oracle_group_commutator(a, b))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("shift", [0, Fraction(-3, 2)], ids=["zero-shift", "shift"])
+@pytest.mark.parametrize("slack", [-1, 0], ids=["one-below", "at-the-charge"])
+def test_the_shift_charges_the_bound_as_the_substitution_does(monkeypatch, rank, shift, slack):
+    # slots 1..n-2 are constant or a lone letter, so only slot n-1 forms
+    # products: K^2 + K - 2 for a nonzero shift, K - 1 for a zero one
+    rng = random.Random(77)
+    zero = NcPoly.zero(rank)
+    head = [parse_poly("x3 - 1/2", rank)] if rank == 3 else []
+    for K in (1, 2, 3, 7, MAX_WORD_LENGTH):
+        charge = K * K + K - 2 if shift else K - 1
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", charge + slack)
+        phi = UniAut(rank, [*head, _x_n_poly(rng, rank, K), NcPoly.constant(-shift, rank)])
+        psi = UniAut(rank, [*head, zero, NcPoly.constant(shift, rank)])
+        got = [_outcome(lambda: phi * psi), _outcome(phi.invert)]
+        assert got == [_outcome(lambda: oracle_compose(phi, psi)),
+                       _outcome(lambda: oracle_invert(phi))]
+        raised = [isinstance(r, tuple) for r in got]
+        assert raised == [slack < 0 and charge > 0] * 2
+
+
 # -- sampling: integer draws against the Fraction draws ---------------------------
 
 
@@ -458,6 +567,17 @@ def test_random_aut_draws_match_the_fraction_draws():
             for first_zero in (False, True):
                 assert random_aut_rng(rng, rank, 3, 10, first_zero) == \
                     fraction_random_aut_rng(ref, rank, 3, 10, first_zero)
+        assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("height", [1, 6, 10**30])
+def test_rand_ratio_draws_what_randint_draws(height):
+    for seed in range(20):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for allow_zero in (True, False):
+            for _ in range(50):
+                assert Fraction(*_rand_ratio(rng, height, allow_zero)) == \
+                    rand_coeff(ref, height, allow_zero)
         assert rng.getstate() == ref.getstate()
 
 
