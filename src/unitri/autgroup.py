@@ -28,6 +28,7 @@ from .freealg import (
     MAX_WORD_LENGTH,
     NcPoly,
     RankMismatchError,
+    VariableLeakError,
     _coefficient,
     _read_sum,
     _taylor_shift,
@@ -40,14 +41,6 @@ from .freealg import (
 
 MAX_RANK = 64   # most images parse_aut accepts, as MAX_WORD_LENGTH bounds a word
 _IMAGE_ENDS = (";", "")   # the tokens that close an image: its ';', the end of the text
-
-
-class VariableLeakError(ValueError):
-    """An offset uses a variable of index <= its own slot."""
-
-    def __init__(self, index, message=None):
-        super().__init__(message or f"offset {index} uses a variable of index <= {index}")
-        self.index = index
 
 
 class NonConstantLastError(ValueError):
@@ -137,7 +130,7 @@ class UniAut:
         head = ()
         if self.rank > 2:
             images = other.images()
-            head = tuple(gi + fi if fi.is_constant() else fi._substitute(images, gi)
+            head = tuple(gi + fi if fi.is_constant() else fi.substitute(images, gi)
                          for fi, gi in zip(f[:-2], g))
         return UniAut._make(self.rank, head + (_taylor_shift(f[-2], g[-1], g[-2]),
                                                g[-1] + f[-1]))

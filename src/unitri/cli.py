@@ -35,11 +35,7 @@ def _add_global_flags(parser, suppress=False):
     d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument("--cap", type=int, default=d(5),
                         help="degree cap for layer computations (default 5)")
-    if suppress:
-        parser.add_argument("--json", action="store_true", default=argparse.SUPPRESS,
-                            help="emit JSON")
-    else:
-        parser.add_argument("--json", action="store_true", help="emit JSON")
+    parser.add_argument("--json", action="store_true", default=d(False), help="emit JSON")
 
 
 def build_parser():

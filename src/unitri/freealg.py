@@ -46,6 +46,16 @@ class RankMismatchError(ValueError):
     """Operands live in free algebras of different rank."""
 
 
+class VariableLeakError(ValueError):
+    """A polynomial involves a variable that it must not: an offset, one
+    of index <= its own slot; an invariants argument, one outside its
+    algebra."""
+
+    def __init__(self, index, message=None):
+        super().__init__(message or f"offset {index} uses a variable of index <= {index}")
+        self.index = index
+
+
 class ArityMismatchError(ValueError):
     """A substitution got the wrong number of variable images."""
 
@@ -211,11 +221,9 @@ class NcPoly:
         if not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
-        da, db = self.den, other.den
-        d = da if da == db else lcm(da, db)
-        out = dict(self.ints) if d == da else {w: n * (d // da) for w, n in self.ints.items()}
-        add_scaled(out, other.ints, d // db)
-        return self._reduced(self.rank, d, out)
+        acc, d, scale = _addend_over(self, other.den)
+        add_scaled(acc, other.ints, scale)
+        return self._reduced(self.rank, d, acc)
 
     __radd__ = __add__
 
@@ -314,14 +322,17 @@ class NcPoly:
 
     # -- substitution -------------------------------------------------------
 
-    def substitute(self, images):
-        """Apply the ring endomorphism x_i -> images[i-1].
+    def substitute(self, images, addend=None):
+        """Apply the ring endomorphism x_i -> images[i-1], and add `addend`.
 
         Requires one image per variable of this polynomial; the images fix
         the rank of the result and must all share it.  Words map to the
         ordered product of their letters' images; constants are fixed, so
-        a zero or constant polynomial comes back at once, in the images'
-        rank.
+        with no addend a zero or constant polynomial comes back at once, in
+        the images' rank.  The addend, None (zero) or a polynomial of the
+        images' rank, is summed with the word images in the same int
+        accumulator, so addend + self(images) costs one gcd reduction and
+        no second `+`; UniAut.compose passes g_i as the addend of f_i.
 
         Word images are built and summed over the integers: each is a pair
         (d, ints), memoised by prefix, a letter's image being its
@@ -333,11 +344,6 @@ class NcPoly:
         and more than MAX_SUBSTITUTION_TERMS of them in one call raise
         SubstitutionTooLargeError.
         """
-        return self._substitute(images, None)
-
-    def _substitute(self, images, addend):
-        # addend + self(images), summed in one int accumulator; addend is
-        # None for plain substitution, else an NcPoly of the images' rank
         images = list(images)
         if len(images) != self.rank:
             raise ArityMismatchError(
@@ -349,8 +355,11 @@ class NcPoly:
                 raise RankMismatchError(
                     f"images carry mixed ranks {sorted({im.rank for im in images})}")
             cache[(letter,)] = (im.den, im.ints)
-        if addend is None and not any(self.ints):   # a constant is fixed
-            return NcPoly._make(rank, self.den, self.ints)
+        if addend is None:
+            if not any(self.ints):   # a constant is fixed
+                return NcPoly._make(rank, self.den, self.ints)
+        elif addend.rank != rank:
+            raise RankMismatchError(f"addend has rank {addend.rank}, images rank {rank}")
         formed = 0
         parts = []
         for word, n in self.ints.items():
@@ -368,14 +377,7 @@ class NcPoly:
                 cache[word[:j + 1]] = (d, ints)
             parts.append((n, d, ints))
         d = lcm(*[dw for _, dw, _ in parts])
-        den = self.den * d
-        if addend is None:
-            acc, scale = {}, 1
-        else:
-            total = lcm(den, addend.den)
-            up = total // addend.den
-            acc = {w: c * up for w, c in addend.ints.items()} if up != 1 else dict(addend.ints)
-            den, scale = total, total // den
+        acc, den, scale = _addend_over(addend, self.den * d)
         for n, dw, ints in parts:
             add_scaled(acc, ints, n * (d // dw) * scale)
         return NcPoly._reduced(rank, den, acc)
@@ -399,7 +401,7 @@ def _taylor_shift(f, shift, addend=None, sign=1):
     int multiply-adds give f(x + p/q) = sum_j h_j q^j x^j / (D q^K),
     and one _reduced makes it canonical.
 
-    The bound charges what NcPoly._substitute's prefix loop forms for
+    The bound charges what NcPoly.substitute's prefix loop forms for
     the same f and image x_r + shift, so SubstitutionTooLargeError
     fires on the same inputs.  There the words of f are powers of x_r,
     the letter x_r is memoised, and each prefix x_r^j, 2 <= j <= K, is
@@ -437,13 +439,8 @@ def _taylor_shift(f, shift, addend=None, sign=1):
             for j in range(K + 1):
                 b[j] *= qk
                 qk *= q
-    if addend is None:
-        acc, scale = {}, sign
-    else:
-        total = den if den == addend.den else lcm(den, addend.den)
-        up = total // addend.den
-        acc = {w: c * up for w, c in addend.ints.items()} if up != 1 else dict(addend.ints)
-        den, scale = total, sign * (total // den)
+    acc, den, scale = _addend_over(addend, den)
+    scale *= sign
     get = acc.get
     w = ()
     for n in b:   # add_term inlined: hot loop; w is x_rank^j for b[j]
@@ -455,6 +452,18 @@ def _taylor_shift(f, shift, addend=None, sign=1):
                 del acc[w]
         w += (rank,)
     return NcPoly._reduced(rank, den, acc)
+
+
+def _addend_over(addend, den):
+    """The start of a sum over den that `addend` (None: zero) joins: an
+    int accumulator holding addend over D = lcm(den, addend.den), D, and
+    the factor D // den that scales the sum's int values onto D."""
+    if addend is None:
+        return {}, den, 1
+    total = den if den == addend.den else lcm(den, addend.den)
+    up = total // addend.den
+    acc = dict(addend.ints) if up == 1 else {w: c * up for w, c in addend.ints.items()}
+    return acc, total, total // den
 
 
 def _mul_words(a, b):

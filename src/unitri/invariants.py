@@ -62,6 +62,7 @@ from collections import Counter, namedtuple
 from .freealg import (
     NcPoly,
     RankMismatchError,
+    VariableLeakError,
     abelianize,
     add_scaled,
     add_term,
@@ -90,16 +91,11 @@ class PitConfig:
     ignore it."""
 
 
-def _require_rank3(p, what="polynomial"):
+def _require_vars(p, allowed, what):
     if p.rank != AMBIENT_RANK:
         raise RankMismatchError(f"{what} must have rank {AMBIENT_RANK}")
-
-
-def _require_vars(p, allowed, what):
-    _require_rank3(p, what)
     for v in range(1, p.rank + 1):
         if v not in allowed and p.degree_in_var(v) > 0:
-            from .autgroup import VariableLeakError
             raise VariableLeakError(v, f"{what} must not involve x{v}")
 
 
@@ -299,7 +295,7 @@ def invariance_verdict(f):
     Polynomial Automorphisms, 2000, ch. 1).  So the decision forms no
     substitution.
     """
-    from .autgroup import UniAut, VariableLeakError
+    from .autgroup import UniAut
     n = f.rank
     if n < 3:
         raise ValueError(f"rank must be >= 3, got {n}")

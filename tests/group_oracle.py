@@ -1,4 +1,4 @@
-"""Group arithmetic that sends every slot through NcPoly._substitute, kept
+"""Group arithmetic that sends every slot through NcPoly.substitute, kept
 as an oracle for UniAut.compose and UniAut.invert, which fill the last
 two slots by constant addition and one Taylor shift.
 
@@ -14,7 +14,7 @@ from unitri.freealg import NcPoly
 def oracle_compose(phi, psi):
     images = psi.images()
     return UniAut._make(phi.rank, tuple(
-        g + f if f.is_constant() else f._substitute(images, g)
+        g + f if f.is_constant() else f.substitute(images, g)
         for f, g in zip(phi.offsets, psi.offsets)))
 
 

@@ -30,6 +30,7 @@ from unitri.freealg import (
     MAX_WORD_LENGTH,
     NcPoly,
     ParseError,
+    RankMismatchError,
     RankOverflowError,
     SubstitutionTooLargeError,
     c_generator,
@@ -446,14 +447,37 @@ def test_fused_substitution_equals_the_sum(rng):
     for _ in range(40):
         cases.append(rand_poly(rng, 3, 3, height=12, vars_from=2))
     for g in cases:
-        assert f._substitute(images, g) == g + f.substitute(images)
-    assert f._substitute(images, cases[0]) == NcPoly.zero(3)
-    assert f._substitute(images, cases[0]).den == 1
+        assert f.substitute(images, g) == g + f.substitute(images)
+    assert f.substitute(images, cases[0]) == NcPoly.zero(3)
+    assert f.substitute(images, cases[0]).den == 1
     for _ in range(40):
         p = rand_poly(rng, 3, 3, height=12)
         g = rand_poly(rng, 3, 3, height=12)
-        assert p._substitute(images, g) == g + p.substitute(images)
-        assert p._substitute(images, -p.substitute(images)).is_zero()
+        assert p.substitute(images, g) == g + p.substitute(images)
+        assert p.substitute(images, -p.substitute(images)).is_zero()
+
+
+def test_substitute_refuses_an_addend_of_another_rank():
+    images = [NcPoly.variable(j, 3) for j in (1, 2, 3)]
+    with pytest.raises(RankMismatchError, match="addend has rank 2, images rank 3"):
+        parse_poly("x2*x3", 3).substitute(images, parse_poly("x2", 2))
+
+
+def test_compose_substitutes_slot_one_through_the_public_method(monkeypatch):
+    # a counting wrapper in NcPoly.__dict__, as the benchmark tracer installs one
+    calls = []
+    plain = NcPoly.__dict__["substitute"]
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return plain(self, *args, **kwargs)
+
+    monkeypatch.setattr(NcPoly, "substitute", counted)
+    phi = parse_aut("x1 + x2*x3; x2 + x3^2; x3 + 1")
+    psi = parse_aut("x1 + x3; x2 + x3; x3 - 2")
+    got = phi * psi
+    assert phi.offsets[0] in calls   # slot 1, x2*x3, is not a constant
+    assert got == oracle_compose(phi, psi)
 
 
 # -- the last two slots: Taylor shift against the substitution oracle --------------

@@ -517,11 +517,11 @@ sys.exit(code)
 """
 
 
-def _imported(modules, argv):
+def _imported(modules, argv, code=0):
     proc = subprocess.run([sys.executable, "-S", "-c", _IMPORT_PROBE, ",".join(modules), *argv],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return proc.stdout.splitlines()[-1]
 
 
@@ -536,6 +536,7 @@ def test_only_verify_imports_the_suites(argv, loaded):
 GROUP = ["unitri.autgroup"]
 LAYERS = ["unitri.invariants"]
 CENTRAL = ["unitri.autgroup", "unitri.central", "unitri.invariants"]
+USAGE_ERROR = ["straighten", "x1"]   # x1 lies outside Q<x2, x3>: exit 2
 
 
 COMMAND_IMPORTS = [
@@ -551,12 +552,15 @@ COMMAND_IMPORTS = [
     (["classify", "x1 + x2^2; x2"], CENTRAL),
     (["center-test", "x1 + x3; x2; x3"], CENTRAL),
     (["verify", "lemma2"], CENTRAL + ["unitri.suites"]),
+    (USAGE_ERROR, LAYERS),
 ]
 
 
 @pytest.mark.parametrize("argv, loaded", COMMAND_IMPORTS,
-                         ids=[argv[0] for argv, _ in COMMAND_IMPORTS])
+                         ids=[argv[0] + ("-usage-error" if argv is USAGE_ERROR else "")
+                              for argv, _ in COMMAND_IMPORTS])
 def test_each_command_imports_only_what_it_runs(argv, loaded):
     modules = ("unitri.autgroup", "unitri.central", "unitri.invariants", "unitri.linalg",
                "unitri.suites")
-    assert _imported(modules, ["--json", *argv]) == repr(loaded)
+    code = 2 if argv is USAGE_ERROR else 0
+    assert _imported(modules, ["--json", *argv], code) == repr(loaded)
