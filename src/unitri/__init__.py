@@ -15,10 +15,10 @@ __version__ = "0.1.0"
 # home module -> the names it exports here
 _EXPORTS = {
     "autgroup": (
-        "NonConstantLastError", "UniAut", "VariableLeakError", "aut_from_json",
-        "aut_to_json", "compose", "compose_chain", "conjugate",
-        "derived_level_shape", "difference_preimage", "factor_semidirect",
-        "format_aut", "group_commutator", "invert", "parse_aut", "random_aut",
+        "NonConstantLastError", "UniAut", "aut_from_json", "aut_to_json",
+        "compose", "compose_chain", "conjugate", "derived_level_shape",
+        "difference_preimage", "factor_semidirect", "format_aut",
+        "group_commutator", "invert", "parse_aut", "random_aut",
     ),
     "central": (
         "CentralizerClass", "OrdinalLevel", "commutes", "u2_center_test",
@@ -28,8 +28,8 @@ _EXPORTS = {
     "freealg": (
         "NEG_INF", "ArityMismatchError", "NcPoly", "ParseError",
         "RankMismatchError", "RankOverflowError", "SubstitutionTooLargeError",
-        "abelianize", "c_generator", "format_poly", "parse_poly",
-        "ring_commutator",
+        "VariableLeakError", "abelianize", "c_generator", "format_poly",
+        "parse_poly", "ring_commutator",
     ),
     "invariants": (
         "CapViolationError", "GradedSubspace", "NonHomogeneousGeneratorError",

@@ -9,7 +9,15 @@ f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products and
 inverses fill slot n by adding or negating a constant and slot n-1 by
 one Taylor shift (freealg._taylor_shift); only slots 1..n-2 substitute
 word images.  In rank 2, U_2 = {(x + f(y), y + b)} multiplies as
-(f, b)(h, c) = (h + f(y + c), b + c), with no substitution at all.
+(f, b)(h, c) = (h + f(y + c), b + c), with no substitution at all, and
+for phi = (f, b), psi = (h, c) the conjugate and the commutator have
+closed forms of two Taylor shifts each:
+
+    psi^-1 phi psi = (h - h(y+b) + f(y+c), b),
+    [phi, psi]     = (h - h(y+b) + f(y+c) - f, 0),
+
+which `conjugate` and `group_commutator` compute directly; ranks >= 3
+go through the chain of inverses and products.
 
 Composition order: the product phi * psi acts as phi first, then psi,
 i.e. x^(phi psi) = apply(psi, x^phi).  This is the unique convention
@@ -30,6 +38,7 @@ from .freealg import (
     RankMismatchError,
     VariableLeakError,
     _coefficient,
+    _constant_sum,
     _read_sum,
     _taylor_shift,
     _tokens,
@@ -115,9 +124,10 @@ class UniAut:
 
         Offset i of the product is g_i + f_i(x_j + g_j), f the offsets of
         self and g those of other.  Unitriangularity fixes the last two
-        slots: f_n is a constant, so slot n is g_n + f_n, and f_(n-1) lies
-        in Q[x_n] while x_n maps to x_n + g_n, so slot n-1 is one Taylor
-        shift (freealg._taylor_shift) with g_(n-1) as the addend.  In
+        slots: f_n is a constant, so slot n is the constant sum g_n + f_n
+        (freealg._constant_sum), and f_(n-1) lies in Q[x_n] while x_n
+        maps to x_n + g_n, so slot n-1 is one Taylor shift
+        (freealg._taylor_shift) with g_(n-1) as the addend.  In
         slots 1..n-2 a constant f_i, zero included, is its own image and
         is added to g_i as it is; any other is substituted with g_i as
         the addend, so that g_i and the word images are summed in one int
@@ -133,7 +143,7 @@ class UniAut:
             head = tuple(gi + fi if fi.is_constant() else fi.substitute(images, gi)
                          for fi, gi in zip(f[:-2], g))
         return UniAut._make(self.rank, head + (_taylor_shift(f[-2], g[-1], g[-2]),
-                                               g[-1] + f[-1]))
+                                               _constant_sum(g[-1], f[-1])))
 
     __mul__ = compose
 
@@ -192,12 +202,44 @@ def invert(phi):
 
 
 def conjugate(phi, psi):
-    """psi^{-1} phi psi."""
+    """psi^{-1} phi psi.
+
+    In rank 2, with phi = (f, b) and psi = (h, c), this is
+    (h - h(y+b) + f(y+c), b): the Taylor shift h - h(y+b), then f(y+c)
+    added to it by a second shift.  The chain psi^-1 phi psi shifts h by
+    -c, then -h(y-c) by b, then f - h(y+b-c) by c.  A shift's charge to
+    MAX_SUBSTITUTION_TERMS (freealg._taylor_shift) grows with the degree
+    and depends on the shift only through whether it is zero.  So the
+    shift of h by b costs what the chain's second one does, and that of
+    f by c costs what the chain's third one does if deg f > deg h, and
+    at most what its first one does otherwise: every input the chain
+    admits, the closed form admits too.  Other ranks take the chain.
+    """
+    if phi.rank == psi.rank == 2:
+        (f, b), (h, c) = phi.offsets, psi.offsets
+        return UniAut._make(2, (_taylor_shift(f, c, _taylor_shift(h, b, h, -1)), b))
     return psi.invert() * phi * psi
 
 
 def group_commutator(phi, psi):
-    """phi^{-1} psi^{-1} phi psi."""
+    """phi^{-1} psi^{-1} phi psi.
+
+    In rank 2, with phi = (f, b) and psi = (h, c), this is
+    (h - h(y+b) + f(y+c) - f, 0): the Taylor shift (h - f) - h(y+b),
+    then f(y+c) added to it by a second shift.  The chain shifts f by
+    -b, h by -c, -f(y-b) by -c, -h(y-c) - f(y-b-c) by b, and the last
+    product's offset by c.  As in `conjugate`, a shift's charge to
+    MAX_SUBSTITUTION_TERMS grows with the degree and depends on the
+    shift only through whether it is zero.  So the shift of f by c costs
+    what the chain's third one does, and that of h by b what its fourth
+    one does if deg h > deg f and at most what its first one does
+    otherwise: every input the chain admits, the closed form admits too.
+    Other ranks take the chain.
+    """
+    if phi.rank == psi.rank == 2:
+        (f, b), (h, c) = phi.offsets, psi.offsets
+        return UniAut._make(2, (_taylor_shift(f, c, _taylor_shift(h, b, h - f, -1)),
+                                NcPoly.zero(2)))
     return phi.invert() * psi.invert() * phi * psi
 
 

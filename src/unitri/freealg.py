@@ -454,6 +454,18 @@ def _taylor_shift(f, shift, addend=None, sign=1):
     return NcPoly._reduced(rank, den, acc)
 
 
+def _constant_sum(a, b):
+    """a + b for two constant polynomials of one rank, as `+` returns it
+    but without its checks: n = a_n d_b + b_n d_a over d_a d_b, one gcd
+    divided out, and zero as den 1, ints {}."""
+    n = a.ints.get((), 0) * b.den + b.ints.get((), 0) * a.den
+    if not n:
+        return NcPoly._make(a.rank, 1, {})
+    den = a.den * b.den
+    g = gcd(n, den)
+    return NcPoly._make(a.rank, den // g, {(): n // g})
+
+
 def _addend_over(addend, den):
     """The start of a sum over den that `addend` (None: zero) joins: an
     int accumulator holding addend over D = lcm(den, addend.den), D, and

@@ -158,7 +158,8 @@ def suite_lemma1():
     y = NcPoly.variable(2, 2)
 
     # the expected forms shift through NcPoly.substitute, not the Taylor
-    # shift that compose and invert use, so they check it independently
+    # shift, so they check independently invert's shift and the rank-2
+    # closed forms that conjugate and group_commutator compute directly
     def shifted(p, t):
         return p.substitute([x, y + NcPoly.constant(t, 2)])
 

@@ -581,6 +581,60 @@ def test_the_shift_charges_the_bound_as_the_substitution_does(monkeypatch, rank,
         assert raised == [slack < 0 and charge > 0] * 2
 
 
+# -- rank 2: the closed-form conjugate and commutator against the chain ------------
+
+
+def _u2_edge_pairs(rng):
+    """Rank-2 pairs (phi, psi) = ((f, b), (h, c)) with b = 0, c = 0, f = 0,
+    h = 0, deg f = deg h with leading terms that cancel in h - f or in
+    f - h(y+b-c), and degree 64."""
+    zero = NcPoly.zero(2)
+    for _ in range(3):
+        f = _x_n_poly(rng, 2, rng.randint(1, 8))
+        h = _x_n_poly(rng, 2, rng.randint(1, 8))
+        b, c = rng.choice(SHIFTS[1:]), rng.choice(SHIFTS[1:])
+        lower = _x_n_poly(rng, 2, f.degree() - 1)
+        for (f1, b1), (h1, c1) in (((f, 0), (h, c)), ((f, b), (h, 0)), ((f, 0), (h, 0)),
+                                   ((zero, b), (h, c)), ((f, b), (zero, c)),
+                                   ((f, b), (f + lower, c)), ((f, b), (lower - f, c)),
+                                   ((_x_n_poly(rng, 2, MAX_WORD_LENGTH), b),
+                                    (_x_n_poly(rng, 2, rng.randint(0, MAX_WORD_LENGTH)), c))):
+            yield _tail_map(rng, 2, f1, b1), _tail_map(rng, 2, h1, c1)
+
+
+@pytest.mark.parametrize("bound", [3, 10, 30, 60, None])
+def test_rank2_closed_forms_admit_all_the_chain_admits(monkeypatch, bound):
+    # the closed forms make two Taylor shifts, each charged no more than a
+    # shift of the chain: where the chain succeeds they succeed and agree
+    if bound is not None:
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", bound)
+    rng = random.Random(2600 + (bound or 0))
+    pairs = list(_u2_edge_pairs(rng))
+    pairs += [(random_aut_rng(rng, 2, 8, 9), random_aut_rng(rng, 2, 8, 9))
+              for _ in range(150)]
+    admitted = []   # refused by the chain, computed by the closed form
+    for phi, psi in pairs:
+        for closed, chain in ((conjugate, oracle_conjugate),
+                              (group_commutator, oracle_group_commutator)):
+            expected = _outcome(lambda: chain(phi, psi))
+            got = _outcome(lambda: closed(phi, psi))
+            if not isinstance(expected, tuple):
+                assert got == expected
+            elif not isinstance(got, tuple):
+                admitted.append((chain, phi, psi, got))
+    monkeypatch.undo()
+    for chain, phi, psi, got in admitted:
+        assert got == chain(phi, psi)
+
+
+def test_conjugate_and_commutator_refuse_mixed_ranks():
+    phi, psi = u2("x2", 1), random_aut(3, 2, 4, 0)
+    for op in (conjugate, group_commutator):
+        for a, b in ((phi, psi), (psi, phi)):
+            with pytest.raises(RankMismatchError):
+                op(a, b)
+
+
 # -- sampling: integer draws against the Fraction draws ---------------------------
 
 

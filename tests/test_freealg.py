@@ -386,6 +386,23 @@ def test_stored_form_matches_fraction_oracle():
         p.terms = {}
 
 
+def test_constant_sum_matches_add():
+    # heights up to 10^30, zero operands and sums that cancel to 0; the
+    # result is canonical, so it equals `+` in stored form and hash
+    rng = random.Random(71)
+    for _ in range(300):
+        rank = rng.randint(2, 5)
+        height = 10 ** rng.choice((1, 3, 12, 30))
+        a = NcPoly.constant(Fraction(rng.randint(-height, height), rng.randint(1, height)), rank)
+        b = NcPoly.constant(Fraction(rng.randint(-height, height), rng.randint(1, height)), rank)
+        for p, q in ((a, b), (b, a), (a, -a), (a, NcPoly.zero(rank)), (NcPoly.zero(rank), b)):
+            got = freealg._constant_sum(p, q)
+            want = p + q
+            assert (got.rank, got.den, got.ints) == (want.rank, want.den, want.ints)
+            assert hash(got) == hash(want)
+            _assert_stored_form(got, fraction_add_terms(p.terms, q.terms))
+
+
 @pytest.mark.parametrize("build", [
     lambda: NcPoly.constant(0.1, 2),
     lambda: NcPoly(2, {(2,): 0.1}),

@@ -4,6 +4,8 @@ function in its home module, is seen through `from unitri import ...` and
 leaves nothing behind."""
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from tracer import Tracer, leftover_wrappers  # noqa: E402
 
 # home module -> the names `unitri` has exported since its namespace was eager
 EXPORTED = {
-    "autgroup": """NonConstantLastError UniAut VariableLeakError aut_from_json
+    "autgroup": """NonConstantLastError UniAut aut_from_json
         aut_to_json compose compose_chain conjugate derived_level_shape
         difference_preimage factor_semidirect format_aut group_commutator invert
         parse_aut random_aut""",
@@ -27,8 +29,8 @@ EXPORTED = {
         u2_centralizer_classify u2_hypercenter_level
         u3_hypercenter_level_truncated un_center_test""",
     "freealg": """NEG_INF ArityMismatchError NcPoly ParseError RankMismatchError
-        RankOverflowError SubstitutionTooLargeError abelianize c_generator
-        format_poly parse_poly ring_commutator""",
+        RankOverflowError SubstitutionTooLargeError VariableLeakError abelianize
+        c_generator format_poly parse_poly ring_commutator""",
     "invariants": """CapViolationError GradedSubspace NonHomogeneousGeneratorError
         PitConfig SubalgebraExpr c_product_span hypothesis1_report
         invariance_defect invariance_verdict layer_contains layer_level
@@ -53,6 +55,17 @@ def test_each_name_is_its_home_module_object(name, module):
     home = importlib.import_module(f"unitri.{module}")
     assert namespace[name] is vars(home)[name]
     assert name not in vars(unitri)   # looked up, never cached
+
+
+def test_a_name_loads_only_its_home_module():
+    # VariableLeakError lives in freealg, so importing it leaves autgroup unloaded
+    probe = ("import sys; from unitri import VariableLeakError; "
+             "print(VariableLeakError.__module__, 'unitri.autgroup' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(Path(unitri.__file__).parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["unitri.freealg", "False"]
 
 
 def test_an_unknown_name_raises_attribute_error():
