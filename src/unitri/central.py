@@ -3,11 +3,69 @@
 Levels of the upper central series are ordinals of the form a*w + b
 (w the first limit ordinal).  In rank 2 the classification is exact and
 closed-form; in every rank >= 3 the centre is decided exactly (see
-invariants.invariance_verdict).  In rank 3 only the finite levels are
-proved (read off the Lazard coordinates of the x1-offset, see
-invariants.layer_level).  The x2- and x3-mover bands are not: the
-commutator of x1; x2 + x3; x3 with x1; x2; x3 + 1 is x1; x2 + 1; x3, and
-both get 2w+1, against descent (ROADMAP items 1 and 2).
+invariants.invariance_verdict).  In rank 3 every map moving only x1 gets
+its exact level, by the theorem below.  The x2- and x3-mover bands are
+not proved: the commutator of x1; x2 + x3; x3 with x1; x2; x3 + 1 is
+x1; x2 + 1; x3, and both get 2w+1, against descent (ROADMAP item 1b).
+
+Theorem.  Let f != 0 in Q<x2, x3> have Lazard coordinates
+f = sum_b a_b * x3^b, a_b in A = Q<u_0, u_1, ...> (invariants, step 1).
+Let k be the largest number of u_0 letters in a word of any a_b, and B
+the largest b whose a_b reaches k; (k, B) is invariants.lazard_weight(f),
+the weight of f.  Then x1 + f lies at level w*k + B + 1 of the upper
+central series of U_3.  For k = 0 this is the layer theorem of
+invariants: layer m is level m.
+
+Proof.  Order weights lexicographically, and induct on them.
+1. Reduction.  The x1-movers form an abelian normal subgroup, since
+   (x1 + f)(x1 + g) = x1 + f + g.  Conjugating by psi sends x1 + f to
+   x1 + s(f), where s substitutes psi's images of x2 and x3: a member of
+   the rank-2 family x2 -> x2 + g(x3), x3 -> x3 + h, and every member
+   arises so.  Hence [x1 + f, psi] = x1 + s(f) - f, a defect of f.  A
+   map enters the series only at successor levels, as a limit level is
+   the union of those below it, so lambda(x1 + f) = 1 + the supremum of
+   lambda(x1 + s(f) - f) over the family.
+2. Upper bound.  The family is generated by exp(t*d3), x3 -> x3 + t,
+   and exp(t*D_j), x2 -> x2 + t*x3^j.  d3 sends a_b*x3^b to
+   b*a_b*x3^(b-1): it keeps k and lowers B.  D_j(a_b*x3^b) is
+   D_j(a_b)*x3^b, and D_j(a) = sum_s C(j,s) * E_s(a) * x3^(j-s)
+   (invariants, step 2) takes a u_0 out of every word, as delta only
+   raises indices: it lowers k.  So each exp(t*D) - 1 lowers the
+   weight, and s - 1 does for every s, since st - 1 = (s - 1)t + (t - 1).
+   By induction each defect is 0 or has a weight (k', B') below (k, B),
+   so its level w*k' + B' + 1 is at most w*k + B.
+3. Lower bound for B >= 1.  The defect of tau = exp(d3), x3 -> x3 + 1,
+   is d3 f + d3^2 f / 2 + ..., with the coefficient B*a_B at x3^(B-1)
+   and nothing at weight (k, B-1) or above in the later terms.  So it
+   has weight (k, B-1) and level w*k + B.
+4. Lower bound for B = 0, so k >= 1.  The defect of sigma_j = exp(D_j),
+   x2 -> x2 + x3^j, is D_j f plus words with at most k-2 letters u_0.
+   Its words with k-1 of them come from the part a of a_0 with k, at
+   x3^(j-s) with coefficient C(j,s) * E'_s(a), where E'_s is E_s with
+   delta replaced by delta', which raises every u_i with i >= 1 and
+   kills u_0 (delta raising a u_0 removes one more).  Some E'_s(a) != 0
+   (step 5), so for j >= s + n the defect has weight (k-1, b), b >= n,
+   and level at least w*(k-1) + n + 1.  The supremum is w*k.
+5. Lemma: if every word of a != 0 has k >= 1 letters u_0, some
+   E'_s(a) != 0.  The series sum_s (t^s/s!) * E'_s(a) is
+   sum alpha * P * theta(S) over the splits w = P * u_0 * S of the terms
+   alpha*w of a, where theta = exp(t*delta') fixes u_0.  If no S has a
+   letter other than u_0, the words are Q*u_0^k and the series is
+   sum k*alpha*Q*u_0^(k-1) != 0.  Otherwise let R be the largest number
+   of letters other than u_0 in an S, take K above every index in a,
+   and look at the outputs whose last R letters other than u_0 are >= K
+   and whose other letters are < K.  Only splits with R such letters
+   in S give them, each letter raised.  Such an output's prefix P'
+   before its first letter >= K fixes the word as P' * u_0 * S: the
+   split lies in the run of u_0 just before the first letter of S other
+   than u_0, as a split left of that run would leave more than R such
+   letters in S.  The r places in that run give the same output, so
+   such an output gets r * sum alpha_S * prod_j t^(c_j - i_j) / (c_j - i_j)!,
+   alpha_S the coefficient of P' * u_0 * S in a, over the S with one u_0
+   pattern, starting with a letter other than u_0, and other letters
+   u_(i_1)..u_(i_R).  As in invariants step 5, the falling-factorial
+   products are independent, so this is nonzero at some c with every
+   c_j >= K.
 """
 
 from __future__ import annotations
@@ -16,8 +74,8 @@ import enum
 from collections import namedtuple
 
 from .autgroup import UniAut
-from .freealg import NcPoly, abelianize
-from .invariants import CapViolationError, invariance_verdict, layer_level
+from .freealg import NcPoly
+from .invariants import CapViolationError, invariance_verdict, lazard_weight
 from .verdict import Verdict
 
 
@@ -69,8 +127,12 @@ def u2_centralizer_classify(phi):
     Central elements (including the identity) commute with everything.
     A pure first-row element (x + f(y), y) with nonconstant f commutes
     exactly with the first row; a pure translation (x, y + b), b != 0,
-    exactly with the constant pairs (x + a, y + c).  The mixed shape has
-    no closed form here and is classified generic.
+    exactly with the constant pairs (x + a, y + c).  The mixed shape
+    (x + f(y), y + b), f and b nonzero, is conjugate to the translation:
+    psi = (x + r(y), y) with r = difference_preimage(f, b), so
+    r(y + b) - r(y) = f, gives psi^-1 phi psi = (r - r(y+b) + f, b)
+    = (x, y + b), so its centralizer is psi (constant pairs) psi^-1.
+    That shape is still classified generic.
     """
     _require_rank(phi, 2)
     f1, f2 = phi.offsets
@@ -126,14 +188,12 @@ def u3_hypercenter_level_truncated(phi, cap, cfg=None):
     A mover of x3 is put at 3w+1 and a nonzero x2-offset of degree d at
     2w + max(d, 1), both reported holds but unproved and refuted: the
     commutator of x1; x2 + x3; x3 with x1; x2; x3 + 1 is x1; x2 + 1; x3,
-    both at 2w+1 (ROADMAP items 1 and 2).  An element moving only x1 sits
-    at the finite level layer_level(offset), the least m with its offset
-    in layer m, and that holds.  An offset in no layer is placed at
-    w + (t+1), t the x2-degree of its abelianized image, a bound reported
-    probably_holds.  The cap bounds the offset's degree, and so
-    the Lazard fold, which can give C(k+l, k) terms per word.  cfg is
-    ignored, and still accepted because the benchmark's session launcher
-    passes one.
+    both at 2w+1 (ROADMAP item 1b).  A map x1 + f moving only x1 sits at
+    w*k + B + 1 for f != 0, (k, B) = lazard_weight(f), and that holds by
+    the module's theorem; the identity sits at 0.  The cap bounds the
+    offset's degree, and so the Lazard fold, which can give C(k+l, k)
+    terms per word.  cfg is ignored, and still accepted because the
+    benchmark's session launcher passes one.
     """
     _require_rank(phi, 3)
     f1, f2, f3 = phi.offsets
@@ -141,14 +201,7 @@ def u3_hypercenter_level_truncated(phi, cap, cfg=None):
         return OrdinalLevel(3, 1), Verdict.holds()
     if not f2.is_zero():
         return OrdinalLevel(2, max(int(f2.degree()), 1)), Verdict.holds()
-    if f1.is_zero():
-        return OrdinalLevel(0, 0), Verdict.holds()
-    deg = int(f1.degree())
-    if deg > cap:
-        raise CapViolationError(f"degree {deg} exceeds cap {cap}")
-    m = layer_level(f1)
-    if m is not None:
-        return OrdinalLevel(0, m), Verdict.holds()
-    t = max((e[1] for e in abelianize(f1)), default=0)
-    return OrdinalLevel(1, t + 1), Verdict.probably_holds(
-        provenance="abelianisation bound, unsampled")
+    if f1.degree() > cap:
+        raise CapViolationError(f"degree {f1.degree()} exceeds cap {cap}")
+    k, b = lazard_weight(f1)
+    return OrdinalLevel(k, b + 1), Verdict.holds()

@@ -52,6 +52,8 @@ delta(u_i) = u_(i+1).
 So f is in L_m exactly when a_b = 0 for every b >= m and no a_b
 contains u_0 (layer_level), every layer is known exactly at every
 degree, and dim L_1 up to degree D is the Fibonacci number F_(D+1).
+The central module extends the theorem past the finite layers: the
+level of x1 + f in U_3 is read off the same coordinates (lazard_weight).
 """
 
 from __future__ import annotations
@@ -143,19 +145,26 @@ def _lazard_word(word):
     return coords
 
 
-def layer_level(f):
-    """The least m with f in layer m (0 for f = 0), or None when f is in
-    no layer: read off f's Lazard coordinates (see the module docstring),
-    1 + the largest x3-power b with a nonzero coefficient, provided no
-    coefficient involves u_0 = x2."""
+def lazard_weight(f):
+    """The largest (k, b) over the keys of f's Lazard coordinates, k the
+    number of u_0 = x2 letters in the key and b its x3-power, compared
+    lexicographically; (0, -1) for f = 0.  One fold answers both
+    layer_level and the rank-3 classifier (see central)."""
     _require_vars(f, (2, 3), "f")
     coords = {}
     for word, c in f.ints.items():
         for key, n in _lazard_word(word):
             add_term(coords, key, c * n)
-    if any(0 in u for u, _ in coords):
-        return None
-    return max((b + 1 for _, b in coords), default=0)
+    return max(((u.count(0), b) for u, b in coords), default=(0, -1))
+
+
+def layer_level(f):
+    """The least m with f in layer m (0 for f = 0), or None when f is in
+    no layer: read off f's Lazard coordinates (see the module docstring),
+    1 + the largest x3-power b with a nonzero coefficient, provided no
+    coefficient involves u_0 = x2."""
+    k, b = lazard_weight(f)
+    return None if k else b + 1
 
 
 def layer_contains(p, level):

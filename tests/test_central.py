@@ -1,10 +1,19 @@
 import ast
+import math
+import random
 from pathlib import Path
 
 import pytest
 
 import unitri
-from unitri.autgroup import UniAut, group_commutator, parse_aut, random_aut_rng
+from unitri.autgroup import (
+    UniAut,
+    conjugate,
+    difference_preimage,
+    group_commutator,
+    parse_aut,
+    random_aut_rng,
+)
 from unitri.central import (
     CentralizerClass,
     OrdinalLevel,
@@ -16,10 +25,11 @@ from unitri.central import (
     un_center_test,
 )
 from unitri.freealg import NcPoly, c_generator, parse_poly, ring_commutator
-from unitri.invariants import CapViolationError, s_layer_basis
-from unitri.verdict import FAILS, HOLDS, PROBABLY_HOLDS, Verdict
+from unitri.invariants import CapViolationError, layer_level, lazard_weight, s_layer_basis
+from unitri.verdict import FAILS, HOLDS, Verdict
 
 from conftest import c_combination, rand_poly
+from descent_oracle import descent_violations, rank2_pairs, x1_mover_pairs
 
 
 def test_ordinal_level_order_and_str():
@@ -40,6 +50,9 @@ def test_verdict_fails_needs_witness():
     v = Verdict.fails(UniAut.identity(2))
     assert v.kind == FAILS
     assert Verdict.holds().kind == HOLDS
+    assert Verdict._fields == ("kind", "witness")
+    with pytest.raises(ValueError):
+        Verdict("probably_holds")
 
 
 def test_u2_center_test_examples():
@@ -183,23 +196,123 @@ def test_u3_classifier_finite_level_is_exact(aut, cap, level):
 
 
 def test_u3_classifier_band_fallback():
-    # x2 abelianizes with x2-degree 1: only the band w+2 is consistent
+    # x2 = u_0 has weight (1, 0): w+1
     phi = UniAut(3, [NcPoly.variable(2, 3), NcPoly.zero(3), NcPoly.zero(3)])
     lvl, v = u3_hypercenter_level_truncated(phi, 6)
-    assert lvl == OrdinalLevel(1, 2)
-    assert v.kind == PROBABLY_HOLDS
-    assert "trials" not in v.to_json() and v.provenance == "abelianisation bound, unsampled"
-    # a commutator image that never certifies a finite level within the bound
+    assert (lvl, v) == (OrdinalLevel(1, 1), Verdict.holds())
+    assert v.to_json() == {"kind": "holds"}
+    # [c_1, x2] = u_0*u_1 - u_1*u_0, in no finite layer
     v1 = ring_commutator(c_generator(1, 2, 3, rank=3), NcPoly.variable(2, 3))
     phi = UniAut(3, [v1, NcPoly.zero(3), NcPoly.zero(3)])
     lvl, verdict = u3_hypercenter_level_truncated(phi, 6)
     assert lvl == OrdinalLevel(1, 1)
-    assert verdict.kind == PROBABLY_HOLDS
-    # [x2, [x2, x3]] is in no finite layer, and abelianizes to 0
+    assert verdict.kind == HOLDS
+    # [x2, [x2, x3]] = u_1*u_0 - u_0*u_1
     phi = UniAut(3, [parse_poly("x2^2*x3 - 2*x2*x3*x2 + x3*x2^2", 3),
                      NcPoly.zero(3), NcPoly.zero(3)])
     lvl, verdict = u3_hypercenter_level_truncated(phi, 6)
-    assert (lvl, verdict.kind) == (OrdinalLevel(1, 1), PROBABLY_HOLDS)
+    assert (lvl, verdict.kind) == (OrdinalLevel(1, 1), HOLDS)
+
+
+def test_u2_mixed_shape_is_conjugate_to_its_translation():
+    # psi = (x + difference_preimage(f, b), y) takes (x + f, y + b) to (x, y + b)
+    rng = random.Random(3)
+    replayed = 0
+    for _ in range(900):
+        phi = random_aut_rng(rng, 2, 4, 5)
+        f, b = phi.offsets
+        if f.is_zero() or b.is_zero():
+            continue
+        psi = UniAut(2, [difference_preimage(f, b.constant_term()), NcPoly.zero(2)])
+        assert conjugate(phi, psi) == UniAut(2, [NcPoly.zero(2), b])
+        assert u2_centralizer_classify(phi) is CentralizerClass.GENERIC
+        replayed += 1
+    assert replayed == 538
+
+
+def test_descent_oracle_rank2():
+    bad, checked = descent_violations(u2_hypercenter_level, rank2_pairs(2, 600))
+    assert checked > 500 and bad == []
+
+
+def test_descent_oracle_rank3_x1_movers():
+    def level(phi):
+        return u3_hypercenter_level_truncated(phi, 12)[0]
+    bad, checked = descent_violations(level, x1_mover_pairs(12, 3000))
+    assert checked >= 2000 and bad == []
+
+
+def test_u3_classifier_x1_movers_follow_one_rule(rng):
+    # w*k + B + 1 from the Lazard weight, finite exactly when layer_level is
+    for _ in range(200):
+        f = rand_poly(rng, 3, 6, height=5, vars_from=2)
+        lvl, v = u3_hypercenter_level_truncated(UniAut(3, [f, NcPoly.zero(3), NcPoly.zero(3)]), 6)
+        k, b = lazard_weight(f)
+        assert (lvl, v) == (OrdinalLevel(k, b + 1), Verdict.holds())
+        assert (lvl.omega_coeff == 0) == (layer_level(f) is not None)
+
+
+def _level(phi):
+    return str(u3_hypercenter_level_truncated(phi, 24)[0])
+
+
+TAU = parse_aut("x1; x2; x3 + 1")
+
+
+def test_tau_chain_descends_one_level_a_step():
+    phi = parse_aut("x1 + x2*x3^5; x2; x3")
+    levels = [_level(phi)]
+    for _ in range(5):
+        phi = group_commutator(phi, TAU)
+        levels.append(_level(phi))
+    assert levels == ["w+6", "w+5", "w+4", "w+3", "w+2", "w+1"]
+    assert phi == parse_aut("x1 + 120*x2; x2; x3")
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_x2_reaches_every_finite_level(j):
+    phi = group_commutator(parse_aut("x1 + x2; x2; x3"), parse_aut(f"x1; x2 + x3^{j}; x3"))
+    assert phi == parse_aut(f"x1 + x3^{j}; x2; x3")
+    assert layer_level(phi.offsets[0]) == j + 1
+    assert _level(phi) == str(j + 1)
+
+
+@pytest.mark.parametrize("j", range(1, 6))
+def test_x2_squared_chain_reaches_x2(j):
+    start = parse_aut("x1 + x2^2; x2; x3")
+    assert _level(start) == "2w+1"
+    phi = group_commutator(start, parse_aut(f"x1; x2 + x3^{j}; x3"))
+    levels = [_level(phi)]
+    for _ in range(j):
+        phi = group_commutator(phi, TAU)
+        levels.append(_level(phi))
+    assert levels == [f"w+{j + 1 - i}" for i in range(j + 1)]
+    # x1 + c*x2 + q(x3), c != 0
+    f = phi.offsets[0]
+    x2_part = NcPoly(3, {w: c for w, c in f.terms.items() if 2 in w})
+    assert x2_part == NcPoly.variable(2, 3) * (2 * math.factorial(j))
+    assert f.degree_in_var(2) == 1 and layer_level(f) is None
+
+
+def test_x1_mover_levels_are_attained(rng):
+    # lower bound of the rule: tau takes w*k + B + 1 to w*k + B when B >= 1;
+    # when B = 0, [phi, sigma_j] sits at (k-1)*w + j - s + 1 for a fixed s,
+    # so the sigma_j reach every level below w*k
+    x2, c1 = NcPoly.variable(2, 3), c_generator(1, 2, 3, rank=3)
+    offsets = [ring_commutator(x2, c1), x2 * c1 * x2 - c1 * x2 * x2]
+    offsets += [rand_poly(rng, 3, 4, height=5, vars_from=2) for _ in range(300)]
+    for f in offsets:
+        phi = UniAut(3, [f, NcPoly.zero(3), NcPoly.zero(3)])
+        k, b = u3_hypercenter_level_truncated(phi, 24)[0]
+        if b >= 2:
+            assert u3_hypercenter_level_truncated(group_commutator(phi, TAU), 24)[0] == (k, b - 1)
+        elif k >= 1:
+            reached = [u3_hypercenter_level_truncated(
+                group_commutator(phi, parse_aut(f"x1; x2 + x3^{j}; x3")), 24)[0]
+                for j in (4, 5, 6)]
+            top = reached[-1].finite_part
+            assert reached == [OrdinalLevel(k - 1, top - 2), OrdinalLevel(k - 1, top - 1),
+                               OrdinalLevel(k - 1, top)]
 
 
 def test_u3_classifier_cap_exceeded():

@@ -138,14 +138,13 @@ def test_classify_rank3(capsys):
 
 def test_classify_verdict_provenance(capsys):
     data = run_json(capsys, "classify", "x1 + x2; x2; x3")
-    assert data == {"level": "w+2", "verdict": {
-        "kind": "probably_holds", "provenance": "abelianisation bound, unsampled"}}
+    assert data == {"level": "w+1", "verdict": {"kind": "holds"}}
     data = run_json(capsys, "classify", "x1 + x3^3; x2; x3")
     assert data == {"level": "4", "verdict": {"kind": "holds"}}
 
 
 @pytest.mark.parametrize("argv, out", [
-    (["classify", "x1 + x2^2*x3 - 2*x2*x3*x2 + x3*x2^2; x2; x3"], "w+1 (probably_holds)"),
+    (["classify", "x1 + x2^2*x3 - 2*x2*x3*x2 + x3*x2^2; x2; x3"], "w+1 (holds)"),
     (["classify", "--cap", "4", "x1 + x3^4; x2; x3"], "5 (holds)"),
     (["invariants", "--level", "4", "--cap", "1"], "level 4, degree cap 1, dim 2 (holds)\n  1\n  x3"),
 ], ids=["double-commutator", "x3^4-cap4", "layer4-cap1"])

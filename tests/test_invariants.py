@@ -24,6 +24,7 @@ from unitri.invariants import (
     invariance_verdict,
     layer_contains,
     layer_level,
+    lazard_weight,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,
@@ -443,6 +444,18 @@ def test_layer_level_reads_lazard_coordinates():
             assert s_layer_basis(m, deg).contains(f) == in_layer(f, m, deg + m - 1)
     with pytest.raises(VariableLeakError):
         layer_level(X1)
+
+
+def test_lazard_weight_reads_the_top_key():
+    # x3*x2 = u_0*x3 + u_1 and x3^2*x2 = u_0*x3^2 + 2*u_1*x3 + u_2
+    cases = [(NcPoly.zero(3), (0, -1)), (NcPoly.constant(5, 3), (0, 0)),
+             (X3 ** 3 + C1 * X3, (0, 3)), (X2, (1, 0)), (X2 * X3 ** 5, (1, 5)),
+             (X3 * X2, (1, 1)), (X2 * X2, (2, 0)), (ring_commutator(X2, C1), (1, 0)),
+             (X3 ** 2 * X2 * X2 + X2 * X3 ** 4, (2, 2))]
+    for f, weight in cases:
+        assert lazard_weight(f) == weight
+    with pytest.raises(VariableLeakError):
+        lazard_weight(X1)
 
 
 def _random_word_with_x2(rng, length):
