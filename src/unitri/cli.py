@@ -224,9 +224,7 @@ def _cmd_verify(args):
     data = {"suite": args.suite, "passed": passed,
             "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                        for c in checks]}
-    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name}"
-             + (f" ({c.detail})" if c.detail else "")
-             for c in checks]
+    lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name} ({c.detail})" for c in checks]
     lines.append(f"suite {args.suite}: {'all checks passed' if passed else 'FAILED'}")
     _emit(args, data, "\n".join(lines))
     return 0 if passed else 1

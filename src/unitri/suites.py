@@ -3,13 +3,17 @@
 Each suite runs a fixed, seeded batch of exact checks against the module
 operations and reports one result per check.  No computation lives here;
 the suites only drive the library.
+
+Each check is one predicate over its cases.  Where cases are drawn from
+a generator shared with later checks, they are drawn lazily inside
+`all()`, so the draws stop at the first failing case; where every case
+is drawn whatever the outcome, the case list is drawn first.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
-from fractions import Fraction
 
 from .autgroup import (
     UniAut,
@@ -48,7 +52,7 @@ from .verdict import FAILS, HOLDS
 HEIGHT = 6   # numerator and denominator bound of the suites' random scalars
 
 
-CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
 def _rand_constant(rng, allow_zero=True):
@@ -69,69 +73,94 @@ def _rand_y_poly(rng, max_degree, nonzero=False):
             return NcPoly._from_ratios(2, drawn)
 
 
+def _rand_nonconstant_y_poly(rng, max_degree):
+    """Random element of Q<y> of degree >= 1, redrawn until it is one."""
+    f = _rand_y_poly(rng, max_degree, nonzero=True)
+    while f.degree() < 1:
+        f = _rand_y_poly(rng, max_degree, nonzero=True)
+    return f
+
+
 def _rand_u2(rng, max_degree):
     return UniAut(2, [_rand_y_poly(rng, max_degree), _rand_constant(rng)])
 
 
+def _seeded_maps(seed, cases, count, max_degree, height):
+    """`cases` lists of `count` random maps of one random rank in 2..4,
+    drawn lazily from random.Random(seed)."""
+    rng = random.Random(seed)
+    for _ in range(cases):
+        rank = rng.randint(2, 4)
+        yield [random_aut_rng(rng, rank, max_degree, height) for _ in range(count)]
+
+
+def _refuting_witness(phi):
+    """The witness of un_center_test(phi) when phi fails it with a witness
+    that does not commute with phi, else None."""
+    verdict = un_center_test(phi)
+    if verdict.kind == FAILS and not commutes(phi, verdict.witness):
+        return verdict.witness
+    return None
+
+
+def _certified_level(phi):
+    """phi's level from u3_hypercenter_level_truncated at cap 6 when its
+    verdict holds, else None."""
+    level, verdict = u3_hypercenter_level_truncated(phi, 6)
+    return level if verdict.kind == HOLDS else None
+
+
+def _centralizer_probe(center, expected, probes):
+    """center classifies as expected and, for each (inside, outside) probe
+    pair, commutes with inside and not with outside."""
+    return (u2_centralizer_classify(center) is expected
+            and all(commutes(center, inside) and not commutes(center, outside)
+                    for inside, outside in probes))
+
+
+def _round_trips(phi):
+    inv = phi.invert()
+    return (phi * inv).is_identity() and (inv * phi).is_identity()
+
+
+def _collapses(rank, elems):
+    """The depth-d iterated commutators of the 2^rank elems are of shape
+    >= d, stay nontrivial below depth rank and vanish at it."""
+    for depth in range(1, rank + 1):
+        elems = [group_commutator(elems[2 * j], elems[2 * j + 1])
+                 for j in range(len(elems) // 2)]
+        if any(derived_level_shape(e) < depth for e in elems):
+            return False
+        if depth < rank and all(e.is_identity() for e in elems):
+            return False
+    return all(e.is_identity() for e in elems)
+
+
 def suite_group_axioms():
-    results = []
-    ok = True
-    for i in range(200):
-        phi = random_aut(rank=2 + i % 3, max_degree=3, coeff_height=10, seed=1000 + i)
-        inv = phi.invert()
-        if not (phi * inv).is_identity() or not (inv * phi).is_identity():
-            ok = False
-            break
-    results.append(CheckResult("inverse round trip", ok,
-                               "200 seeded automorphisms, rank <= 4, degree <= 3"))
-    ok = True
-    rng = random.Random(2024)
-    for _ in range(100):
-        rank = rng.randint(2, 4)
-        a = random_aut_rng(rng, rank, 3, 10)
-        b = random_aut_rng(rng, rank, 3, 10)
-        c = random_aut_rng(rng, rank, 3, 10)
-        if (a * b) * c != a * (b * c):
-            ok = False
-            break
-    results.append(CheckResult("associativity", ok, "100 random triples"))
-    ok = True
-    rng = random.Random(2025)
-    for _ in range(100):
-        rank = rng.randint(2, 4)
-        phi = random_aut_rng(rng, rank, 2, 6)
-        psi = random_aut_rng(rng, rank, 2, 6)
-        if derived_level_shape(group_commutator(phi, psi)) < 1:
-            ok = False
-            break
-    results.append(CheckResult("commutators freeze the last variable", ok,
-                               "100 random pairs, rank <= 4"))
-    ok = True
-    details = []
-    for rank in (2, 3, 4):
-        elems = _solvability_generators(rank)
-        for depth in range(1, rank + 1):
-            elems = [group_commutator(elems[2 * j], elems[2 * j + 1])
-                     for j in range(len(elems) // 2)]
-            if any(derived_level_shape(e) < depth for e in elems):
-                ok = False
-            if depth < rank and all(e.is_identity() for e in elems):
-                ok = False  # the chain must stay alive until it is forced flat
-        if not all(e.is_identity() for e in elems):
-            ok = False
-        details.append(f"rank {rank}: depth-{rank} iterated commutator is the identity")
-    results.append(CheckResult("solvability shape", ok, "; ".join(details)))
-    ok = True
-    rng = random.Random(2026)
-    for _ in range(200):
-        rank = rng.randint(2, 4)
-        phi = random_aut_rng(rng, rank, 3, 10)
-        if compose_chain(list(reversed(factor_semidirect(phi)))) != phi:
-            ok = False
-            break
-    results.append(CheckResult("semidirect factors recompose", ok,
-                               "200 random automorphisms"))
-    return results
+    return [
+        CheckResult("inverse round trip",
+                    all(_round_trips(random_aut(rank=2 + i % 3, max_degree=3,
+                                                coeff_height=10, seed=1000 + i))
+                        for i in range(200)),
+                    "200 seeded automorphisms, rank <= 4, degree <= 3"),
+        CheckResult("associativity",
+                    all((a * b) * c == a * (b * c)
+                        for a, b, c in _seeded_maps(2024, 100, 3, 3, 10)),
+                    "100 random triples"),
+        CheckResult("commutators freeze the last variable",
+                    all(derived_level_shape(group_commutator(phi, psi)) >= 1
+                        for phi, psi in _seeded_maps(2025, 100, 2, 2, 6)),
+                    "100 random pairs, rank <= 4"),
+        CheckResult("solvability shape",
+                    all(_collapses(rank, elems) for rank, elems in
+                        [(rank, _solvability_generators(rank)) for rank in (2, 3, 4)]),
+                    "; ".join(f"rank {rank}: depth-{rank} iterated commutator is the identity"
+                              for rank in (2, 3, 4))),
+        CheckResult("semidirect factors recompose",
+                    all(compose_chain(factor_semidirect(phi)[::-1]) == phi
+                        for (phi,) in _seeded_maps(2026, 200, 1, 3, 10)),
+                    "200 random automorphisms"),
+    ]
 
 
 def _solvability_generators(rank):
@@ -161,258 +190,199 @@ def suite_lemma1():
     # shift, so they check independently invert's shift and the rank-2
     # closed forms that conjugate and group_commutator compute directly
     def shifted(p, t):
-        return p.substitute([x, y + NcPoly.constant(t, 2)])
+        return p.substitute([x, y + t])
 
-    ok_inv = ok_conj = ok_comm = True
+    # each case: phi, psi and the expected phi^-1, psi^-1 phi psi, [phi, psi]
+    cases = []
     for _ in range(100):
-        f = _rand_y_poly(rng, 4)
-        h = _rand_y_poly(rng, 4)
-        b = Fraction(*_rand_ratio(rng, HEIGHT, allow_zero=True))
-        c = Fraction(*_rand_ratio(rng, HEIGHT, allow_zero=True))
-        phi = UniAut(2, [f, NcPoly.constant(b, 2)])
-        psi = UniAut(2, [h, NcPoly.constant(c, 2)])
-        inv_expected = UniAut(2, [-shifted(f, -b), NcPoly.constant(-b, 2)])
-        ok_inv = ok_inv and phi.invert() == inv_expected
-        conj_expected = UniAut(
-            2, [h - shifted(h, b) + shifted(f, c), NcPoly.constant(b, 2)])
-        ok_conj = ok_conj and conjugate(phi, psi) == conj_expected
-        comm_expected = UniAut(
-            2, [h - shifted(h, b) + shifted(f, c) - f, NcPoly.zero(2)])
-        ok_comm = ok_comm and group_commutator(phi, psi) == comm_expected
+        f, h = _rand_y_poly(rng, 4), _rand_y_poly(rng, 4)
+        b, c = _rand_constant(rng), _rand_constant(rng)
+        g = h - shifted(h, b) + shifted(f, c)
+        cases.append((UniAut(2, [f, b]), UniAut(2, [h, c]), UniAut(2, [-shifted(f, -b), -b]),
+                      UniAut(2, [g, b]), UniAut(2, [g - f, NcPoly.zero(2)])))
     return [
-        CheckResult("inverse closed form (x - f(y-b), y-b)", ok_inv,
+        CheckResult("inverse closed form (x - f(y-b), y-b)",
+                    all(phi.invert() == inv for phi, _, inv, _, _ in cases),
                     "100 random (f, b), degree <= 4"),
-        CheckResult("conjugation closed form", ok_conj, "100 random (f, h, b, c)"),
-        CheckResult("commutation closed form", ok_comm, "100 random (f, h, b, c)"),
+        CheckResult("conjugation closed form",
+                    all(conjugate(phi, psi) == conj for phi, psi, _, conj, _ in cases),
+                    "100 random (f, h, b, c)"),
+        CheckResult("commutation closed form",
+                    all(group_commutator(phi, psi) == comm for phi, psi, _, _, comm in cases),
+                    "100 random (f, h, b, c)"),
     ]
 
 
 def suite_lemma2():
     rng = random.Random(22)
     probes = [_rand_u2(rng, 3) for _ in range(50)]
-    disagreements = 0
-    for i in range(100):
+
+    def element(i):
         if i % 5 == 0:
-            phi = UniAut.elementary(1, _rand_constant(rng))
-        elif i % 5 == 1:
-            phi = UniAut.elementary(1, _rand_y_poly(rng, 3))
-        else:
-            phi = _rand_u2(rng, 3)
-        fresh = [_rand_u2(rng, 3) for _ in range(50)]
-        oracle = all(commutes(phi, psi) for psi in probes) and \
-            all(commutes(phi, psi) for psi in fresh)
-        if oracle != u2_center_test(phi):
-            disagreements += 1
+            return UniAut.elementary(1, _rand_constant(rng))
+        if i % 5 == 1:
+            return UniAut.elementary(1, _rand_y_poly(rng, 3))
+        return _rand_u2(rng, 3)
+
+    def disagrees(phi, fresh):
+        return all(commutes(phi, psi) for psi in probes + fresh) != u2_center_test(phi)
+
+    disagreements = sum(disagrees(element(i), [_rand_u2(rng, 3) for _ in range(50)])
+                        for i in range(100))
     return [CheckResult("center test vs brute-force commuting oracle",
                         disagreements == 0,
                         f"100 elements x 100 probes, {disagreements} disagreements")]
 
 
 def suite_lemma3():
-    results = []
     rng = random.Random(33)
-    ok = True
-    for _ in range(100):
-        phi, psi = _rand_u2(rng, 3), _rand_u2(rng, 3)
-        comm = group_commutator(phi, psi)
-        if not comm.offsets[1].is_zero():
-            ok = False
-            break
-    results.append(CheckResult("commutators fix y", ok, "100 random pairs"))
-
-    ok = True
     x = NcPoly.variable(1, 2)
     y = NcPoly.variable(2, 2)
-    for _ in range(20):
-        target = _rand_y_poly(rng, 4, nonzero=True)
+
+    def is_commutator(target):
         r = difference_preimage(target, 1)
-        if r.substitute([x, y + 1]) - r != target:
-            ok = False
-            break
-        phi = UniAut.elementary(2, NcPoly.one(2))
-        psi = UniAut.elementary(1, -r)
-        if group_commutator(phi, psi) != UniAut.elementary(1, target):
-            ok = False
-            break
-    results.append(CheckResult("every first-row element is a commutator", ok,
-                               "20 random targets, degree <= 4"))
+        return (r.substitute([x, y + 1]) - r == target
+                and group_commutator(UniAut.elementary(2, NcPoly.one(2)),
+                                     UniAut.elementary(1, -r)) == UniAut.elementary(1, target))
 
-    first_row = UniAut.elementary(1, parse_poly("x2^2", 2))
-    ok = u2_centralizer_classify(first_row) is CentralizerClass.FIRST_ROW
-    for _ in range(50):
-        inside = UniAut.elementary(1, _rand_y_poly(rng, 3))
-        outside = UniAut(2, [_rand_y_poly(rng, 3), _rand_constant(rng, allow_zero=False)])
-        ok = ok and commutes(first_row, inside) and not commutes(first_row, outside)
-    results.append(CheckResult("first-row centralizer", ok,
-                               "50 commuting + 50 non-commuting probes"))
-
-    translation = UniAut.elementary(2, NcPoly.one(2))
-    ok = u2_centralizer_classify(translation) is CentralizerClass.CONSTANT_PAIRS
-    for _ in range(50):
-        inside = UniAut(2, [_rand_constant(rng), _rand_constant(rng)])
-        h = _rand_y_poly(rng, 3, nonzero=True)
-        while h.degree() < 1:
-            h = _rand_y_poly(rng, 3, nonzero=True)
-        outside = UniAut(2, [h, _rand_constant(rng)])
-        ok = ok and commutes(translation, inside) and not commutes(translation, outside)
-    results.append(CheckResult("translation centralizer", ok,
-                               "50 commuting + 50 non-commuting probes"))
-    return results
+    return [
+        CheckResult("commutators fix y",
+                    all(group_commutator(_rand_u2(rng, 3), _rand_u2(rng, 3)).offsets[1].is_zero()
+                        for _ in range(100)),
+                    "100 random pairs"),
+        CheckResult("every first-row element is a commutator",
+                    all(is_commutator(_rand_y_poly(rng, 4, nonzero=True)) for _ in range(20)),
+                    "20 random targets, degree <= 4"),
+        CheckResult("first-row centralizer",
+                    _centralizer_probe(
+                        UniAut.elementary(1, parse_poly("x2^2", 2)), CentralizerClass.FIRST_ROW,
+                        [(UniAut.elementary(1, _rand_y_poly(rng, 3)),
+                          UniAut(2, [_rand_y_poly(rng, 3), _rand_constant(rng, allow_zero=False)]))
+                         for _ in range(50)]),
+                    "50 commuting + 50 non-commuting probes"),
+        CheckResult("translation centralizer",
+                    _centralizer_probe(
+                        UniAut.elementary(2, NcPoly.one(2)), CentralizerClass.CONSTANT_PAIRS,
+                        [(UniAut(2, [_rand_constant(rng), _rand_constant(rng)]),
+                          UniAut(2, [_rand_nonconstant_y_poly(rng, 3), _rand_constant(rng)]))
+                         for _ in range(50)]),
+                    "50 commuting + 50 non-commuting probes"),
+    ]
 
 
 def suite_lemma4():
     rng = random.Random(44)
     violations = 0
     for _ in range(50):
-        deg = rng.randint(1, 5)
-        f = _rand_y_poly(rng, deg, nonzero=True)
-        while f.degree() < 1:
-            f = _rand_y_poly(rng, deg, nonzero=True)
-        phi = UniAut.elementary(1, f)
+        phi = UniAut.elementary(1, _rand_nonconstant_y_poly(rng, rng.randint(1, 5)))
         level = u2_hypercenter_level(phi)
-        for _ in range(50):
-            psi = _rand_u2(rng, 3)
-            comm_level = u2_hypercenter_level(group_commutator(phi, psi))
-            if not comm_level < level:
-                violations += 1
+        violations += sum(not u2_hypercenter_level(group_commutator(phi, _rand_u2(rng, 3))) < level
+                          for _ in range(50))
     return [CheckResult("hypercenter descent under commutators",
                         violations == 0,
                         f"50 elements x 50 partners, {violations} violations")]
 
 
 def suite_lemma5():
-    ok = all(invariance_verdict(c_generator(k, 2, 3, rank=3)).kind == HOLDS
-             for k in range(1, 5))
-    results = [CheckResult("c generators are invariant", ok,
-                           "k <= 4, exact derivation test")]
     report = hypothesis1_report(5)
-    dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}"
-                     for r in report.rows)
-    results.append(CheckResult("c products sit inside the computed invariants",
-                               report.contained and report.dims_equal,
-                               f"cap 5; span/layer dims {dims} (equality proved: L_1 = C)"))
-    return results
+    dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}" for r in report.rows)
+    return [
+        CheckResult("c generators are invariant",
+                    all(invariance_verdict(c_generator(k, 2, 3, rank=3)).kind == HOLDS
+                        for k in range(1, 5)),
+                    "k <= 4, exact derivation test"),
+        CheckResult("c products sit inside the computed invariants",
+                    report.contained and report.dims_equal,
+                    f"cap 5; span/layer dims {dims} (equality proved: L_1 = C)"),
+    ]
 
 
 def suite_theorem1():
-    results = []
-    ok = True
-    for k in range(1, 5):
-        phi = UniAut.elementary(1, c_generator(k, 2, 3, rank=3))
-        ok = ok and un_center_test(phi).kind == HOLDS
-    results.append(CheckResult("c-generator offsets are central", ok, "k <= 4"))
-
-    phi = UniAut.elementary(1, NcPoly.variable(2, 3))
-    verdict = un_center_test(phi)
-    replayed = (verdict.kind == FAILS
-                and not commutes(phi, verdict.witness)
-                and verdict.witness.apply(phi.offsets[0]) != phi.offsets[0])
-    results.append(CheckResult("movable offset fails with a replayable witness",
-                               replayed, "offset x2"))
-
-    phi = UniAut.elementary(3, NcPoly.one(3))
-    verdict = un_center_test(phi)
-    replayed = verdict.kind == FAILS and not commutes(phi, verdict.witness)
-    results.append(CheckResult("wrong shape fails with a replayable witness",
-                               replayed, "x3 translation"))
-    return results
+    mover = UniAut.elementary(1, NcPoly.variable(2, 3))
+    witness = _refuting_witness(mover)
+    return [
+        CheckResult("c-generator offsets are central",
+                    all(un_center_test(UniAut.elementary(1, c_generator(k, 2, 3, rank=3))).kind
+                        == HOLDS for k in range(1, 5)),
+                    "k <= 4"),
+        CheckResult("movable offset fails with a replayable witness",
+                    witness is not None
+                    and witness.apply(mover.offsets[0]) != mover.offsets[0],
+                    "offset x2"),
+        CheckResult("wrong shape fails with a replayable witness",
+                    _refuting_witness(UniAut.elementary(3, NcPoly.one(3))) is not None,
+                    "x3 translation"),
+    ]
 
 
 def suite_theorem2_trunc():
-    results = []
-    x3 = NcPoly.variable(3, 3)
+    x2, x3 = NcPoly.variable(2, 3), NcPoly.variable(3, 3)
     zero = NcPoly.zero(3)
-
-    ok = True
-    for f1, f2 in ((zero, zero), (NcPoly.variable(2, 3), x3 ** 2), (c_generator(1, 2, 3, 3), zero)):
-        phi = UniAut(3, [f1, f2, NcPoly.one(3)])
-        level, verdict = u3_hypercenter_level_truncated(phi, 6)
-        ok = ok and level == OrdinalLevel(3, 1) and verdict.kind == HOLDS
-    results.append(CheckResult("moving x3 classifies to 3w+1", ok, "3 cases, exact"))
-
-    ok = True
-    cases = [parse_poly(s, 3) for s in
-             ("1", "x3", "x3^2", "x3^3", "x3^4", "2*x3 + 1", "x3^2 - x3",
-              "5", "x3^3 + x3", "x3^4 - 2")]
-    for i, f2 in enumerate(cases):
-        f1 = NcPoly.variable(2, 3) if i % 2 else zero
-        phi = UniAut(3, [f1, f2, zero])
-        level, verdict = u3_hypercenter_level_truncated(phi, 6)
-        expected = OrdinalLevel(2, max(int(f2.degree()), 1))
-        ok = ok and level == expected and verdict.kind == HOLDS
-    results.append(CheckResult("moving x2 classifies to 2w + max(deg, 1)", ok,
-                               "10 cases, exact"))
-
-    ok = True
-    c1 = c_generator(1, 2, 3, 3)
-    c2 = c_generator(2, 2, 3, 3)
-    c3 = c_generator(3, 2, 3, 3)
-    for f1 in (c1, c2, c3, c1 * c1, c1 + 2, c2 * 3 - c1, c1 * c1 - c2):
-        phi = UniAut.elementary(1, f1)
-        level, verdict = u3_hypercenter_level_truncated(phi, 6)
-        ok = ok and level == OrdinalLevel(0, 1) and verdict.kind == HOLDS
-    results.append(CheckResult("c-product offsets reach the center", ok,
-                               "7 cases, certified"))
-
-    phi = UniAut.elementary(2, x3 ** 2)
-    level, _ = u3_hypercenter_level_truncated(phi, 6)
-    results.append(CheckResult("worked example: (x1, x2 + x3^2, x3) -> 2w+2",
-                               level == OrdinalLevel(2, 2), str(level)))
-    return results
+    c1, c2, c3 = (c_generator(k, 2, 3, 3) for k in (1, 2, 3))
+    movers = [parse_poly(s, 3) for s in
+              ("1", "x3", "x3^2", "x3^3", "x3^4", "2*x3 + 1", "x3^2 - x3",
+               "5", "x3^3 + x3", "x3^4 - 2")]
+    worked = _certified_level(UniAut.elementary(2, x3 ** 2))
+    return [
+        CheckResult("moving x3 classifies to 3w+1",
+                    all(_certified_level(UniAut(3, [f1, f2, NcPoly.one(3)])) == OrdinalLevel(3, 1)
+                        for f1, f2 in ((zero, zero), (x2, x3 ** 2), (c1, zero))),
+                    "3 cases, exact"),
+        CheckResult("moving x2 classifies to 2w + max(deg, 1)",
+                    all(_certified_level(UniAut(3, [x2 if i % 2 else zero, f2, zero]))
+                        == OrdinalLevel(2, max(int(f2.degree()), 1))
+                        for i, f2 in enumerate(movers)),
+                    "10 cases, exact"),
+        CheckResult("c-product offsets reach the center",
+                    all(_certified_level(UniAut.elementary(1, f1)) == OrdinalLevel(0, 1)
+                        for f1 in (c1, c2, c3, c1 * c1, c1 + 2, c2 * 3 - c1, c1 * c1 - c2)),
+                    "7 cases, certified"),
+        CheckResult("worked example: (x1, x2 + x3^2, x3) -> 2w+2",
+                    worked == OrdinalLevel(2, 2), str(worked)),
+    ]
 
 
 def suite_theorem3():
-    results = []
-    ok = True
+    central = []
     for rank in (4, 5):
-        c1 = c_generator(1, rank - 1, rank, rank=rank)
-        c2 = c_generator(2, rank - 1, rank, rank=rank)
-        for f1 in (c1, c2, c1 * c1 + 2 * c2):
-            ok = ok and un_center_test(UniAut.elementary(1, f1)).kind == HOLDS
-    results.append(CheckResult("commutator offsets in the last two variables are central",
-                               ok, "ranks 4 and 5"))
-
-    ok = True
-    for rank in (4, 5):
-        for phi in (UniAut.elementary(1, NcPoly.variable(2, rank)),
-                    UniAut.elementary(2, NcPoly.variable(rank, rank))):
-            verdict = un_center_test(phi)
-            ok = ok and verdict.kind == FAILS and not commutes(phi, verdict.witness)
-    results.append(CheckResult("non-central shapes fail with replayable witnesses",
-                               ok, "ranks 4 and 5"))
-    return results
+        c1, c2 = (c_generator(k, rank - 1, rank, rank=rank) for k in (1, 2))
+        central += [c1, c2, c1 * c1 + 2 * c2]
+    return [
+        CheckResult("commutator offsets in the last two variables are central",
+                    all(un_center_test(UniAut.elementary(1, f1)).kind == HOLDS
+                        for f1 in central),
+                    "ranks 4 and 5"),
+        CheckResult("non-central shapes fail with replayable witnesses",
+                    all(_refuting_witness(phi) is not None for rank in (4, 5)
+                        for phi in (UniAut.elementary(1, NcPoly.variable(2, rank)),
+                                    UniAut.elementary(2, NcPoly.variable(rank, rank)))),
+                    "ranks 4 and 5"),
+    ]
 
 
 def suite_proposition1():
-    results = []
-    ok = all(proposition_identity_check(k, N)
-             for k in range(1, 4) for N in range(1, 6))
-    results.append(CheckResult("commutator expansion identity", ok,
-                               "k <= 3, N <= 5, exact"))
-    ok = True
-    for k, m in ((1, 1), (2, 1), (1, 2)):
+    def replays(k, m):
         verdict = proposition_noninvariance_probe(k, m)
-        ok = ok and verdict.kind == FAILS
-        if verdict.kind == FAILS:
-            g = verdict.witness.offsets[1]
-            h = verdict.witness.offsets[2].constant_term()
-            v = ring_commutator(c_generator(k, 2, 3, 3), NcPoly.variable(2, 3))
-            ok = ok and not invariance_defect(v, g, h).is_zero()
-    results.append(CheckResult("[c_k, x2] stays outside the layers", ok,
-                               "orders 1 and 2, witnesses replayed"))
-    return results
+        return verdict.kind == FAILS and not invariance_defect(
+            ring_commutator(c_generator(k, 2, 3, 3), NcPoly.variable(2, 3)),
+            verdict.witness.offsets[1], verdict.witness.offsets[2].constant_term()).is_zero()
+
+    return [
+        CheckResult("commutator expansion identity",
+                    all(proposition_identity_check(k, N) for k in range(1, 4) for N in range(1, 6)),
+                    "k <= 3, N <= 5, exact"),
+        CheckResult("[c_k, x2] stays outside the layers",
+                    all(replays(k, m) for k, m in ((1, 1), (2, 1), (1, 2))),
+                    "orders 1 and 2, witnesses replayed"),
+    ]
 
 
 def suite_remark_pi():
-    results = []
-    for m in (1, 2, 3):
-        report = remark_pi_check(m, 4)
-        dims = ", ".join(f"{r.degree}:{r.computed_dim}/{r.expected_dim}"
-                         for r in report.rows)
-        results.append(CheckResult(
-            f"abelianized layer {m} matches its predicted image",
-            report.matches, f"cap 4; dims computed/expected {dims}"))
-    return results
+    return [CheckResult(f"abelianized layer {report.level} matches its predicted image",
+                        report.matches,
+                        "cap 4; dims computed/expected " + ", ".join(
+                            f"{r.degree}:{r.computed_dim}/{r.expected_dim}" for r in report.rows))
+            for report in (remark_pi_check(m, 4) for m in (1, 2, 3))]
 
 
 SUITES = {
