@@ -7,17 +7,18 @@ invertible and form a group under composition.
 That shape fixes the last two slots of every map: f_n is a constant and
 f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products and
 inverses fill slot n by adding or negating a constant and slot n-1 by
-one Taylor shift (freealg._taylor_shift); only slots 1..n-2 substitute
-word images.  In rank 2, U_2 = {(x + f(y), y + b)} multiplies as
-(f, b)(h, c) = (h + f(y + c), b + c), with no substitution at all, and
-for phi = (f, b), psi = (h, c) the conjugate and the commutator have
-closed forms of two Taylor shifts each:
+one Taylor shift (freealg._taylor_shift); only slots 1..n-2 go through
+NcPoly.substitute, which also keeps a constant offset fixed.  In rank 2,
+U_2 = {(x + f(y), y + b)} multiplies as (f, b)(h, c) = (h + f(y + c),
+b + c), with no substitution at all, and for phi = (f, b), psi = (h, c)
+the conjugate and the commutator have closed forms:
 
     psi^-1 phi psi = (h - h(y+b) + f(y+c), b),
-    [phi, psi]     = (h - h(y+b) + f(y+c) - f, 0),
+    [phi, psi]     = (h - h(y+b) + f(y+c) - f, 0).
 
-which `conjugate` and `group_commutator` compute directly; ranks >= 3
-go through the chain of inverses and products.
+`conjugate` computes the first by two Taylor shifts, and
+`group_commutator` takes its first offset less f, since phi^-1 (g, b) =
+(g - f, 0); ranks >= 3 go through the chain of inverses and products.
 
 Composition order: the product phi * psi acts as phi first, then psi,
 i.e. x^(phi psi) = apply(psi, x^phi).  This is the unique convention
@@ -127,21 +128,16 @@ class UniAut:
         slots: f_n is a constant, so slot n is the constant sum g_n + f_n
         (freealg._constant_sum), and f_(n-1) lies in Q[x_n] while x_n
         maps to x_n + g_n, so slot n-1 is one Taylor shift
-        (freealg._taylor_shift) with g_(n-1) as the addend.  In
-        slots 1..n-2 a constant f_i, zero included, is its own image and
-        is added to g_i as it is; any other is substituted with g_i as
-        the addend, so that g_i and the word images are summed in one int
-        accumulator.  The shift and each substitution are bounded by
-        MAX_SUBSTITUTION_TERMS, as `apply` is.
+        (freealg._taylor_shift) with g_(n-1) as the addend.  Slots
+        1..n-2 substitute f_i with g_i as the addend, so that g_i and the
+        word images are summed in one int accumulator.  The shift and each
+        substitution are bounded by MAX_SUBSTITUTION_TERMS, as `apply` is.
         """
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
         f, g = self.offsets, other.offsets
-        head = ()
-        if self.rank > 2:
-            images = other.images()
-            head = tuple(gi + fi if fi.is_constant() else fi.substitute(images, gi)
-                         for fi, gi in zip(f[:-2], g))
+        images = other.images() if self.rank > 2 else ()   # rank 2 has no head slot
+        head = tuple(fi.substitute(images, gi) for fi, gi in zip(f[:-2], g))
         return UniAut._make(self.rank, head + (_taylor_shift(f[-2], g[-1], g[-2]),
                                                _constant_sum(g[-1], f[-1])))
 
@@ -154,8 +150,8 @@ class UniAut:
         above i are already corrected, so g_i = -f_i(x_j + g_j : j > i);
         triangularity makes each step depend only on later slots.  So
         g_n = -f_n, and g_(n-1) = -f_(n-1)(x_n + g_n) is one Taylor shift
-        (freealg._taylor_shift).  Below that a constant f_i is negated and
-        any other substituted.  The image x_i + g_i that the next steps
+        (freealg._taylor_shift).  Below that each f_i is substituted and
+        negated.  The image x_i + g_i that the next steps
         substitute is built as `image` builds it, since g_i holds no x_i,
         and only for the slots 2..n that a later step reads.
         """
@@ -167,7 +163,7 @@ class UniAut:
             imgs = [NcPoly.variable(j, n) for j in range(1, n - 1)]
             imgs += [_shifted_variable(n - 1, inv[-2]), _shifted_variable(n, last)]
             for i in range(n - 3, -1, -1):
-                inv[i] = -f[i] if f[i].is_constant() else -f[i].substitute(imgs)
+                inv[i] = -f[i].substitute(imgs)
                 if i:
                     imgs[i] = _shifted_variable(i + 1, inv[i])
         return UniAut._make(n, tuple(inv))
@@ -224,21 +220,22 @@ def conjugate(phi, psi):
 def group_commutator(phi, psi):
     """phi^{-1} psi^{-1} phi psi.
 
-    In rank 2, with phi = (f, b) and psi = (h, c), this is
-    (h - h(y+b) + f(y+c) - f, 0): the Taylor shift (h - f) - h(y+b),
-    then f(y+c) added to it by a second shift.  The chain shifts f by
-    -b, h by -c, -f(y-b) by -c, -h(y-c) - f(y-b-c) by b, and the last
-    product's offset by c.  As in `conjugate`, a shift's charge to
-    MAX_SUBSTITUTION_TERMS grows with the degree and depends on the
-    shift only through whether it is zero.  So the shift of f by c costs
-    what the chain's third one does, and that of h by b what its fourth
-    one does if deg h > deg f and at most what its first one does
-    otherwise: every input the chain admits, the closed form admits too.
-    Other ranks take the chain.
+    This is phi^-1 (psi^-1 phi psi).  In rank 2, with phi = (f, b) and
+    psi = (h, c), the conjugate is (g, b) with g = h - h(y+b) + f(y+c),
+    and phi^-1 (g, b) = (g - f, 0), since phi^-1 = (-f(y-b), -b) and the
+    product shifts -f(y-b) by b.  So the commutator is
+    (h - h(y+b) + f(y+c) - f, 0), computed as the conjugate's two shifts,
+    of h by b and of f by c, then one subtraction, which forms no product.
+    The chain shifts f by -b, -f(y-b) by -c and -h(y-c) - f(y-b-c) by b.
+    As a shift's charge grows with the degree and depends on the shift
+    only through whether it is zero (see `conjugate`), the shift of f by
+    c costs what the chain's second one does, and that of h by b what its
+    third one does if deg h > deg f and at most what its first one does
+    otherwise: every input the chain admits, this admits too.  Other
+    ranks take the chain.
     """
     if phi.rank == psi.rank == 2:
-        (f, b), (h, c) = phi.offsets, psi.offsets
-        return UniAut._make(2, (_taylor_shift(f, c, _taylor_shift(h, b, h - f, -1)),
+        return UniAut._make(2, (conjugate(phi, psi).offsets[0] - phi.offsets[0],
                                 NcPoly.zero(2)))
     return phi.invert() * psi.invert() * phi * psi
 

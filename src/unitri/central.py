@@ -126,11 +126,13 @@ def u2_centralizer_classify(phi):
 
     Central elements (including the identity) commute with everything.
     A pure first-row element (x + f(y), y) with nonconstant f commutes
-    exactly with the first row; a pure translation (x, y + b), b != 0,
-    exactly with the constant pairs (x + a, y + c).  The mixed shape
-    (x + f(y), y + b), f and b nonzero, is conjugate to the translation:
-    psi = (x + r(y), y) with r = difference_preimage(f, b), so
-    r(y + b) - r(y) = f, gives psi^-1 phi psi = (r - r(y+b) + f, b)
+    exactly with the first row; a translation (x + a, y + b), a constant
+    and b != 0, exactly with the constant pairs (x + a', y + c): by the
+    commutator's closed form, (x + a, y + b) commutes with (x + h, y + c)
+    iff h(y + b) = h(y), which holds iff h is constant.  The mixed shape
+    (x + f(y), y + b), f nonconstant and b nonzero, is conjugate to the
+    translation: psi = (x + r(y), y) with r = difference_preimage(f, b),
+    so r(y + b) - r(y) = f, gives psi^-1 phi psi = (r - r(y+b) + f, b)
     = (x, y + b), so its centralizer is psi (constant pairs) psi^-1.
     That shape is still classified generic.
     """
@@ -140,7 +142,7 @@ def u2_centralizer_classify(phi):
         return CentralizerClass.WHOLE_GROUP
     if f2.is_zero():
         return CentralizerClass.FIRST_ROW
-    if f1.is_zero():
+    if f1.is_constant():
         return CentralizerClass.CONSTANT_PAIRS
     return CentralizerClass.GENERIC
 

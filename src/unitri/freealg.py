@@ -327,12 +327,17 @@ class NcPoly:
 
         Requires one image per variable of this polynomial; the images fix
         the rank of the result and must all share it.  Words map to the
-        ordered product of their letters' images; constants are fixed, so
-        with no addend a zero or constant polynomial comes back at once, in
-        the images' rank.  The addend, None (zero) or a polynomial of the
-        images' rank, is summed with the word images in the same int
-        accumulator, so addend + self(images) costs one gcd reduction and
-        no second `+`; UniAut.compose passes g_i as the addend of f_i.
+        ordered product of their letters' images.  The addend, None (zero)
+        or a polynomial of the images' rank, is summed with the word images
+        in the same int accumulator, so addend + self(images) costs one gcd
+        reduction and no second `+`; UniAut.compose passes g_i as the
+        addend of f_i.
+
+        A constant c, zero included, is its own image: once the arity and
+        the ranks are checked, addend + c comes back at once, in the
+        images' rank, and no product is formed.  This is the one place
+        that rule lives; UniAut.compose and UniAut.invert send every head
+        slot here, constant or not.
 
         Word images are built and summed over the integers: each is a pair
         (d, ints), memoised by prefix, a letter's image being its
@@ -355,11 +360,11 @@ class NcPoly:
                 raise RankMismatchError(
                     f"images carry mixed ranks {sorted({im.rank for im in images})}")
             cache[(letter,)] = (im.den, im.ints)
-        if addend is None:
-            if not any(self.ints):   # a constant is fixed
-                return NcPoly._make(rank, self.den, self.ints)
-        elif addend.rank != rank:
+        if addend is not None and addend.rank != rank:
             raise RankMismatchError(f"addend has rank {addend.rank}, images rank {rank}")
+        if not any(self.ints):   # a constant is fixed
+            c = NcPoly._make(rank, self.den, self.ints)
+            return c if addend is None else addend + c
         formed = 0
         parts = []
         for word, n in self.ints.items():

@@ -581,6 +581,30 @@ def test_the_shift_charges_the_bound_as_the_substitution_does(monkeypatch, rank,
         assert raised == [slack < 0 and charge > 0] * 2
 
 
+@pytest.mark.parametrize("text", [
+    "x1 + 5; x2 + x3; x3 + 1",
+    "x1; x2 + x3^2; x3 - 2",
+    "x1 - 1/2; x2 + 3/4; x3 + x4^2; x4 + 1",
+    "x1 + 2/3; x2; x3 - x4^3 + 1; x4 - 1/5",
+    "x1; x2 - 7; x3 + 1/2; x4 + x5^2; x5 + 3",
+])
+@pytest.mark.parametrize("bound", [0, 3, 30, None])
+def test_constant_head_slots_match_the_substitution_oracle(monkeypatch, text, bound):
+    # every head offset is zero or constant, so NcPoly.substitute returns
+    # it as its own image plus the addend; partners with word heads are
+    # refused at low bounds, by the product and the oracle alike
+    phi = parse_aut(text)
+    rng = random.Random(len(text) + (bound or 0))
+    partners = [random_aut_rng(rng, phi.rank, 3, 6) for _ in range(4)]
+    partners += [phi, phi.invert()]
+    if bound is not None:
+        monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", bound)
+    for psi in partners:
+        for a, b in ((phi, psi), (psi, phi)):
+            assert _outcome(lambda: a * b) == _outcome(lambda: oracle_compose(a, b))
+    assert _outcome(phi.invert) == _outcome(lambda: oracle_invert(phi))
+
+
 # -- rank 2: the closed-form conjugate and commutator against the chain ------------
 
 

@@ -68,6 +68,13 @@ def test_u2_centralizer_classes():
     # a zero shift makes the element central, not a constant-pairs case
     assert u2_centralizer_classify(parse_aut("x1 + 2; x2")) is CentralizerClass.WHOLE_GROUP
     assert u2_centralizer_classify(parse_aut("x1 + x2; x2 + 1")) is CentralizerClass.GENERIC
+    # a constant first offset leaves a translation: it commutes with every
+    # constant pair, and not with a first-row move by a nonconstant h
+    phi = parse_aut("x1 + 2; x2 + 1")
+    assert u2_centralizer_classify(phi) is CentralizerClass.CONSTANT_PAIRS
+    for psi in ("x1 - 1/3; x2 + 5", "x1; x2", "x1 + 7; x2 - 1/2"):
+        assert commutes(phi, parse_aut(psi))
+    assert not commutes(phi, parse_aut("x1 + x2; x2 + 1"))
 
 
 def test_commutes_examples():
@@ -225,7 +232,8 @@ def test_u2_mixed_shape_is_conjugate_to_its_translation():
             continue
         psi = UniAut(2, [difference_preimage(f, b.constant_term()), NcPoly.zero(2)])
         assert conjugate(phi, psi) == UniAut(2, [NcPoly.zero(2), b])
-        assert u2_centralizer_classify(phi) is CentralizerClass.GENERIC
+        expected = CentralizerClass.CONSTANT_PAIRS if f.is_constant() else CentralizerClass.GENERIC
+        assert u2_centralizer_classify(phi) is expected
         replayed += 1
     assert replayed == 538
 

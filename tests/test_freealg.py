@@ -446,6 +446,26 @@ def test_substitute_into_zero_and_constants(monkeypatch):
         monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", 8)
         assert p.substitute(images) == parse_poly(
             "-1/2 + x1 - 1/4*x4 - 1/2*x1*x4 + 1/2*x4*x1 + x1*x4*x1", 4)
+    # a constant c, zero included, comes back as addend + c in the images'
+    # rank, with or without an addend: no bound is charged and no word
+    # product is formed
+    def no_product(a, b):
+        raise AssertionError("a constant formed a word product")
+
+    monkeypatch.setattr(freealg, "MAX_SUBSTITUTION_TERMS", 0)
+    monkeypatch.setattr(freealg, "_mul_words", no_product)
+    for rank in (2, 3, 4):
+        out = rank + 1
+        images = [parse_poly(f"x{out}*x1 - 1/3", out)] + [x(j, out) for j in range(2, rank + 1)]
+        for c in (0, 6, Fraction(-5, 9)):
+            p = NcPoly.constant(c, rank)
+            for addend in (None, NcPoly.zero(out), NcPoly.constant(Fraction(2, 9), out),
+                           parse_poly("x1*x2 - 1/6*x1 + 4", out)):
+                got = p.substitute(images, addend)
+                expected = NcPoly.constant(c, out) if addend is None else addend + c
+                assert got.rank == out and (got.den, got.ints) == (expected.den, expected.ints)
+            with pytest.raises(RankMismatchError, match="addend has rank"):
+                p.substitute(images, NcPoly.constant(c, rank))
 
 
 def _exponent_map_sum(a, b):
