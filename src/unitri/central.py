@@ -159,7 +159,7 @@ def u2_hypercenter_level(phi):
     if phi.is_identity():
         return OrdinalLevel(0, 0)
     if f2.is_zero():
-        return OrdinalLevel(0, max(int(f1.degree()), 0) + 1)
+        return OrdinalLevel(0, f1.degree() + 1)
     return OrdinalLevel(1, 1)
 
 
@@ -194,8 +194,11 @@ def u3_hypercenter_level_truncated(phi, cap, cfg=None):
     w*k + B + 1 for f != 0, (k, B) = lazard_weight(f), and that holds by
     the module's theorem; the identity sits at 0.  The cap bounds the
     offset's degree, and so the Lazard fold, which can give C(k+l, k)
-    terms per word.  cfg is ignored, and still accepted because the
-    benchmark's session launcher passes one.
+    terms per word.
+
+    The verdict half is always holds and so carries nothing; the pair
+    stays only because the benchmark's session launcher reads its [0].
+    cfg is ignored, and still accepted because that launcher passes one.
     """
     _require_rank(phi, 3)
     f1, f2, f3 = phi.offsets

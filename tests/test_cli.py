@@ -31,6 +31,8 @@ from unitri.freealg import (
 )
 from unitri.invariants import CapViolationError
 
+from test_readme import EXAMPLES as README_EXAMPLES
+
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -151,6 +153,37 @@ def test_classify_verdict_provenance(capsys):
 def test_exact_layer_answers(capsys, argv, out):
     code, got, _ = run(capsys, *argv)
     assert (code, got) == (0, out + "\n")
+
+
+# each row pins one path of the group arithmetic through the console
+# entry point; README's annotated examples, run by test_readme, pin others
+GROUP_ANSWERS = [
+    (["commutator", "x1 + x2^3; x2 + 1/2", "x1 + x2^2; x2 - 2"],
+     "x1 - 33/4 + 11*x2 - 6*x2^2; x2"),
+    (["conjugate", "x1 + x2^3; x2 + 1/2", "x1 + x2^2; x2 - 2"],
+     "x1 - 33/4 + 11*x2 - 6*x2^2 + x2^3; x2 + 1/2"),
+    (["commutator", "x1 + 3; x2 + 1/2", "x1 + x2^2; x2 - 2"], "x1 - 1/4 - x2; x2"),
+    (["compose", "x1 + x2*x3; x2 + x3^2; x3 + 1", "x1 + x3; x2 + x3; x3 - 2"],
+     "x1 - 2*x2 - x3 + x2*x3 + x3^2; x2 + 4 - 3*x3 + x3^2; x3 - 1"),
+    (["compose", "x1 + 5; x2 + x3; x3 + 1", "x1 + x2; x2 + x3^2; x3 - 2"],
+     "x1 + 5 + x2; x2 - 2 + x3 + x3^2; x3 - 1"),
+    (["invert", "x1 + 2; x2 + x3^2; x3 + 1"], "x1 - 2; x2 - 1 + 2*x3 - x3^2; x3 - 1"),
+    (["commutator", "x1 + x2*x3; x2 + x3^2; x3 + 1", "x1 + x3; x2 + x3; x3 - 2"],
+     "x1 - 1 - 2*x2 - 5*x3 + 5*x3^2; x2 + 3 - 4*x3; x3"),
+]
+
+
+@pytest.mark.parametrize("argv, out", GROUP_ANSWERS, ids=[
+    "rank2-commutator-conjugate-less-f", "rank2-conjugate-closed-form",
+    "rank2-commutator-constant-f", "rank3-compose", "rank3-compose-constant-head",
+    "rank3-invert-constant-head", "rank3-commutator-chain"])
+def test_group_answers(capsys, argv, out):
+    assert run(capsys, *argv) == (0, out + "\n", "")
+
+
+def test_group_answers_are_not_readme_examples():
+    readme = {tuple(shlex.split(args)) for args, _ in README_EXAMPLES}
+    assert readme.isdisjoint(tuple(argv) for argv, _ in GROUP_ANSWERS)
 
 
 def test_classify_unsupported_rank(capsys):
@@ -475,8 +508,9 @@ def test_a_polynomial_may_start_with_a_minus(capsys, argv, out):
     (["parse", "-x"], "the following arguments are required: poly"),
     (["parse", "-x2^99"], "error: an exponent exceeds 64 (at position 4)"),
     (["parse", "-1/0*x2"], "error: zero denominator (at position 3)"),
+    (["invert", "x1 + x2; x2 + *"], "error: expected a coefficient or variable (at position 14)"),
 ], ids=["unknown-long-flag", "missing-value", "unknown-short-flag", "bare-x",
-        "exponent-position", "denominator-position"])
+        "exponent-position", "denominator-position", "map-argument-position"])
 def test_flags_and_positions_next_to_a_leading_minus(capsys, argv, err):
     code, out, got = run(capsys, *argv)
     assert (code, out) == (2, "") and err in got
