@@ -323,7 +323,7 @@ def random_aut(rank, max_degree, coeff_height, seed):
     return random_aut_rng(random.Random(seed), rank, max_degree, coeff_height)
 
 
-def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
+def random_aut_rng(rng, rank, max_degree, coeff_height):
     """Like random_aut but drawing from a caller-owned generator.  Bounds
     outside 2 <= rank <= MAX_RANK, 0 <= max_degree <= MAX_WORD_LENGTH and
     coeff_height >= 1 raise ValueError before anything is drawn."""
@@ -333,9 +333,6 @@ def random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
                          f"{max_degree} and coefficient height {coeff_height}")
     offsets = []
     for i in range(1, rank + 1):
-        if first_zero and i == 1:
-            offsets.append(NcPoly.zero(rank))
-            continue
         if i == rank:
             offsets.append(NcPoly._from_ratios(
                 rank, [((), *_rand_ratio(rng, coeff_height, allow_zero=True))]))

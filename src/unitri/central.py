@@ -101,7 +101,6 @@ class CentralizerClass(enum.Enum):
     WHOLE_GROUP = "whole-group"
     FIRST_ROW = "first-row"
     CONSTANT_PAIRS = "constant-pairs"
-    GENERIC = "generic"
 
 
 def commutes(phi, psi):
@@ -122,29 +121,29 @@ def u2_center_test(phi):
 
 
 def u2_centralizer_classify(phi):
-    """Shape of the rank-2 centralizer of phi.
+    """Shape of the rank-2 centralizer of phi, up to conjugation.
 
     Central elements (including the identity) commute with everything.
     A pure first-row element (x + f(y), y) with nonconstant f commutes
     exactly with the first row; a translation (x + a, y + b), a constant
     and b != 0, exactly with the constant pairs (x + a', y + c): by the
     commutator's closed form, (x + a, y + b) commutes with (x + h, y + c)
-    iff h(y + b) = h(y), which holds iff h is constant.  The mixed shape
-    (x + f(y), y + b), f nonconstant and b nonzero, is conjugate to the
-    translation: psi = (x + r(y), y) with r = difference_preimage(f, b),
-    so r(y + b) - r(y) = f, gives psi^-1 phi psi = (r - r(y+b) + f, b)
+    iff h(y + b) = h(y), which holds iff h is constant.  Every other map
+    (x + f(y), y + b), b nonzero, is conjugate to the translation:
+    psi = (x + r(y), y) with r = difference_preimage(f, b), so
+    r(y + b) - r(y) = f, gives psi^-1 phi psi = (r - r(y+b) + f, b)
     = (x, y + b), so its centralizer is psi (constant pairs) psi^-1.
-    That shape is still classified generic.
+
+    So a class names the centralizer up to conjugation.  It is exact for
+    WHOLE_GROUP and FIRST_ROW, whose subgroups are normal, and for
+    CONSTANT_PAIRS when phi is a translation, where psi is the identity.
     """
     _require_rank(phi, 2)
-    f1, f2 = phi.offsets
     if u2_center_test(phi):
         return CentralizerClass.WHOLE_GROUP
-    if f2.is_zero():
+    if phi.offsets[1].is_zero():
         return CentralizerClass.FIRST_ROW
-    if f1.is_constant():
-        return CentralizerClass.CONSTANT_PAIRS
-    return CentralizerClass.GENERIC
+    return CentralizerClass.CONSTANT_PAIRS
 
 
 def u2_hypercenter_level(phi):

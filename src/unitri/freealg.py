@@ -215,15 +215,21 @@ class NcPoly:
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
 
-    def __add__(self, other):
+    def _sum(self, other, sign):
+        """self + sign * other for other an NcPoly, int or Fraction, in one
+        int accumulation: the sign goes to add_scaled, so self - other
+        forms no negated copy of other."""
         if isinstance(other, (int, Fraction)):
             other = self.constant(other, self.rank)
-        if not isinstance(other, NcPoly):
+        elif not isinstance(other, NcPoly):
             return NotImplemented
         self._check_rank(other)
         acc, d, scale = _addend_over(self, other.den)
-        add_scaled(acc, other.ints, scale)
+        add_scaled(acc, other.ints, sign * scale)
         return self._reduced(self.rank, d, acc)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -231,12 +237,10 @@ class NcPoly:
         return self._make(self.rank, self.den, {w: -n for w, n in self.ints.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, NcPoly)):
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return (-self)._sum(other, 1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -503,7 +507,7 @@ def ring_commutator(a, b):
     return a * b - b * a
 
 
-def c_generator(k, i, j, rank=None):
+def c_generator(k, i, j):
     """The iterated commutator c_k built from x_i and x_j: c_1 = [x_i, x_j]
     and c_(k+1) = [c_k, x_j], homogeneous of total degree k + 1 and of
     degree 1 in x_i.  In closed form
@@ -513,14 +517,14 @@ def c_generator(k, i, j, rank=None):
     Proof: [y, x_j] = (R_j - L_j)(y) for right and left multiplication by
     x_j, which commute, so the binomial theorem expands (R_j - L_j)^k(x_i).
     For i < j the least graded-lex word, x_i * x_j^k, has coefficient 1.
+    Its rank is max(i, j).
     """
     if i == j:
         raise ValueError("c generators need two distinct variables")
     if k < 1:
         raise ValueError("k must be >= 1")
-    rank = rank if rank is not None else max(i, j)
-    return NcPoly(rank, {(j,) * s + (i,) + (j,) * (k - s): (-1) ** s * comb(k, s)
-                         for s in range(k + 1)})
+    return NcPoly(max(i, j), {(j,) * s + (i,) + (j,) * (k - s): (-1) ** s * comb(k, s)
+                              for s in range(k + 1)})
 
 
 def abelianize(p):

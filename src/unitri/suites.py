@@ -42,6 +42,7 @@ from .invariants import (
     hypothesis1_report,
     invariance_defect,
     invariance_verdict,
+    layer_contains,
     proposition_identity_check,
     proposition_noninvariance_probe,
     remark_pi_check,
@@ -281,7 +282,7 @@ def suite_lemma5():
     dims = ", ".join(f"deg {r.degree}: {r.c_span_dim}/{r.layer_dim}" for r in report.rows)
     return [
         CheckResult("c generators are invariant",
-                    all(invariance_verdict(c_generator(k, 2, 3, rank=3)).kind == HOLDS
+                    all(invariance_verdict(c_generator(k, 2, 3)).kind == HOLDS
                         for k in range(1, 5)),
                     "k <= 4, exact derivation test"),
         CheckResult("c products sit inside the computed invariants",
@@ -295,7 +296,7 @@ def suite_theorem1():
     witness = _refuting_witness(mover)
     return [
         CheckResult("c-generator offsets are central",
-                    all(un_center_test(UniAut.elementary(1, c_generator(k, 2, 3, rank=3))).kind
+                    all(un_center_test(UniAut.elementary(1, c_generator(k, 2, 3))).kind
                         == HOLDS for k in range(1, 5)),
                     "k <= 4"),
         CheckResult("movable offset fails with a replayable witness",
@@ -311,7 +312,7 @@ def suite_theorem1():
 def suite_theorem2_trunc():
     x2, x3 = NcPoly.variable(2, 3), NcPoly.variable(3, 3)
     zero = NcPoly.zero(3)
-    c1, c2, c3 = (c_generator(k, 2, 3, 3) for k in (1, 2, 3))
+    c1, c2, c3 = (c_generator(k, 2, 3) for k in (1, 2, 3))
     movers = [parse_poly(s, 3) for s in
               ("1", "x3", "x3^2", "x3^3", "x3^4", "2*x3 + 1", "x3^2 - x3",
                "5", "x3^3 + x3", "x3^4 - 2")]
@@ -341,7 +342,7 @@ def suite_theorem2_trunc():
 def suite_theorem3():
     central = []
     for rank in (4, 5):
-        c1, c2 = (c_generator(k, rank - 1, rank, rank=rank) for k in (1, 2))
+        c1, c2 = (c_generator(k, rank - 1, rank) for k in (1, 2))
         central += [c1, c2, c1 * c1 + 2 * c2]
     return [
         CheckResult("commutator offsets in the last two variables are central",
@@ -358,10 +359,10 @@ def suite_theorem3():
 
 def suite_proposition1():
     def replays(k, m):
-        verdict = proposition_noninvariance_probe(k, m)
-        return verdict.kind == FAILS and not invariance_defect(
-            ring_commutator(c_generator(k, 2, 3, 3), NcPoly.variable(2, 3)),
-            verdict.witness.offsets[1], verdict.witness.offsets[2].constant_term()).is_zero()
+        w = proposition_noninvariance_probe(k, m)
+        return not layer_contains(invariance_defect(
+            ring_commutator(c_generator(k, 2, 3), NcPoly.variable(2, 3)),
+            w.offsets[1], w.offsets[2].constant_term()), m - 1)
 
     return [
         CheckResult("commutator expansion identity",

@@ -45,7 +45,7 @@ def rand_poly(rng, rank, max_degree, height=10, max_terms=4, vars_from=1):
 
 def c_combination(rng, n):
     """A random combination of products of c_1, c_2, c_3 in x_(n-1), x_n."""
-    gens = [c_generator(k, n - 1, n, rank=n) for k in (1, 2, 3)]
+    gens = [c_generator(k, n - 1, n) for k in (1, 2, 3)]
     f = NcPoly.constant(rand_coeff(rng, 5), n)
     for _ in range(rng.randint(1, 3)):
         prod = NcPoly.one(n)

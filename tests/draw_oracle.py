@@ -35,12 +35,9 @@ def fraction_rand_u2(rng, max_degree):
     return UniAut(2, [fraction_rand_y_poly(rng, max_degree), fraction_rand_constant(rng)])
 
 
-def fraction_random_aut_rng(rng, rank, max_degree, coeff_height, first_zero=False):
+def fraction_random_aut_rng(rng, rank, max_degree, coeff_height):
     offsets = []
     for i in range(1, rank + 1):
-        if first_zero and i == 1:
-            offsets.append(NcPoly.zero(rank))
-            continue
         if i == rank:
             offsets.append(NcPoly.constant(rand_coeff(rng, coeff_height, allow_zero=True), rank))
             continue

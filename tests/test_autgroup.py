@@ -666,9 +666,7 @@ def test_random_aut_draws_match_the_fraction_draws():
     for seed in range(40):
         rng, ref = random.Random(seed), random.Random(seed)
         for rank in (2, 3, 4, 5):
-            for first_zero in (False, True):
-                assert random_aut_rng(rng, rank, 3, 10, first_zero) == \
-                    fraction_random_aut_rng(ref, rank, 3, 10, first_zero)
+            assert random_aut_rng(rng, rank, 3, 10) == fraction_random_aut_rng(ref, rank, 3, 10)
         assert rng.getstate() == ref.getstate()
 
 

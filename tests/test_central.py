@@ -67,7 +67,8 @@ def test_u2_centralizer_classes():
     assert u2_centralizer_classify(UniAut.identity(2)) is CentralizerClass.WHOLE_GROUP
     # a zero shift makes the element central, not a constant-pairs case
     assert u2_centralizer_classify(parse_aut("x1 + 2; x2")) is CentralizerClass.WHOLE_GROUP
-    assert u2_centralizer_classify(parse_aut("x1 + x2; x2 + 1")) is CentralizerClass.GENERIC
+    # the mixed shape is conjugate to a translation
+    assert u2_centralizer_classify(parse_aut("x1 + x2; x2 + 1")) is CentralizerClass.CONSTANT_PAIRS
     # a constant first offset leaves a translation: it commutes with every
     # constant pair, and not with a first-row move by a nonconstant h
     phi = parse_aut("x1 + 2; x2 + 1")
@@ -118,7 +119,7 @@ def test_centralizer_classes_match_commutes(rng):
 
 def test_un_center_test_holds_on_c_generators():
     for k in (1, 2, 3, 4):
-        phi = UniAut(3, [c_generator(k, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
+        phi = UniAut(3, [c_generator(k, 2, 3), NcPoly.zero(3), NcPoly.zero(3)])
         assert un_center_test(phi).kind == HOLDS
 
 
@@ -138,7 +139,7 @@ def test_un_center_test_fails_on_shape():
 
 
 def test_un_center_test_rank4():
-    c1 = c_generator(1, 3, 4, rank=4)
+    c1 = c_generator(1, 3, 4)
     offs = [NcPoly.zero(4)] * 4
     offs[0] = c1 * c1 + 3
     assert un_center_test(UniAut(4, offs)).kind == HOLDS
@@ -167,7 +168,7 @@ def test_u3_classifier_bands():
 
 
 def test_u3_classifier_center():
-    phi = UniAut(3, [c_generator(1, 2, 3, rank=3), NcPoly.zero(3), NcPoly.zero(3)])
+    phi = UniAut(3, [c_generator(1, 2, 3), NcPoly.zero(3), NcPoly.zero(3)])
     lvl, v = u3_hypercenter_level_truncated(phi, 6)
     assert (lvl, v.kind) == (OrdinalLevel(0, 1), HOLDS)
 
@@ -176,7 +177,7 @@ def test_u3_classifier_finite_levels_are_least():
     x3 = NcPoly.variable(3, 3)
     cases = [
         (x3, 2),
-        (x3 * c_generator(1, 2, 3, rank=3), 2),
+        (x3 * c_generator(1, 2, 3), 2),
         (x3 ** 2, 3),
         (x3 ** 3, 4),
     ]
@@ -209,7 +210,7 @@ def test_u3_classifier_band_fallback():
     assert (lvl, v) == (OrdinalLevel(1, 1), Verdict.holds())
     assert v.to_json() == {"kind": "holds"}
     # [c_1, x2] = u_0*u_1 - u_1*u_0, in no finite layer
-    v1 = ring_commutator(c_generator(1, 2, 3, rank=3), NcPoly.variable(2, 3))
+    v1 = ring_commutator(c_generator(1, 2, 3), NcPoly.variable(2, 3))
     phi = UniAut(3, [v1, NcPoly.zero(3), NcPoly.zero(3)])
     lvl, verdict = u3_hypercenter_level_truncated(phi, 6)
     assert lvl == OrdinalLevel(1, 1)
@@ -222,7 +223,8 @@ def test_u3_classifier_band_fallback():
 
 
 def test_u2_mixed_shape_is_conjugate_to_its_translation():
-    # psi = (x + difference_preimage(f, b), y) takes (x + f, y + b) to (x, y + b)
+    # psi = (x + difference_preimage(f, b), y) takes (x + f, y + b) to (x, y + b),
+    # so psi (x + a, y + c) psi^-1 commutes with (x + f, y + b)
     rng = random.Random(3)
     replayed = 0
     for _ in range(900):
@@ -232,8 +234,10 @@ def test_u2_mixed_shape_is_conjugate_to_its_translation():
             continue
         psi = UniAut(2, [difference_preimage(f, b.constant_term()), NcPoly.zero(2)])
         assert conjugate(phi, psi) == UniAut(2, [NcPoly.zero(2), b])
-        expected = CentralizerClass.CONSTANT_PAIRS if f.is_constant() else CentralizerClass.GENERIC
-        assert u2_centralizer_classify(phi) is expected
+        pair = UniAut(2, [NcPoly.constant(replayed % 7 - 3, 2),
+                          NcPoly.constant(replayed % 5 - 2, 2)])
+        assert commutes(phi, conjugate(pair, psi.invert()))
+        assert u2_centralizer_classify(phi) is CentralizerClass.CONSTANT_PAIRS
         replayed += 1
     assert replayed == 538
 
@@ -306,7 +310,7 @@ def test_x1_mover_levels_are_attained(rng):
     # lower bound of the rule: tau takes w*k + B + 1 to w*k + B when B >= 1;
     # when B = 0, [phi, sigma_j] sits at (k-1)*w + j - s + 1 for a fixed s,
     # so the sigma_j reach every level below w*k
-    x2, c1 = NcPoly.variable(2, 3), c_generator(1, 2, 3, rank=3)
+    x2, c1 = NcPoly.variable(2, 3), c_generator(1, 2, 3)
     offsets = [ring_commutator(x2, c1), x2 * c1 * x2 - c1 * x2 * x2]
     offsets += [rand_poly(rng, 3, 4, height=5, vars_from=2) for _ in range(300)]
     for f in offsets:
@@ -339,7 +343,7 @@ def test_center_test_agrees_with_commuting_oracle(rng):
         assert verdict.kind in (HOLDS, FAILS)
         if verdict.kind == FAILS:
             assert not commutes(phi, verdict.witness)
-        probes = [random_aut_rng(rng, 3, 2, 5, first_zero=True) for _ in range(10)]
+        probes = [random_aut_rng(rng, 3, 2, 5) for _ in range(10)]
         if any(not commutes(phi, p) for p in probes):
             assert verdict.kind == FAILS
 
@@ -356,7 +360,7 @@ def test_center_test_is_exact_and_every_witness_replays(rng, n):
             assert verdict.witness.apply(f1) != f1
             assert not commutes(phi, verdict.witness)
         else:
-            probes = [random_aut_rng(rng, n, 2, 5, first_zero=True) for _ in range(5)]
+            probes = [random_aut_rng(rng, n, 2, 5) for _ in range(5)]
             assert all(commutes(phi, p) for p in probes)
     assert kinds == {HOLDS, FAILS}
 

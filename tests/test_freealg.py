@@ -20,7 +20,7 @@ from unitri.freealg import (
     ring_commutator,
 )
 
-from conftest import rand_poly
+from conftest import rand_coeff, rand_poly
 from poly_oracle import fraction_add_terms, fraction_mul_terms, fraction_substitute
 
 
@@ -30,6 +30,16 @@ def x(i, rank=3):
 
 def test_add_cancellation():
     assert x(1) + x(2) + (-x(2)) == x(1)
+
+
+def test_sub_is_add_of_the_negation():
+    # one pass with the sign, against the negated copy added
+    rng = random.Random(32)
+    for _ in range(200):
+        a, b = rand_poly(rng, 3, 3), rand_poly(rng, 3, 3)
+        for other in (b, rng.randint(-5, 5), rand_coeff(rng, 5)):
+            assert a - other == a + (-other)
+            assert other - a == other + (-a)
 
 
 def test_add_identity():
@@ -153,7 +163,7 @@ def test_c_generator_is_the_commutator_tower(i, j, rank):
     xj = x(j, rank)
     tower = ring_commutator(x(i, rank), xj)
     for k in range(1, 11):
-        ck = c_generator(k, i, j, rank)
+        ck = c_generator(k, i, j)
         assert ck == tower, k
         if i < j:   # the least word x_i*x_j^k has coefficient 1
             assert ck.terms[min(ck.terms)] == 1 and min(ck.terms) == (i,) + (j,) * k

@@ -102,7 +102,7 @@ BREAKS = [
      ["commutators fix y", "every first-row element is a commutator"]),
     ("lemma3", suites, "difference_preimage", lambda target, h: target,
      ["every first-row element is a commutator"]),
-    ("lemma3", suites, "u2_centralizer_classify", lambda phi: CentralizerClass.GENERIC,
+    ("lemma3", suites, "u2_centralizer_classify", lambda phi: CentralizerClass.WHOLE_GROUP,
      ["first-row centralizer", "translation centralizer"]),
     ("lemma3", suites, "commutes", lambda phi, psi: True,
      ["first-row centralizer", "translation centralizer"]),
@@ -133,7 +133,7 @@ BREAKS = [
     ("proposition1", suites, "proposition_identity_check", lambda k, n: False,
      ["commutator expansion identity"]),
     ("proposition1", suites, "proposition_noninvariance_probe",
-     lambda k, m: Verdict.holds(),
+     lambda k, m: UniAut.identity(3),
      ["[c_k, x2] stays outside the layers"]),
     ("remark-pi", suites, "remark_pi_check",
      lambda m, cap: remark_pi_check(m, cap)._replace(subspace_match=False),
