@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 from .freealg import (
     MAX_WORD_LENGTH,
@@ -75,7 +74,7 @@ class UniAut:
         if offsets[-1].degree() > 0:
             raise NonConstantLastError("last offset must lie in Q")
         for pos, f in enumerate(offsets, start=1):
-            low = min((min(w) for w in f.ints if w), default=pos + 1)
+            low = min(map(min, filter(None, f.ints)), default=pos + 1)
             if low <= pos:
                 raise VariableLeakError(pos, f"offset {pos} involves x{low}")
         self.rank = rank
@@ -281,21 +280,42 @@ def difference_preimage(target, shift=1):
     in the monomial basis, so the coefficients of r come out of a
     top-down solve: the y^j coefficient of the difference is
     sum_{k>j} C(k, j) shift^(k-j) r_k.  Any target is reachable, which is
-    what makes every first-row element a commutator."""
+    what makes every first-row element a commutator; r has no constant
+    term.
+
+    The solve runs in ints over one denominator, as _taylor_shift does.
+    With target = sum_j a_j y^j / D of degree K and shift = p/q, put
+    y = (p/q) z: q^K target = B(z) / D for the int polynomial
+    B(z) = sum_j b_j z^j, b_j = a_j p^j q^(K-j), and the equation becomes
+    R(z + 1) - R(z) = B(z) with r(y) = R(q y / p) / (q^K D).  Its solution
+    without constant term is sum_j b_j (0^j + ... + (z-1)^j), and each of
+    those sums is an int combination of binomials C(z, i), i <= j + 1, so
+    F = (K+1)! clears every denominator: c = F R has int coefficients,
+    found top-down by (j+1) c_(j+1) = F b_j - sum_{k>j+1} C(k, j) c_k,
+    each division exact.  Then r_k = c_k q^k p^(K+1-k) / (F q^K D p^(K+1)),
+    and one _reduced makes it canonical."""
     shift = _coefficient(shift)
     if not shift:
         raise ValueError("shift must be nonzero")
     if target.rank != 2 or target.degree_in_var(1) > 0:
         raise VariableLeakError(1, "target must lie in Q<y>")
-    coeffs = {len(w): c for w, c in target.terms.items()}
-    r = {}
-    for j in range(int(max(coeffs, default=0)), -1, -1):
-        acc = sum((math.comb(k, j) * shift ** (k - j) * v
-                   for k, v in r.items() if k > j), Fraction(0))
-        need = coeffs.get(j, Fraction(0)) - acc
-        if need:
-            r[j + 1] = need / ((j + 1) * shift)
-    return NcPoly(2, {(2,) * k: v for k, v in r.items()})
+    p, q = shift.numerator, shift.denominator
+    K = max(map(len, target.ints), default=0)
+    a = [0] * (K + 1)
+    for w, n in target.ints.items():
+        a[len(w)] = n
+    F = math.factorial(K + 1)
+    c = [0] * (K + 2)
+    for j in range(K, -1, -1):
+        acc = F * a[j] * p ** j * q ** (K - j)
+        for k in range(j + 2, K + 2):
+            acc -= math.comb(k, j) * c[k]
+        c[j + 1] = acc // (j + 1)
+    den = F * q ** K * target.den * p ** (K + 1)
+    sign = -1 if den < 0 else 1
+    ints = {(2,) * k: sign * c[k] * q ** k * p ** (K + 1 - k)
+            for k in range(1, K + 2) if c[k]}
+    return NcPoly._reduced(2, sign * den, ints)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -326,24 +346,26 @@ def random_aut(rank, max_degree, coeff_height, seed):
 def random_aut_rng(rng, rank, max_degree, coeff_height):
     """Like random_aut but drawing from a caller-owned generator.  Bounds
     outside 2 <= rank <= MAX_RANK, 0 <= max_degree <= MAX_WORD_LENGTH and
-    coeff_height >= 1 raise ValueError before anything is drawn."""
+    coeff_height >= 1 raise ValueError before anything is drawn.
+
+    The maps are unitriangular by construction, so they are returned
+    unvalidated: offset i draws its words over x_(i+1)..x_n only, and the
+    last offset is a constant."""
     if not (2 <= rank <= MAX_RANK and 0 <= max_degree <= MAX_WORD_LENGTH
             and coeff_height >= 1):
         raise ValueError(f"no random automorphism of rank {rank}, degree <= "
                          f"{max_degree} and coefficient height {coeff_height}")
+    below = rng._randbelow   # randint(0, b) is below(b + 1), as in _rand_ratio
     offsets = []
-    for i in range(1, rank + 1):
-        if i == rank:
-            offsets.append(NcPoly._from_ratios(
-                rank, [((), *_rand_ratio(rng, coeff_height, allow_zero=True))]))
-            continue
+    for i in range(1, rank):
         drawn = []
-        for _ in range(rng.randint(0, 2)):
-            length = rng.randint(0, max_degree)
-            word = tuple(rng.choices(range(i + 1, rank + 1), k=length))
+        for _ in range(below(3)):
+            word = tuple(rng.choices(range(i + 1, rank + 1), k=below(max_degree + 1)))
             drawn.append((word, *_rand_ratio(rng, coeff_height)))
         offsets.append(NcPoly._from_ratios(rank, drawn))
-    return UniAut(rank, offsets)
+    offsets.append(NcPoly._from_ratios(
+        rank, [((), *_rand_ratio(rng, coeff_height, allow_zero=True))]))
+    return UniAut._make(rank, tuple(offsets))
 
 
 # -- text and JSON forms ------------------------------------------------------

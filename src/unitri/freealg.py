@@ -187,8 +187,17 @@ class NcPoly:
         # den) int triples, den > 0; words may repeat and nums may be 0
         d = lcm(*[den for _, _, den in ratios])
         acc = {}
-        for word, num, den in ratios:
-            add_term(acc, word, num * (d // den))
+        get = acc.get
+        for word, num, den in ratios:   # add_term inlined: hot loop
+            if den != d:
+                num *= d // den
+            old = get(word)
+            if old is not None:
+                num += old
+            if num:
+                acc[word] = num
+            elif old is not None:
+                del acc[word]
         return cls._reduced(rank, d, acc)
 
     @property

@@ -7,13 +7,19 @@ the suites only drive the library.
 Each check is one predicate over its cases.  Where cases are drawn from
 a generator shared with later checks, they are drawn lazily inside
 `all()`, so the draws stop at the first failing case; where every case
-is drawn whatever the outcome, the case list is drawn first.
+is drawn whatever the outcome, the case list is drawn first.  Where
+the draws run ahead of the check, a drawn case is built only when its
+check reads it: lemma2 draws all 50 fresh probes of an element before
+its check, and builds each probe only when `all()` reaches it.  The maps
+of `_rand_u2` and `random_aut_rng` are unitriangular by construction and
+are built without re-validation.
 """
 
 from __future__ import annotations
 
 import random
 from collections import namedtuple
+from itertools import chain
 
 from .autgroup import (
     UniAut,
@@ -61,17 +67,24 @@ def _rand_constant(rng, allow_zero=True):
     return NcPoly._from_ratios(2, [((), *_rand_ratio(rng, HEIGHT, allow_zero))])
 
 
+def _draw_y_ratios(rng, max_degree):
+    """The (word, num, den) triples of a random element of Q<y>, y = x2:
+    each degree up to max_degree is drawn with probability 1/2."""
+    drawn = []
+    for d in range(max_degree + 1):
+        if rng.random() < 0.5:
+            num, den = _rand_ratio(rng, HEIGHT, allow_zero=True)
+            if num:
+                drawn.append(((2,) * d, num, den))
+    return drawn
+
+
 def _rand_y_poly(rng, max_degree, nonzero=False):
     """Random element of Q<y> inside the rank-2 algebra (y = x2)."""
-    while True:
-        drawn = []
-        for d in range(max_degree + 1):
-            if rng.random() < 0.5:
-                num, den = _rand_ratio(rng, HEIGHT, allow_zero=True)
-                if num:
-                    drawn.append(((2,) * d, num, den))
-        if drawn or not nonzero:
-            return NcPoly._from_ratios(2, drawn)
+    drawn = _draw_y_ratios(rng, max_degree)
+    while nonzero and not drawn:
+        drawn = _draw_y_ratios(rng, max_degree)
+    return NcPoly._from_ratios(2, drawn)
 
 
 def _rand_nonconstant_y_poly(rng, max_degree):
@@ -82,8 +95,21 @@ def _rand_nonconstant_y_poly(rng, max_degree):
     return f
 
 
+def _draw_u2(rng, max_degree):
+    """The draws of a random (x + f(y), y + b): the ratio triples of f,
+    then the (num, den) pair of b."""
+    return _draw_y_ratios(rng, max_degree), _rand_ratio(rng, HEIGHT, allow_zero=True)
+
+
+def _build_u2(drawn):
+    """The map of _draw_u2's draws, unitriangular by construction, so
+    built unvalidated."""
+    ratios, b = drawn
+    return UniAut._make(2, (NcPoly._from_ratios(2, ratios), NcPoly._from_ratios(2, [((), *b)])))
+
+
 def _rand_u2(rng, max_degree):
-    return UniAut(2, [_rand_y_poly(rng, max_degree), _rand_constant(rng)])
+    return _build_u2(_draw_u2(rng, max_degree))
 
 
 def _seeded_maps(seed, cases, count, max_degree, height):
@@ -219,9 +245,10 @@ def suite_lemma2():
         return _rand_u2(rng, 3)
 
     def disagrees(phi, fresh):
-        return all(commutes(phi, psi) for psi in probes + fresh) != u2_center_test(phi)
+        return (all(commutes(phi, psi) for psi in chain(probes, map(_build_u2, fresh)))
+                != u2_center_test(phi))
 
-    disagreements = sum(disagrees(element(i), [_rand_u2(rng, 3) for _ in range(50)])
+    disagreements = sum(disagrees(element(i), [_draw_u2(rng, 3) for _ in range(50)])
                         for i in range(100))
     return [CheckResult("center test vs brute-force commuting oracle",
                         disagreements == 0,

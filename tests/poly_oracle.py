@@ -1,11 +1,13 @@
 """The Fraction loops NcPoly once added, multiplied and substituted with,
-kept as an oracle for its integer kernels.
+and the Fraction solve autgroup.difference_preimage once made, kept as an
+oracle for their integer kernels.
 
 All work on term maps (word -> nonzero Fraction) and add one product of
 coefficients at a time, each sum a normalised Fraction; nothing here
 calls the package, so a fault in freealg's helpers cannot hide in both.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -51,3 +53,20 @@ def fraction_substitute(terms, images):
         for w, c in image_of(word).items():
             _add(acc, w, coeff * c)
     return acc
+
+
+def fraction_difference_preimage(terms, shift):
+    """Term map of the r in Q<y>, y = x2, without constant term, with
+    r(y + shift) - r(y) equal to the term map `terms` of Q<y>: the y^j
+    coefficient of the difference is sum_{k>j} C(k, j) shift^(k-j) r_k,
+    solved top-down in Fractions."""
+    shift = Fraction(shift)
+    coeffs = {len(w): c for w, c in terms.items()}
+    r = {}
+    for j in range(max(coeffs, default=0), -1, -1):
+        acc = sum((math.comb(k, j) * shift ** (k - j) * v
+                   for k, v in r.items() if k > j), Fraction(0))
+        need = coeffs.get(j, Fraction(0)) - acc
+        if need:
+            r[j + 1] = need / ((j + 1) * shift)
+    return {(2,) * k: v for k, v in r.items()}

@@ -52,6 +52,7 @@ from group_oracle import (
     oracle_group_commutator,
     oracle_invert,
 )
+from poly_oracle import fraction_difference_preimage
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -311,6 +312,20 @@ def test_difference_preimage_solves(rng):
         target = rand_poly(rng, 2, 4, vars_from=2)
         r = difference_preimage(target, 1)
         assert r.substitute([x1, y + 1]) - r == target
+
+
+@pytest.mark.parametrize("shift", [1, 3, -2, Fraction(1, 10), Fraction(-7, 4), Fraction(5, 3)],
+                         ids=["1", "3", "-2", "1/10", "-7/4", "5/3"])
+def test_difference_preimage_matches_the_fraction_solve(shift):
+    rng = random.Random(277)
+    targets = [NcPoly.zero(2)]
+    for deg in range(9):
+        targets += [rand_poly(rng, 2, deg, height=9, max_terms=deg + 1, vars_from=2)
+                    for _ in range(6)]
+    assert any(t.degree() == 8 for t in targets)
+    for target in targets:
+        assert difference_preimage(target, shift).terms == \
+            fraction_difference_preimage(target.terms, shift)
 
 
 def test_difference_preimage_takes_exact_shifts_only():
@@ -689,9 +704,30 @@ def test_suite_draws_match_the_fraction_draws():
             assert suites._rand_y_poly(rng, deg, nonzero=True) == \
                 fraction_rand_y_poly(ref, deg, nonzero=True)
             assert suites._rand_u2(rng, deg) == fraction_rand_u2(ref, deg)
+        assert suites._build_u2(suites._draw_u2(rng, 3)) == fraction_rand_u2(ref, 3)
         for allow_zero in (True, False):
             assert suites._rand_constant(rng, allow_zero) == fraction_rand_constant(ref, allow_zero)
         assert rng.getstate() == ref.getstate()
+
+
+def test_random_aut_draws_are_unitriangular():
+    # random_aut_rng returns its maps unvalidated; UniAut validates them
+    for seed in range(3):
+        rng = random.Random(seed)
+        for rank in range(2, 7):
+            for max_degree in range(5):
+                for height in range(1, 11):
+                    phi = random_aut_rng(rng, rank, max_degree, height)
+                    assert phi == UniAut(rank, phi.offsets)
+
+
+def test_suite_u2_draws_are_unitriangular():
+    # suites._rand_u2 returns its maps unvalidated; UniAut validates them
+    for seed in range(40):
+        rng = random.Random(seed)
+        for deg in range(6):
+            phi = suites._rand_u2(rng, deg)
+            assert phi == UniAut(2, phi.offsets)
 
 
 # -- text and JSON forms --------------------------------------------------------

@@ -1,13 +1,23 @@
-"""Calls that no other test makes: the text and hash forms of maps and
-polynomials, and the argument checks of the public functions.  One table,
-call -> the value it returns or the exception it raises."""
+"""Calls that no other test makes: the text and hash forms of maps,
+polynomials and subalgebra expressions, their answers to operands of a
+foreign type, and the argument checks of the public functions.  One
+table, call -> the value it returns or the exception it raises."""
+
+from fractions import Fraction
 
 import pytest
 
 from unitri.autgroup import UniAut, difference_preimage, parse_aut
 from unitri.central import u2_center_test
 from unitri.freealg import NcPoly, RankMismatchError, VariableLeakError, add_scaled, c_generator
-from unitri.invariants import lazard_weight, proposition_identity_check, s_layer_basis
+from unitri.invariants import (
+    SubalgebraExpr,
+    lazard_weight,
+    proposition_identity_check,
+    s_layer_basis,
+    subalgebra_membership,
+)
+from unitri.linalg import Echelon
 
 
 def _scaled_by_zero():
@@ -44,6 +54,17 @@ CASES = [
     ("proposition_identity_check N < 1", lambda: proposition_identity_check(1, 0), ValueError),
     ("central._require_rank", lambda: u2_center_test(UniAut.identity(3)), ValueError),
     ("add_scaled by 0", _scaled_by_zero, {(1,): 2, (2,): -1}),
+    ("UniAut == int", lambda: UniAut.identity(2) == 3, False),
+    ("NcPoly == str", lambda: NcPoly.variable(2, 2) == "x2", False),
+    ("str * NcPoly", lambda: "a" * NcPoly.variable(2, 2), TypeError),
+    ("NcPoly / str", lambda: NcPoly.variable(2, 2) / "a", TypeError),
+    ("SubalgebraExpr.__repr__",
+     lambda: repr(SubalgebraExpr([(2, (0, 1)), (Fraction(-1, 2), (1,))], [], 3)),
+     "SubalgebraExpr('2*g1*g2 - 1/2*g2')"),
+    ("subalgebra_membership generator rank",
+     lambda: subalgebra_membership(NcPoly.variable(2, 3), [NcPoly.variable(2, 2)]),
+     RankMismatchError),
+    ("Echelon.express untracked", lambda: Echelon().express({(1,): 1}), ValueError),
 ]
 
 
