@@ -33,14 +33,13 @@ _EXPORTS = {
     ),
     "invariants": (
         "CapViolationError", "GradedSubspace", "NonHomogeneousGeneratorError",
-        "PitConfig", "SubalgebraExpr", "c_product_span", "hypothesis1_report",
-        "invariance_defect", "invariance_verdict", "layer_contains",
-        "layer_level", "proposition_identity_check",
+        "PitConfig", "SubalgebraExpr", "Verdict", "c_product_span",
+        "hypothesis1_report", "invariance_defect", "invariance_verdict",
+        "layer_contains", "layer_level", "proposition_identity_check",
         "proposition_noninvariance_probe", "remark_pi_check", "s_layer_basis",
         "shift_aut", "specht_straighten", "straighten_reconstruct",
         "subalgebra_membership",
     ),
-    "verdict": ("Verdict",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -75,8 +75,7 @@ from collections import namedtuple
 
 from .autgroup import UniAut
 from .freealg import NcPoly
-from .invariants import CapViolationError, invariance_verdict, lazard_weight
-from .verdict import Verdict
+from .invariants import CapViolationError, Verdict, invariance_verdict, lazard_weight
 
 
 class OrdinalLevel(namedtuple("OrdinalLevel", "omega_coeff finite_part")):

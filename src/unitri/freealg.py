@@ -346,11 +346,12 @@ class NcPoly:
         reduction and no second `+`; UniAut.compose passes g_i as the
         addend of f_i.
 
-        A constant c, zero included, is its own image: once the arity and
-        the ranks are checked, addend + c comes back at once, in the
-        images' rank, and no product is formed.  This is the one place
-        that rule lives; UniAut.compose and UniAut.invert send every head
-        slot here, constant or not.
+        A constant c, zero included, is its own image, in the images'
+        rank.  No branch says so: the empty word's image is memoised as
+        1 from the start, so the loop below sends c to addend + c,
+        forms no product and charges nothing to the term bound.
+        UniAut.compose and UniAut.invert send every head slot here,
+        constant or not.
 
         Word images are built and summed over the integers: each is a pair
         (d, ints), memoised by prefix, a letter's image being its
@@ -375,9 +376,6 @@ class NcPoly:
             cache[(letter,)] = (im.den, im.ints)
         if addend is not None and addend.rank != rank:
             raise RankMismatchError(f"addend has rank {addend.rank}, images rank {rank}")
-        if not any(self.ints):   # a constant is fixed
-            c = NcPoly._make(rank, self.den, self.ints)
-            return c if addend is None else addend + c
         formed = 0
         parts = []
         for word, n in self.ints.items():

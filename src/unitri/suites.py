@@ -45,6 +45,8 @@ from .central import (
 )
 from .freealg import NcPoly, c_generator, parse_poly, ring_commutator
 from .invariants import (
+    FAILS,
+    HOLDS,
     hypothesis1_report,
     invariance_defect,
     invariance_verdict,
@@ -53,7 +55,6 @@ from .invariants import (
     proposition_noninvariance_probe,
     remark_pi_check,
 )
-from .verdict import FAILS, HOLDS
 
 
 HEIGHT = 6   # numerator and denominator bound of the suites' random scalars

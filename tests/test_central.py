@@ -25,8 +25,15 @@ from unitri.central import (
     un_center_test,
 )
 from unitri.freealg import NcPoly, c_generator, parse_poly, ring_commutator
-from unitri.invariants import CapViolationError, layer_level, lazard_weight, s_layer_basis
-from unitri.verdict import FAILS, HOLDS, Verdict
+from unitri.invariants import (
+    FAILS,
+    HOLDS,
+    CapViolationError,
+    Verdict,
+    layer_level,
+    lazard_weight,
+    s_layer_basis,
+)
 
 from conftest import c_combination, rand_poly
 from descent_oracle import descent_violations, rank2_pairs, x1_mover_pairs

@@ -14,6 +14,8 @@ from unitri.freealg import (
     ring_commutator,
 )
 from unitri.invariants import (
+    FAILS,
+    HOLDS,
     CapViolationError,
     NonHomogeneousGeneratorError,
     _derive,
@@ -35,7 +37,6 @@ from unitri.invariants import (
     subalgebra_membership,
 )
 from unitri.linalg import Echelon, nullspace
-from unitri.verdict import FAILS, HOLDS
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
 from layer_oracle import echelon_slice, in_layer, oracle_basis, sampled_reverify

@@ -32,12 +32,11 @@ EXPORTED = {
         RankOverflowError SubstitutionTooLargeError VariableLeakError abelianize
         c_generator format_poly parse_poly ring_commutator""",
     "invariants": """CapViolationError GradedSubspace NonHomogeneousGeneratorError
-        PitConfig SubalgebraExpr c_product_span hypothesis1_report
+        PitConfig SubalgebraExpr Verdict c_product_span hypothesis1_report
         invariance_defect invariance_verdict layer_contains layer_level
         proposition_identity_check proposition_noninvariance_probe
         remark_pi_check s_layer_basis shift_aut specht_straighten
         straighten_reconstruct subalgebra_membership""",
-    "verdict": "Verdict",
 }
 HOMES = [(name, module) for module, names in EXPORTED.items() for name in names.split()]
 

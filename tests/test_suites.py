@@ -22,8 +22,7 @@ import pytest
 from unitri import cli, suites
 from unitri.autgroup import UniAut
 from unitri.central import CentralizerClass, OrdinalLevel
-from unitri.invariants import hypothesis1_report, remark_pi_check
-from unitri.verdict import Verdict
+from unitri.invariants import Verdict, hypothesis1_report, remark_pi_check
 
 GOLDEN = Path(__file__).parent / "golden" / "suite_draws.sha256"
 DRAWS = {name: digest for digest, name in
