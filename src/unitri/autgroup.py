@@ -38,6 +38,7 @@ from .freealg import (
     RankMismatchError,
     VariableLeakError,
     _coefficient,
+    _coefficient_list,
     _constant_sum,
     _read_sum,
     _taylor_shift,
@@ -300,10 +301,8 @@ def difference_preimage(target, shift=1):
     if target.rank != 2 or target.degree_in_var(1) > 0:
         raise VariableLeakError(1, "target must lie in Q<y>")
     p, q = shift.numerator, shift.denominator
-    K = max(map(len, target.ints), default=0)
-    a = [0] * (K + 1)
-    for w, n in target.ints.items():
-        a[len(w)] = n
+    a = _coefficient_list(target)
+    K = len(a) - 1
     F = math.factorial(K + 1)
     c = [0] * (K + 2)
     for j in range(K, -1, -1):

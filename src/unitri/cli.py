@@ -109,10 +109,14 @@ def _emit(args, data, text):
         print(text)
 
 
-def _cmd_parse(args):
-    p = parse_poly(args.poly, args.rank)
-    _emit(args, {"rank": p.rank, "poly": format_poly(p)}, format_poly(p))
+def _emit_poly(args, p):
+    text = format_poly(p)
+    _emit(args, {"rank": p.rank, "poly": text}, text)
     return 0
+
+
+def _cmd_parse(args):
+    return _emit_poly(args, parse_poly(args.poly, args.rank))
 
 
 def _emit_aut(args, phi):
@@ -146,11 +150,7 @@ def _cmd_conjugate(args):
 def _cmd_apply(args):
     from .autgroup import parse_aut
     phi = parse_aut(args.aut)
-    p = parse_poly(args.poly, phi.rank)
-    result = phi.apply(p)
-    _emit(args, {"rank": result.rank, "poly": format_poly(result)},
-          format_poly(result))
-    return 0
+    return _emit_poly(args, phi.apply(parse_poly(args.poly, phi.rank)))
 
 
 def _cmd_factor(args):

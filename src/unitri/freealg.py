@@ -18,9 +18,10 @@ denominator in output.
 This module owns the term-map format that every sparse object in the
 package shares -- a polynomial, its abelianisation, a row of an Echelon,
 a straightening map: a dict mapping hashable term keys to nonzero
-coefficients, int or Fraction.  add_term and add_scaled are the two
-updates that keep a stored coefficient nonzero, by deleting any entry
-that cancels; the few hot loops that inline them say so.
+coefficients, int or Fraction.  add_term, add_scaled and _mul_words
+are the only code that sums into a term map, and so the only code that
+keeps a stored coefficient nonzero, by deleting any entry that cancels;
+add_scaled and _mul_words inline add_term for speed.
 
 The degree of the zero polynomial is NEG_INF, a sentinel below every
 integer, which keeps predicates of the shape "deg f <= s" uniform.
@@ -120,7 +121,7 @@ def add_scaled(acc, vec, c=1):
         return
     get = acc.get
     unscaled = type(c) is int and c == 1
-    for t, v in vec.items():   # add_term inlined: hot loop
+    for t, v in vec.items():
         if not unscaled:
             v = c * v
         old = get(t)
@@ -187,17 +188,8 @@ class NcPoly:
         # den) int triples, den > 0; words may repeat and nums may be 0
         d = lcm(*[den for _, _, den in ratios])
         acc = {}
-        get = acc.get
-        for word, num, den in ratios:   # add_term inlined: hot loop
-            if den != d:
-                num *= d // den
-            old = get(word)
-            if old is not None:
-                num += old
-            if num:
-                acc[word] = num
-            elif old is not None:
-                del acc[word]
+        for word, num, den in ratios:
+            add_term(acc, word, num * (d // den))
         return cls._reduced(rank, d, acc)
 
     @property
@@ -430,10 +422,8 @@ def _taylor_shift(f, shift, addend=None, sign=1):
     words; for K <= 1 it forms no product and checks nothing.
     """
     rank = f.rank
-    K = max(map(len, f.ints), default=0)
-    b = [0] * (K + 1)
-    for w, n in f.ints.items():
-        b[len(w)] = n
+    b = _coefficient_list(f)
+    K = len(b) - 1
     p, q = shift.ints.get((), 0), shift.den
     if K > 1 and (K * K + K - 2 if p else K - 1) > MAX_SUBSTITUTION_TERMS:
         raise SubstitutionTooLargeError(
@@ -457,17 +447,17 @@ def _taylor_shift(f, shift, addend=None, sign=1):
                 qk *= q
     acc, den, scale = _addend_over(addend, den)
     scale *= sign
-    get = acc.get
-    w = ()
-    for n in b:   # add_term inlined: hot loop; w is x_rank^j for b[j]
-        if n:
-            v = get(w, 0) + n * scale
-            if v:
-                acc[w] = v
-            else:
-                del acc[w]
-        w += (rank,)
+    for j, n in enumerate(b):
+        add_term(acc, (rank,) * j, n * scale)
     return NcPoly._reduced(rank, den, acc)
+
+
+def _coefficient_list(f):
+    """[n_0, ..., n_K] for f = sum_k n_k x_r^k / f.den in Q[x_r] of degree K."""
+    b = [0] * (max(map(len, f.ints), default=0) + 1)
+    for w, n in f.ints.items():
+        b[len(w)] = n
+    return b
 
 
 def _constant_sum(a, b):
@@ -499,7 +489,7 @@ def _mul_words(a, b):
     out = {}
     get = out.get
     for w1, c1 in a.items():
-        for w2, c2 in b.items():   # add_term inlined: hot loop
+        for w2, c2 in b.items():
             w = w1 + w2
             v = get(w, 0) + c1 * c2
             if v:

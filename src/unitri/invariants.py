@@ -65,6 +65,7 @@ from .freealg import (
     NcPoly,
     RankMismatchError,
     VariableLeakError,
+    _mul_words,
     abelianize,
     add_scaled,
     add_term,
@@ -232,14 +233,13 @@ def _layer_slice(level, k, l):
     pivot.  Reducing each row by the rows of larger pivot, largest first,
     stays in ints and gives the unique RREF.
     """
-    gens = {i: c_generator(i, 2, 3).ints.items() for i in range(1, l + 1)}
+    gens = {i: c_generator(i, 2, 3).ints for i in range(1, l + 1)}
     rows = {}
     for b in range(min(level - 1, l) + 1):
         for indices in _compositions(l - b, k):
             prod = {(3,) * b: 1}
             for i in indices:
-                prod = {w1 + w2: c1 * c2 for w1, c1 in prod.items()
-                        for w2, c2 in gens[i]}
+                prod = _mul_words(prod, gens[i])
             rows[min(prod)] = prod
     for pivot, row in sorted(rows.items(), reverse=True):
         for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
@@ -472,8 +472,7 @@ def specht_straighten(f, cap):
         for letter in word:
             nxt = dict(subs)   # the letter deleted
             for s, n in subs.items():
-                s += (letter,)
-                nxt[s] = nxt.get(s, 0) + n
+                add_term(nxt, s + (letter,), n)
             subs = nxt
         for s, n in subs.items():
             p = word.count(2) - s.count(2)

@@ -44,7 +44,7 @@ class Echelon:
                 continue
             idx = self._pivot_of[pivot]
             add_scaled(r, self.rows[idx], -c)
-            used[idx] = used.get(idx, 0) + c
+            used[idx] = c
         return r, used
 
     def reduce(self, vec):

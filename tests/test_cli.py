@@ -247,6 +247,25 @@ def test_invariants_formats_each_basis_vector_once(capsys, monkeypatch, as_json)
     assert code == 0 and len(calls) == 13
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv", [["parse", "x3*x2 + x2^2", "--rank", "3"],
+                                  ["apply", "x1 + x2; x2 + 1", "x1*x2"]],
+                         ids=["parse", "apply"])
+def test_poly_answer_is_formatted_once(capsys, monkeypatch, argv, as_json):
+    calls = []
+    original = freealg.format_poly
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (freealg, cli):
+        monkeypatch.setattr(module, "format_poly", counted)
+    code, _, _ = run(capsys, *(["--json"] if as_json else []), *argv)
+    # the text and the JSON share one rendering of the answer
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("digest, argv", CAP12_HASHES)
 def test_invariants_cap12_json_is_pinned(capsys, digest, argv):
     code, out, _ = run(capsys, *argv.split())
