@@ -173,6 +173,9 @@ def _cmd_classify(args):
         _emit(args, {"level": str(level)}, str(level))
         return 0
     if phi.rank == 3:
+        if not (phi.offsets[1].is_zero() and phi.offsets[2].is_zero()):
+            raise ValueError("the level of a map that moves x2 or x3 is not proved "
+                             "(ROADMAP item 1b)")
         level, verdict = u3_hypercenter_level_truncated(phi, args.cap)
         _emit(args, {"level": str(level), "verdict": verdict.to_json()},
               f"{level} ({verdict.kind})")

@@ -52,8 +52,8 @@ class VariableLeakError(ValueError):
     of index <= its own slot; an invariants argument, one outside its
     algebra."""
 
-    def __init__(self, index, message=None):
-        super().__init__(message or f"offset {index} uses a variable of index <= {index}")
+    def __init__(self, index, message):
+        super().__init__(message)
         self.index = index
 
 

@@ -209,44 +209,6 @@ def layer_contains(p, level):
     return m is not None and m <= level
 
 
-def _compositions(n, k):
-    """Tuples of k positive ints with sum n, lexicographically."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    for i in range(1, n - k + 2):
-        for rest in _compositions(n - i, k - 1):
-            yield (i,) + rest
-
-
-def _layer_slice(level, k, l):
-    """Canonical basis of the bidegree (k, l) slice of layer `level`
-    (>= 1), as a tuple of NcPoly in pivot order; () when the slice is zero.
-
-    The rows are x3^b * c_(i_1)..c_(i_k) with every i >= 1, b < level and
-    sum i + b = l.  They span the slice: x3*c_i = c_i*x3 - c_(i+1), so
-    sum_(b<m) x3^b*C = sum_(b<m) C*x3^b = L_m.  The least graded-lex word
-    of c_i is x2*x3^i with coefficient 1, so a row's least word, its
-    pivot, is x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient 1; it gives
-    back (b, I), so the rows are triangular and none has a word below its
-    pivot.  Reducing each row by the rows of larger pivot, largest first,
-    stays in ints and gives the unique RREF.
-    """
-    gens = {i: c_generator(i, 2, 3).ints for i in range(1, l + 1)}
-    rows = {}
-    for b in range(min(level - 1, l) + 1):
-        for indices in _compositions(l - b, k):
-            prod = {(3,) * b: 1}
-            for i in indices:
-                prod = _mul_words(prod, gens[i])
-            rows[min(prod)] = prod
-    for pivot, row in sorted(rows.items(), reverse=True):
-        for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
-            add_scaled(row, rows[w], -c)
-    return tuple(NcPoly._make(AMBIENT_RANK, 1, rows[p]) for p in sorted(rows))
-
-
 class GradedSubspace:
     """The order-`level` layer of Q<x2,x3> up to a degree cap: its
     canonical basis (reduced echelon form under graded-lex, homogeneous
@@ -283,20 +245,39 @@ class GradedSubspace:
 
 
 def s_layer_basis(m, cap):
-    """The order-m layer inside polynomials of degree <= cap.
+    """The order-m layer inside polynomials of degree <= cap, as its
+    canonical basis in ascending graded-lex pivot order.
 
-    Its basis is the union of the bidegree slices.  They have disjoint
-    supports, so their vectors sorted by graded-lex pivot are already the
-    canonical basis.
+    The rows are x3^b * c_(i_1)..c_(i_k) with every i >= 1, b < m and
+    total degree <= cap.  They span the layer: x3*c_i = c_i*x3 - c_(i+1),
+    so sum_(b<m) x3^b*C = sum_(b<m) C*x3^b = L_m.  The least graded-lex
+    word of c_i is x2*x3^i with coefficient 1, so a row's least word, its
+    pivot, is x3^b*x2*x3^(i_1)..x2*x3^(i_k) with coefficient 1; it gives
+    back (b, I), so the rows are triangular and none has a word below its
+    pivot.  Reducing each row by the rows of larger pivot, largest first,
+    stays in ints and gives the unique RREF.  A row is homogeneous in
+    bidegree, so rows of different bidegrees never meet.
     """
     if m < 1:
         raise ValueError("layer order must be >= 1")
     if cap < 0:
         raise ValueError("degree cap must be >= 0")
-    basis = [v for k in range(cap + 1) for l in range(cap + 1 - k)
-             for v in _layer_slice(m, k, l)]
-    basis.sort(key=lambda v: grlex_key(min(v.ints, key=grlex_key)))
-    return GradedSubspace(m, cap, basis)
+    gens = [c_generator(i, 2, 3).ints for i in range(1, cap)]
+    degs = [i + 2 for i in range(len(gens))]
+    rows = {}
+    for b in range(min(m - 1, cap) + 1):
+        for d in range(cap - b + 1):
+            for word in _generator_words(d, degs):
+                prod = {(3,) * b: 1}
+                for i in word:
+                    prod = _mul_words(prod, gens[i])
+                rows[min(prod)] = prod
+    pivots = sorted(rows, key=grlex_key)
+    for pivot in reversed(pivots):
+        row = rows[pivot]
+        for w, c in [(w, c) for w, c in row.items() if w != pivot and w in rows]:
+            add_scaled(row, rows[w], -c)
+    return GradedSubspace(m, cap, [NcPoly._make(AMBIENT_RANK, 1, rows[p]) for p in pivots])
 
 
 def invariance_verdict(f):
@@ -517,11 +498,12 @@ def proposition_identity_check(k, N):
     return lhs == rhs
 
 
-def proposition_noninvariance_probe(k, m):
+def proposition_noninvariance_probe(m):
     """The shift x2 -> x2 + x3^n, n = max(2, m), that refutes membership
-    of [c_k, x2] in the order-m layer.  Its defect [c_k, x3^n] has the
-    coefficient n * c_(k+1) at x3^(n-1) in Lazard coordinates, so it lies
-    outside layer m-1, and [c_k, x2] outside layer m.
+    of [c_k, x2] in the order-m layer, the same for every k >= 1.  Its
+    defect [c_k, x3^n] has the coefficient n * c_(k+1) at x3^(n-1) in
+    Lazard coordinates, so it lies outside layer m-1, and [c_k, x2]
+    outside layer m.
     """
     return shift_aut(NcPoly.variable(3, 3) ** max(2, m), 0)
 

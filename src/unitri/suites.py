@@ -387,7 +387,7 @@ def suite_theorem3():
 
 def suite_proposition1():
     def replays(k, m):
-        w = proposition_noninvariance_probe(k, m)
+        w = proposition_noninvariance_probe(m)
         return not layer_contains(invariance_defect(
             ring_commutator(c_generator(k, 2, 3), NcPoly.variable(2, 3)),
             w.offsets[1], w.offsets[2].constant_term()), m - 1)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from unitri.freealg import NcPoly, grlex_key, ring_commutator
-from unitri.invariants import _compositions, invariance_defect
+from unitri.invariants import invariance_defect
 from unitri.linalg import Echelon, nullspace
 
 from conftest import sample_shift
@@ -99,8 +99,16 @@ def oracle_basis(level, cap, sd):
     return [NcPoly(3, v) for v in vecs]
 
 
+def positive_compositions(n, k):
+    """Tuples of k positive ints with sum n, cut at k - 1 of the n - 1 gaps."""
+    if k == 0 or n < k:
+        return [()] if n == k == 0 else []
+    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
+            for cuts in itertools.combinations(range(1, n), k - 1)]
+
+
 def echelon_slice(level, k, l):
-    """The (k, l) slice of layer `level` as _layer_slice returns it, built
+    """The (k, l) slice of layer `level` as s_layer_basis returns it, built
     by eliminating the products u_(i_1)..u_(i_k) * x3^b (every i >= 1,
     b < level, sum i + b = l) in a graded-lex Echelon over Fractions.
     u_0 = x2 and u_(i+1) = x3*u_i - u_i*x3, by ring commutators."""
@@ -110,7 +118,7 @@ def echelon_slice(level, k, l):
         u.append(ring_commutator(x3, u[-1]))
     ech = Echelon(key=grlex_key)
     for b in range(min(level - 1, l) + 1):
-        for indices in _compositions(l - b, k):
+        for indices in positive_compositions(l - b, k):
             prod = NcPoly.one(3)
             for i in indices:
                 prod = prod * u[i]

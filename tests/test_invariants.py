@@ -19,7 +19,6 @@ from unitri.invariants import (
     CapViolationError,
     NonHomogeneousGeneratorError,
     _derive,
-    _layer_slice,
     c_product_span,
     hypothesis1_report,
     invariance_defect,
@@ -39,7 +38,13 @@ from unitri.invariants import (
 from unitri.linalg import Echelon, nullspace
 
 from conftest import c_combination, rand_coeff, rand_poly, sample_shift
-from layer_oracle import echelon_slice, in_layer, oracle_basis, sampled_reverify
+from layer_oracle import (
+    echelon_slice,
+    in_layer,
+    oracle_basis,
+    positive_compositions,
+    sampled_reverify,
+)
 from straighten_oracle import shuffled_solve_straighten
 
 SD = 2   # the shift degree of the sampled oracles
@@ -384,20 +389,22 @@ def test_layer1_cap12_has_fibonacci_dims():
 SLICES = [(k, l) for k in range(10) for l in range(10 - k)]
 
 
+def _cap9_slices(m):
+    """s_layer_basis(m, 9)'s vectors grouped by bidegree, in basis order."""
+    slices = {}
+    for v in s_layer_basis(m, 9).basis:
+        word = next(iter(v.terms))
+        slices.setdefault((word.count(2), word.count(3)), []).append(v)
+    return slices
+
+
 def test_layer_slices_equal_the_echelon_oracle():
     for m in range(1, 13):
+        slices = _cap9_slices(m)
         for k, l in SLICES:
-            got = _layer_slice(m, k, l)
+            got = tuple(slices.get((k, l), ()))
             assert got == echelon_slice(m, k, l), (m, k, l)
             assert all(type(c) is Fraction for v in got for c in v.terms.values())
-
-
-def _positive_compositions(n, k):
-    """Tuples of k positive ints with sum n, cut at k - 1 of the n - 1 gaps."""
-    if k == 0 or n < k:
-        return [()] if n == k == 0 else []
-    return [tuple(b - a for a, b in zip((0,) + cuts, cuts + (n,)))
-            for cuts in itertools.combinations(range(1, n), k - 1)]
 
 
 def test_signed_products_are_triangular():
@@ -406,10 +413,11 @@ def test_signed_products_are_triangular():
     u = [X2]
     for _ in range(9):
         u.append(ring_commutator(X3, u[-1]))
+    slices = {m: _cap9_slices(m) for m in range(1, 13)}
     for k, l in SLICES:
         pivots = []
         for b in range(l + 1):
-            for indices in _positive_compositions(l - b, k):
+            for indices in positive_compositions(l - b, k):
                 prod = X3 ** b * (-1) ** (l - b)
                 word = (3,) * b
                 for i in indices:
@@ -420,7 +428,7 @@ def test_signed_products_are_triangular():
                 pivots.append((b, word))
         assert len({w for _, w in pivots}) == len(pivots)
         for m in range(1, 13):
-            assert len(_layer_slice(m, k, l)) == sum(b < m for b, _ in pivots)
+            assert len(slices[m].get((k, l), ())) == sum(b < m for b, _ in pivots)
 
 
 def test_layers_are_built_without_elimination(monkeypatch):
@@ -611,7 +619,7 @@ def test_identity_deep_case():
 def _probe_refutes(k, m):
     """The probe's witness is x2 -> x2 + x3^max(2, m), and its defect of
     [c_k, x2], replayed through the map itself, lies outside layer m - 1."""
-    witness = proposition_noninvariance_probe(k, m)
+    witness = proposition_noninvariance_probe(m)
     assert witness == shift_aut(X3 ** max(2, m), 0)
     v = ring_commutator(c_generator(k, 2, 3), X2)
     defect = witness.apply(v) - v

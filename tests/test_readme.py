@@ -19,7 +19,7 @@ PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(),
 # the printed lines of each block, in README order: the quick tour, then
 # the rank-4 example, whose first line is c2*c1 expanded
 PRINTED = [
-    ["2w+2 holds",
+    ["2w+1 holds",
      "5 holds",
      "['1', 'x2*x3 - x3*x2', 'x2*x3^2 - 2*x3*x2*x3 + x3^2*x2']",
      "{(0, 0): '-x2*x3 + x3*x2', (1, 1): '1'}"],

@@ -132,7 +132,7 @@ BREAKS = [
     ("proposition1", suites, "proposition_identity_check", lambda k, n: False,
      ["commutator expansion identity"]),
     ("proposition1", suites, "proposition_noninvariance_probe",
-     lambda k, m: UniAut.identity(3),
+     lambda m: UniAut.identity(3),
      ["[c_k, x2] stays outside the layers"]),
     ("remark-pi", suites, "remark_pi_check",
      lambda m, cap: remark_pi_check(m, cap)._replace(subspace_match=False),
