@@ -132,14 +132,18 @@ class UniAut:
         1..n-2 substitute f_i with g_i as the addend, so that g_i and the
         word images are summed in one int accumulator.  The shift and each
         substitution are bounded by MAX_SUBSTITUTION_TERMS, as `apply` is.
+        Rank 2 has no head slot, so it fills only the two tail slots and
+        builds no images.
         """
         if self.rank != other.rank:
             raise RankMismatchError(f"rank {self.rank} vs {other.rank}")
         f, g = self.offsets, other.offsets
-        images = other.images() if self.rank > 2 else ()   # rank 2 has no head slot
+        tail = (_taylor_shift(f[-2], g[-1], g[-2]), _constant_sum(g[-1], f[-1]))
+        if self.rank == 2:
+            return UniAut._make(2, tail)
+        images = other.images()
         head = tuple(fi.substitute(images, gi) for fi, gi in zip(f[:-2], g))
-        return UniAut._make(self.rank, head + (_taylor_shift(f[-2], g[-1], g[-2]),
-                                               _constant_sum(g[-1], f[-1])))
+        return UniAut._make(self.rank, head + tail)
 
     __mul__ = compose
 

@@ -180,12 +180,23 @@ class NcPoly:
             if g != 1:
                 den //= g
                 ints = {w: n // g for w, n in ints.items()}
-        return cls._make(rank, den, ints)
+        p = cls.__new__(cls)
+        p.rank = rank
+        p.den = den
+        p.ints = ints
+        return p
 
     @classmethod
     def _from_ratios(cls, rank, ratios):
         # trusted constructor: the sum of num/den * word over (word, num,
-        # den) int triples, den > 0; words may repeat and nums may be 0
+        # den) int triples, den > 0; words may repeat and nums may be 0.
+        # One triple is num/g over den/g, g = gcd(num, den), with no lcm
+        if len(ratios) == 1:
+            (word, num, den), = ratios
+            if not num:
+                return cls._make(rank, 1, {})
+            g = gcd(num, den)
+            return cls._make(rank, den // g, {word: num // g})
         d = lcm(*[den for _, _, den in ratios])
         acc = {}
         for word, num, den in ratios:
@@ -420,35 +431,44 @@ def _taylor_shift(f, shift, addend=None, sign=1):
     grows, as it forms each product, so it raises exactly when that
     total exceeds MAX_SUBSTITUTION_TERMS, whatever the order of the
     words; for K <= 1 it forms no product and checks nothing.
+
+    An unmoved shift, p = 0 or K = 0 (f constant), is addend + sign * f
+    itself: charged to the bound as above, it is one add_scaled into the
+    addend's accumulator, with no coefficient list.  The general path
+    adds only the nonzero coefficients h_j.
     """
     rank = f.rank
-    b = _coefficient_list(f)
-    K = len(b) - 1
+    K = max(map(len, f.ints), default=0)
     p, q = shift.ints.get((), 0), shift.den
     if K > 1 and (K * K + K - 2 if p else K - 1) > MAX_SUBSTITUTION_TERMS:
         raise SubstitutionTooLargeError(
             f"substitution needs more than {MAX_SUBSTITUTION_TERMS} terms")
+    if not (p and K):
+        acc, den, scale = _addend_over(addend, f.den)
+        add_scaled(acc, f.ints, sign * scale)
+        return NcPoly._reduced(rank, den, acc)
+    b = _coefficient_list(f)
     den = f.den
-    if p:
-        if q != 1:   # b_k = a_k q^(K-k), in place
-            qk = 1
-            for k in range(K, -1, -1):
-                b[k] *= qk
-                qk *= q
-            den *= qk // q
-        for i in range(K):
-            acc = b[K]
-            for j in range(K - 1, i - 1, -1):
-                acc = b[j] = b[j] + p * acc
-        if q != 1:   # h_j q^j, in place
-            qk = 1
-            for j in range(K + 1):
-                b[j] *= qk
-                qk *= q
+    if q != 1:   # b_k = a_k q^(K-k), in place
+        qk = 1
+        for k in range(K, -1, -1):
+            b[k] *= qk
+            qk *= q
+        den *= qk // q
+    for i in range(K):
+        acc = b[K]
+        for j in range(K - 1, i - 1, -1):
+            acc = b[j] = b[j] + p * acc
+    if q != 1:   # h_j q^j, in place
+        qk = 1
+        for j in range(K + 1):
+            b[j] *= qk
+            qk *= q
     acc, den, scale = _addend_over(addend, den)
     scale *= sign
     for j, n in enumerate(b):
-        add_term(acc, (rank,) * j, n * scale)
+        if n:
+            add_term(acc, (rank,) * j, n * scale)
     return NcPoly._reduced(rank, den, acc)
 
 
@@ -613,6 +633,11 @@ def _uint(text, toks, i, what, limit=None):
     tok = toks[i]
     if not "0" <= tok[:1] <= "9":
         _fail(text, i, f"expected {what}")
+    if len(tok) < 19:   # at most 18 digits: int() is cheap, the limit a number
+        value = int(tok)
+        if limit is not None and value > limit:
+            _fail(text, i, f"{what} exceeds {limit}")
+        return value
     digits = tok.lstrip("0") or "0"
     # compare lengths first, so that no huge digit string is converted
     if limit is not None and (len(digits), digits) > (len(str(limit)), str(limit)):

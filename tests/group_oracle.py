@@ -1,6 +1,7 @@
 """Group arithmetic that sends every slot through NcPoly.substitute, kept
 as an oracle for UniAut.compose and UniAut.invert, which fill the last
-two slots by constant addition and one Taylor shift.
+two slots by constant addition and one Taylor shift, and for that shift
+(freealg._taylor_shift) on its own.
 
 These are compose and invert as they stood before that kernel: the same
 substitutions, so the same term products counted against
@@ -26,6 +27,13 @@ def oracle_invert(phi):
         inv[i] = -phi.offsets[i].substitute(imgs)
         imgs[i] = _shifted_variable(i + 1, inv[i])
     return UniAut._make(n, tuple(inv))
+
+
+def oracle_taylor_shift(f, shift, addend=None, sign=1):
+    """addend + sign * f(x_r + shift), r = f.rank, as one substitution."""
+    r = f.rank
+    images = [NcPoly.variable(j, r) for j in range(1, r)] + [_shifted_variable(r, shift)]
+    return (sign * f).substitute(images, addend)
 
 
 def oracle_conjugate(phi, psi):

@@ -51,6 +51,7 @@ from group_oracle import (
     oracle_conjugate,
     oracle_group_commutator,
     oracle_invert,
+    oracle_taylor_shift,
 )
 from poly_oracle import fraction_difference_preimage
 
@@ -546,6 +547,46 @@ def test_compose_and_invert_match_the_substitution_oracle(rank):
             for a, b in ((phi, psi), (psi, phi), (phi, phi)):
                 assert a * b == oracle_compose(a, b)
             assert phi.invert() == oracle_invert(phi)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5])
+def test_unmoved_shifts_match_the_substitution_oracle(monkeypatch, rank):
+    # a shift by 0, or any shift of a zero or constant f, moves nothing:
+    # addend + sign * f, with or without an addend (one that cancels f
+    # included), for either sign, and no coefficient list is formed
+    def no_list(f):
+        raise AssertionError("an unmoved shift formed a coefficient list")
+
+    rng = random.Random(2700 + rank)
+    zero = NcPoly.zero(rank)
+    constants = [zero, NcPoly.constant(Fraction(-9, 4), rank), NcPoly.constant(5, rank)]
+    cases = [(f, zero) for f in _penultimate_cases(rng, rank, MAX_WORD_LENGTH)]
+    cases += [(f, NcPoly.constant(s, rank)) for s in SHIFTS[1:] for f in constants]
+    for f, shift in cases:
+        addends = [None, zero, f, -f, NcPoly.constant(Fraction(7, 6), rank),
+                   _x_n_poly(rng, rank, rng.randint(0, 6)), rand_poly(rng, rank, 3)]
+        for addend in addends:
+            for sign in (1, -1):
+                want = oracle_taylor_shift(f, shift, addend, sign)
+                with monkeypatch.context() as m:
+                    m.setattr(freealg, "_coefficient_list", no_list)
+                    got = freealg._taylor_shift(f, shift, addend, sign)
+                assert (got.rank, got.den, got.ints) == (want.rank, want.den, want.ints)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 5])
+def test_moved_shifts_match_the_substitution_oracle(rank):
+    # the general path adds only the nonzero coefficients of f(x + p/q):
+    # sparse f, (x - s)^3 shifted by s to x^3, and addends that cancel
+    rng = random.Random(2800 + rank)
+    x_r = NcPoly.variable(rank, rank)
+    for s in SHIFTS[1:]:
+        shift = NcPoly.constant(s, rank)
+        for f in [(x_r - s) ** 3] + [_x_n_poly(rng, rank, d) for d in (1, 2, 3, 7, 12)]:
+            for addend in (None, f, -f, _x_n_poly(rng, rank, rng.randint(0, 12))):
+                for sign in (1, -1):
+                    assert freealg._taylor_shift(f, shift, addend, sign) == \
+                        oracle_taylor_shift(f, shift, addend, sign)
 
 
 @pytest.mark.parametrize("rank", [2, 3])

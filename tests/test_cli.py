@@ -594,30 +594,32 @@ def test_only_verify_imports_the_suites(argv, loaded):
 BASE = ["unitri", "unitri.cli", "unitri.freealg"]
 GROUP = BASE + ["unitri.autgroup"]
 LAYERS = BASE + ["unitri.invariants"]
+RANK2_CENTRAL = GROUP + ["unitri.central"]   # rank-2 answers need no invariants
 CENTRAL = LAYERS + ["unitri.autgroup", "unitri.central"]
 USAGE_ERROR = ["straighten", "x1"]   # x1 lies outside Q<x2, x3>: exit 2
 
 
-COMMAND_IMPORTS = [
-    (["parse", "x2"], BASE),
-    (["compose", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
-    (["invert", "x1 + x2^2; x2 + 1"], GROUP),
-    (["commutator", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
-    (["conjugate", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
-    (["apply", "x1 + x2; x2", "x1^2"], GROUP),
-    (["factor", "x1 + x2*x3; x2 + x3; x3"], GROUP),
-    (["invariants", "--level", "1", "--cap", "3"], LAYERS),
-    (["straighten", "x3*x2"], LAYERS),
-    (["classify", "x1 + x2^2; x2"], CENTRAL),
-    (["center-test", "x1 + x3; x2; x3"], CENTRAL),
-    (["verify", "lemma2"], CENTRAL + ["unitri.suites"]),
-    (USAGE_ERROR, LAYERS),
+COMMAND_IMPORTS = [   # (test id, argv, the modules it loads)
+    ("parse", ["parse", "x2"], BASE),
+    ("compose", ["compose", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    ("invert", ["invert", "x1 + x2^2; x2 + 1"], GROUP),
+    ("commutator", ["commutator", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    ("conjugate", ["conjugate", "x1 + x2; x2", "x1; x2 + 1"], GROUP),
+    ("apply", ["apply", "x1 + x2; x2", "x1^2"], GROUP),
+    ("factor", ["factor", "x1 + x2*x3; x2 + x3; x3"], GROUP),
+    ("invariants", ["invariants", "--level", "1", "--cap", "3"], LAYERS),
+    ("straighten", ["straighten", "x3*x2"], LAYERS),
+    ("classify", ["classify", "x1 + x2^2; x2"], RANK2_CENTRAL),
+    ("classify-rank3", ["classify", "x1 + x3^2; x2; x3"], CENTRAL),
+    ("center-test-rank2", ["center-test", "x1 + 1; x2"], RANK2_CENTRAL),
+    ("center-test", ["center-test", "x1 + x3; x2; x3"], CENTRAL),
+    ("verify", ["verify", "lemma2"], CENTRAL + ["unitri.suites"]),
+    ("straighten-usage-error", USAGE_ERROR, LAYERS),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", COMMAND_IMPORTS,
-                         ids=[argv[0] + ("-usage-error" if argv is USAGE_ERROR else "")
-                              for argv, _ in COMMAND_IMPORTS])
+@pytest.mark.parametrize("argv, loaded", [row[1:] for row in COMMAND_IMPORTS],
+                         ids=[row[0] for row in COMMAND_IMPORTS])
 def test_each_command_imports_only_what_it_runs(argv, loaded):
     code = 2 if argv is USAGE_ERROR else 0
     assert _imported(["unitri"], ["--json", *argv], code) == repr(sorted(loaded))

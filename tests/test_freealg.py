@@ -413,6 +413,20 @@ def test_constant_sum_matches_add():
             _assert_stored_form(got, fraction_add_terms(p.terms, q.terms))
 
 
+@pytest.mark.parametrize("word, num, den", [
+    ((2, 1), 0, 5), ((2, 1), 4, 6), ((), 4, 6), ((), -7, 1), ((1,), -12, 4), ((), 0, 1),
+], ids=["zero", "reducible", "empty-word", "unit-den", "integral", "zero-unit-den"])
+def test_one_triple_builds_as_the_term_map_does(word, num, den):
+    # one triple is reduced by its own gcd, with no lcm: a zero numerator
+    # gives den 1 and no term, as the general path (the same triple
+    # beside a zero one) does
+    got = NcPoly._from_ratios(2, [(word, num, den)])
+    _assert_stored_form(got, {word: Fraction(num, den)} if num else {})
+    assert got == NcPoly(2, {word: Fraction(num, den)})
+    general = NcPoly._from_ratios(2, [(word, num, den), ((), 0, 1)])
+    assert (got.den, got.ints) == (general.den, general.ints)
+
+
 @pytest.mark.parametrize("build", [
     lambda: NcPoly.constant(0.1, 2),
     lambda: NcPoly(2, {(2,): 0.1}),

@@ -7,6 +7,8 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
 from parse_oracle import oracle_parse_aut, oracle_parse_poly
 
 from unitri.autgroup import MAX_RANK, parse_aut
@@ -132,6 +134,21 @@ def test_parse_poly_matches_the_character_stepping_oracle():
     # messages the grammar can give (numbers and quoted text aside)
     assert parsed > 2_000
     assert len(kinds) == 16, sorted(kinds)
+
+
+@pytest.mark.parametrize("text", [
+    "1" * 18, "9" * 18 + "*x2", "0" * 17 + "7", "1" * 19, "1" * 19 + "*x3",
+    "123456789012345678/999999999999999999", "1/" + "9" * 19, "1/" + "0" * 18,
+    "1/" + "0" * 19, "-" + "0" * 18 + "/3",
+    "x2^064", "x2^065", "x2^0064*x3", "x2^" + "0" * 16 + "64", "x2^" + "0" * 17 + "64",
+    "x2^" + "0" * 16 + "65", "x2^" + "0" * 17 + "65", "x2^" + "9" * 18, "x2^" + "9" * 19,
+    "x" + "0" * 17 + "2", "x" + "0" * 18 + "3", "x" + "9" * 18, "x" + "0" * 18,
+])
+def test_short_and_long_digit_tokens_match_the_character_stepping_oracle(text):
+    # tokens below 19 characters are read by int() and compared with the
+    # limit as numbers; longer ones by their digit strings: the same
+    # value, or the same error text and position, either way
+    assert _outcome(parse_poly, text, 3) == _outcome(oracle_parse_poly, text, 3)
 
 
 # -- parse_aut against the split-and-subtract oracle ---------------------------
