@@ -4,15 +4,22 @@ Thin dispatch over the library: parsing, group operations, central-series
 classification, invariant layer bases, straightening, and the named
 verification suites.  Exit codes: 0 success, 1 a verification check
 failed or stdout was closed early, 2 usage or parse errors.
+
+A call whose argv has the plain shape -- `[--json] [--cap N] command`,
+the command's positionals in one run, and `--json`, `--cap N` and its
+own options before or after them, each flag spelled in full -- is read
+by _plain_args, without importing argparse.  Any other argv (help, an
+abbreviated flag, `--cap=4`, a usage error) falls back to the argparse
+parser of build_parser, which alone prints help and usage errors; the
+two give the same namespace wherever both accept an argv.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
+import types
 
 # each command imports what else it uses, so a call compiles only the
 # modules that its command runs
@@ -29,81 +36,140 @@ SUITE_NAMES = ("group-axioms", "lemma1", "lemma2", "lemma3", "lemma4", "lemma5",
 
 MAX_CAP = 12   # largest --cap and --level: costs grow exponentially
 BOUNDS = {"cap": (0, MAX_CAP), "level": (1, MAX_CAP)}   # flag -> (least, largest)
+DEFAULT_CAP = 5
 
+# After the command, an argument that starts with "-" is a positional iff
+# this matches it, so that "-x2" and "-1/2*x3" are polynomials.
+POSITIONAL_DASH = re.compile(r"-x?[0-9]")
 
-def _add_global_flags(parser, suppress=False):
-    d = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
-    parser.add_argument("--cap", type=int, default=d(5),
-                        help="degree cap for layer computations (default 5)")
-    parser.add_argument("--json", action="store_true", default=d(False), help="emit JSON")
+# Each command, in the order that `unitri -h` lists them: its help, its
+# positionals as name -> argparse keywords (a nargs="+" positional is its
+# command's last), and its own int options as name -> default.
+SUBCOMMANDS = {
+    "parse": ("canonicalize a polynomial", {"poly": {}}, {"rank": 3}),
+    "compose": ("compose automorphisms left to right", {"auts": {"nargs": "+"}}, {}),
+    "invert": ("invert an automorphism", {"aut": {}}, {}),
+    "commutator": ("phi^-1 psi^-1 phi psi", {"phi": {}, "psi": {}}, {}),
+    "conjugate": ("psi^-1 phi psi", {"phi": {}, "psi": {}}, {}),
+    "apply": ("apply an automorphism to a polynomial", {"aut": {}, "poly": {}}, {}),
+    "factor": ("semidirect factorization into elementary maps", {"aut": {}}, {}),
+    "classify": ("least central-series level (rank 2 or 3)", {"aut": {}}, {}),
+    "center-test": ("centrality test", {"aut": {}}, {}),
+    "invariants": ("invariant layer basis", {}, {"level": 1}),
+    "straighten": ("free-module decomposition over the commutator subalgebra",
+                   {"poly": {}}, {}),
+    "verify": ("run a named verification suite", {"suite": {"choices": SUITE_NAMES}}, {}),
+}
 
 
 def build_parser():
+    import argparse   # only for what _plain_args does not read
+
+    def add_global_flags(parser, cap, as_json):
+        parser.add_argument("--cap", type=int, default=cap,
+                            help=f"degree cap for layer computations (default {DEFAULT_CAP})")
+        parser.add_argument("--json", action="store_true", default=as_json, help="emit JSON")
+
     parser = argparse.ArgumentParser(
         prog="unitri",
         description="Exact computation in unitriangular automorphism groups "
                     "of free associative algebras over Q.")
-    _add_global_flags(parser)
+    add_global_flags(parser, DEFAULT_CAP, False)
     shared = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(shared, suppress=True)
+    add_global_flags(shared, argparse.SUPPRESS, argparse.SUPPRESS)
 
     def subparser(**kw):
         p = argparse.ArgumentParser(parents=[shared], **kw)
         # An argparse internal (Python 3.11): an argument that matches it and
-        # names no option is positional.  Widened from negative numbers, so
-        # that "-x2" and "-1/2*x3" are polynomials; -h and unknown flags are
-        # unchanged.  tests/test_cli.py fails if an upgrade drops it.
-        p._negative_number_matcher = re.compile(r"-x?[0-9]")
+        # names no option is positional.  Widened from negative numbers to
+        # POSITIONAL_DASH; -h and unknown flags are unchanged.
+        # tests/test_cli.py fails if an upgrade drops it.
+        p._negative_number_matcher = POSITIONAL_DASH
         return p
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
-
-    sp = sub.add_parser("parse", help="canonicalize a polynomial")
-    sp.add_argument("poly")
-    sp.add_argument("--rank", type=int, default=3)
-
-    sp = sub.add_parser("compose", help="compose automorphisms left to right")
-    sp.add_argument("auts", nargs="+")
-
-    sp = sub.add_parser("invert", help="invert an automorphism")
-    sp.add_argument("aut")
-
-    sp = sub.add_parser("commutator", help="phi^-1 psi^-1 phi psi")
-    sp.add_argument("phi")
-    sp.add_argument("psi")
-
-    sp = sub.add_parser("conjugate", help="psi^-1 phi psi")
-    sp.add_argument("phi")
-    sp.add_argument("psi")
-
-    sp = sub.add_parser("apply", help="apply an automorphism to a polynomial")
-    sp.add_argument("aut")
-    sp.add_argument("poly")
-
-    sp = sub.add_parser("factor", help="semidirect factorization into elementary maps")
-    sp.add_argument("aut")
-
-    sp = sub.add_parser("classify", help="least central-series level (rank 2 or 3)")
-    sp.add_argument("aut")
-
-    sp = sub.add_parser("center-test", help="centrality test")
-    sp.add_argument("aut")
-
-    sp = sub.add_parser("invariants", help="invariant layer basis")
-    sp.add_argument("--level", type=int, default=1)
-
-    sp = sub.add_parser("straighten",
-                        help="free-module decomposition over the commutator subalgebra")
-    sp.add_argument("poly")
-
-    sp = sub.add_parser("verify", help="run a named verification suite")
-    sp.add_argument("suite", choices=SUITE_NAMES)
-
+    for command, (help_text, positionals, options) in SUBCOMMANDS.items():
+        sp = sub.add_parser(command, help=help_text)
+        for name, keywords in positionals.items():
+            sp.add_argument(name, **keywords)
+        for name, default in options.items():
+            sp.add_argument(f"--{name}", type=int, default=default)
     return parser
+
+
+def _is_flag(arg):
+    return arg[:1] == "-" and not POSITIONAL_DASH.match(arg)
+
+
+def _plain_args(argv):
+    """The namespace of build_parser().parse_args(argv), read without
+    argparse when argv has the plain shape: --json and --cap N, then the
+    command, then its positionals in one run, with --json, --cap N and
+    its own options before or after that run.  Every flag is spelled in
+    full, with its value as the next argument, not starting with "-".
+    A later flag overrides an earlier one.  Any other argv gives None,
+    and argparse reads it, to print the help or the usage error."""
+    argv = list(argv)
+    values = {"cap": DEFAULT_CAP, "json": False}
+
+    def read_flag(i, int_flags):
+        # the index after the flag at argv[i], its value stored; or None
+        flag = argv[i]
+        if flag == "--json":
+            values["json"] = True
+            return i + 1
+        name = flag[2:]
+        if flag[:2] != "--" or name not in int_flags or i + 1 == len(argv) \
+                or argv[i + 1][:1] == "-":
+            return None
+        try:
+            values[name] = int(argv[i + 1])   # as argparse's type=int
+        except ValueError:
+            return None
+        return i + 2
+
+    i = 0
+    while i < len(argv) and argv[i] in ("--json", "--cap"):
+        i = read_flag(i, ("cap",))
+        if i is None:
+            return None
+    if i == len(argv) or argv[i] not in SUBCOMMANDS:
+        return None
+    _, positionals, options = SUBCOMMANDS[argv[i]]
+    values.update(options, command=argv[i])
+    int_flags = ("cap", *options)
+    run = None
+    i += 1
+    while i < len(argv):
+        if _is_flag(argv[i]):
+            i = read_flag(i, int_flags)
+            if i is None:
+                return None
+        elif run is not None:   # a flag between two positionals
+            return None
+        else:
+            start = i
+            while i < len(argv) and not _is_flag(argv[i]):
+                i += 1
+            run = argv[start:i]
+    rest = run or []
+    for name, keywords in positionals.items():
+        if not rest:
+            return None
+        if keywords.get("nargs") == "+":
+            values[name], rest = rest, []
+        else:
+            values[name], rest = rest[0], rest[1:]
+        if "choices" in keywords and values[name] not in keywords["choices"]:
+            return None
+    if rest:
+        return None
+    return types.SimpleNamespace(**values)
 
 
 def _emit(args, data, text):
     if args.json:
+        import json
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(text)
@@ -250,11 +316,12 @@ _COMMANDS = {
 
 
 def _run(argv):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _plain_args(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         for flag, (least, largest) in BOUNDS.items():
             value = getattr(args, flag, least)

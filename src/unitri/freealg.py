@@ -11,9 +11,12 @@ word -> int, with gcd(den, *ints.values()) == 1, so the coefficient of
 a word is ints[word] / den.  That form is unique, so equality of
 polynomials is plain equality of (rank, den, ints).  Sums, products and
 substitutions compute in ints and divide out one gcd per result; a
-Fraction is built only at the boundary: when a polynomial is built from
-a term map, when its `terms` view is read, and for a non-unit
-denominator in output.
+Fraction is built only at the boundary: for a coefficient given from
+outside that is not an int, a scalar `/`, and a read of the `terms`
+view or of `constant_term`.  Output renders each ratio from the ints and
+builds no Fraction.  `fractions` is imported on first use, so a program
+that does none of those never loads it (nor `decimal` and `numbers`,
+which it imports).
 
 This module owns the term-map format that every sparse object in the
 package shares -- a polynomial, its abelianisation, a row of an Echelon,
@@ -31,7 +34,6 @@ from __future__ import annotations
 
 import re
 import sys
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 NEG_INF = float("-inf")
@@ -90,11 +92,25 @@ def _require_positive_rank(rank):
 
 
 def _coefficient(value):
-    """A coefficient given from outside as a Fraction; a float is refused,
-    since its binary expansion is not the number it was written as."""
+    """A coefficient given from outside: an int as it is, any other value
+    as a Fraction; a float is refused, since its binary expansion is not
+    the number it was written as."""
+    if type(value) is int:
+        return value
     if isinstance(value, float):
         raise TypeError(f"coefficients must be ints or Fractions, not float {value!r}")
+    from fractions import Fraction
     return Fraction(value)
+
+
+def _is_scalar(value):
+    """Whether the ring operations take value as a scalar: an int (bool
+    included) or a Fraction.  Only a value of another type imports
+    fractions to decide."""
+    if isinstance(value, int):
+        return True
+    from fractions import Fraction
+    return isinstance(value, Fraction)
 
 
 def add_term(acc, key, c):
@@ -206,6 +222,7 @@ class NcPoly:
     @property
     def terms(self):
         """The {word: Fraction} view, one normalised Fraction per term."""
+        from fractions import Fraction
         den = self.den
         return {w: Fraction(n, den) for w, n in self.ints.items()}
 
@@ -231,10 +248,10 @@ class NcPoly:
         """self + sign * other for other an NcPoly, int or Fraction, in one
         int accumulation: the sign goes to add_scaled, so self - other
         forms no negated copy of other."""
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, NcPoly):
+            if not _is_scalar(other):
+                return NotImplemented
             other = self.constant(other, self.rank)
-        elif not isinstance(other, NcPoly):
-            return NotImplemented
         self._check_rank(other)
         acc, d, scale = _addend_over(self, other.den)
         add_scaled(acc, other.ints, sign * scale)
@@ -255,27 +272,28 @@ class NcPoly:
         return (-self)._sum(other, 1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return self.zero(self.rank)
-            num = other.numerator
-            return self._reduced(self.rank, self.den * other.denominator,
-                                 {w: n * num for w, n in self.ints.items()})
-        if not isinstance(other, NcPoly):
+        if isinstance(other, NcPoly):
+            self._check_rank(other)
+            return self._reduced(self.rank, self.den * other.den,
+                                 _mul_words(self.ints, other.ints))
+        if not _is_scalar(other):
             return NotImplemented
-        self._check_rank(other)
-        return self._reduced(self.rank, self.den * other.den,
-                             _mul_words(self.ints, other.ints))
+        if not other:
+            return self.zero(self.rank)
+        num = other.numerator
+        return self._reduced(self.rank, self.den * other.denominator,
+                             {w: n * num for w, n in self.ints.items()})
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return self * other
         return NotImplemented
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
+        if not _is_scalar(other):
+            return NotImplemented
+        from fractions import Fraction
+        return self * (Fraction(1) / Fraction(other))
 
     def __eq__(self, other):
         if not isinstance(other, NcPoly):
@@ -304,6 +322,7 @@ class NcPoly:
         return all(not w for w in self.ints)
 
     def constant_term(self):
+        from fractions import Fraction
         return Fraction(self.ints.get((), 0), self.den)
 
     def degree(self):
@@ -577,12 +596,18 @@ def _word_str(word):
 
 def join_signed_terms(terms):
     """Render (nonzero coefficient, monomial text) pairs as a signed sum,
-    e.g. "1 + x2*x3 - 3/2*x3*x2".  An empty monomial text marks the
-    constant term; a unit coefficient is left implicit; no terms give "0".
+    e.g. "1 + x2*x3 - 3/2*x3*x2".  A coefficient is an int, a Fraction,
+    or the int pair (n, d) for n/d in lowest terms with d > 1.  An empty
+    monomial text marks the constant term; a unit coefficient is left
+    implicit; no terms give "0".
     """
     pieces = []
     for c, body in terms:
-        mag = abs(c)
+        if type(c) is tuple:
+            n, d = c
+            negative, mag = n < 0, f"{abs(n)}/{d}"
+        else:
+            negative, mag = c < 0, abs(c)
         if not body:
             text = str(mag)
         elif mag == 1:
@@ -590,20 +615,26 @@ def join_signed_terms(terms):
         else:
             text = f"{mag}*{body}"
         if not pieces:
-            pieces.append(text if c > 0 else f"-{text}")
+            pieces.append(f"-{text}" if negative else text)
         else:
-            pieces.append(f"+ {text}" if c > 0 else f"- {text}")
+            pieces.append(f"- {text}" if negative else f"+ {text}")
     return " ".join(pieces) or "0"
 
 
 def signed_terms(p):
     """The (coefficient, monomial text) pairs of p in graded-lex order, as
-    join_signed_terms takes them; an int coefficient when den is 1."""
+    join_signed_terms takes them: an int coefficient when it is whole,
+    else the pair (n // g, den // g), g = gcd(n, den), for n / den."""
     ints, den = p.ints, p.den
     words = sorted(ints, key=grlex_key)
     if den == 1:
         return [(ints[w], _word_str(w)) for w in words]
-    return [(Fraction(ints[w], den), _word_str(w)) for w in words]
+    out = []
+    for w in words:
+        n = ints[w]
+        g = gcd(n, den)
+        out.append((n // g if g == den else (n // g, den // g), _word_str(w)))
+    return out
 
 
 def format_poly(p):

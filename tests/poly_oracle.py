@@ -1,12 +1,14 @@
 """The Fraction loops NcPoly once added, multiplied and substituted with,
-and the Fraction solve autgroup.difference_preimage once made, kept as an
-oracle for their integer kernels.
+the Fraction solve autgroup.difference_preimage once made, and the
+Fraction rendering freealg's formatter once used, kept as an oracle for
+their integer kernels.
 
 All work on term maps (word -> nonzero Fraction) and add one product of
 coefficients at a time, each sum a normalised Fraction; nothing here
 calls the package, so a fault in freealg's helpers cannot hide in both.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -70,3 +72,30 @@ def fraction_difference_preimage(terms, shift):
         if need:
             r[j + 1] = need / ((j + 1) * shift)
     return {(2,) * k: v for k, v in r.items()}
+
+
+def fraction_join(pairs):
+    """The signed sum of (nonzero int or Fraction, monomial text) pairs,
+    an empty text marking the constant: "1 + x2*x3 - 3/2*x3*x2"."""
+    pieces = []
+    for c, body in pairs:
+        mag = abs(c)
+        text = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {text}")
+        else:
+            pieces.append(f"-{text}" if c < 0 else text)
+    return " ".join(pieces) or "0"
+
+
+def fraction_word_text(word):
+    """x2*x3^2*x2 for the word (2, 3, 3, 2)."""
+    runs = [(v, len(list(run))) for v, run in itertools.groupby(word)]
+    return "*".join(f"x{v}" if n == 1 else f"x{v}^{n}" for v, n in runs)
+
+
+def fraction_format_terms(terms):
+    """The term map word -> Fraction as text, words shortest first and
+    then lexicographic."""
+    return fraction_join([(terms[w], fraction_word_text(w))
+                          for w in sorted(terms, key=lambda w: (len(w), w))])

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import importlib
 import itertools
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -36,6 +38,9 @@ from test_readme import EXAMPLES as README_EXAMPLES
 GOLDEN = Path(__file__).parent / "golden"
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
 
 
 def run(capsys, *argv):
@@ -519,9 +524,11 @@ def test_suite_names_are_the_suites():
     (["apply", "x1; x2", "-x2"], "-x2"),
 ], ids=["parse", "parse-rank-first", "parse-rank-last", "straighten", "apply"])
 def test_a_polynomial_may_start_with_a_minus(capsys, argv, out):
-    # the subcommand parsers read "-x2" as an argument through an argparse
-    # internal (cli.build_parser); a Python upgrade that drops it fails here
     assert run(capsys, *argv) == (0, out + "\n", "")
+    # main reads these argv without argparse; the subcommand parsers read
+    # "-x2" as an argument too, through an argparse internal
+    # (cli.build_parser), and a Python upgrade that drops it fails here
+    assert vars(cli.build_parser().parse_args(argv)) == vars(cli._plain_args(argv))
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -543,6 +550,85 @@ def test_help_next_to_a_leading_minus(capsys):
     for argv in (["parse", "-h"], ["parse", "--help", "-x2"]):
         code, out, _ = run(capsys, *argv)
         assert code == 0 and out.startswith("usage: unitri parse")
+
+
+def _argv_literals():
+    """Every list or tuple of str literals in this file, argv or not."""
+    for node in ast.walk(ast.parse(Path(__file__).read_text())):
+        if (isinstance(node, (ast.List, ast.Tuple)) and node.elts
+                and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                        for e in node.elts)):
+            yield [e.value for e in node.elts]
+
+
+def _benchmark_argv(seeds=range(3)):
+    """The argv of every CLI op of the benchmark at these seeds, and of
+    its setup call."""
+    ops = [op for seed in seeds for name in ("layers", "classify", "straighten")
+           for op in getattr(workloads, name)(seed)]
+    return [op["argv"] for op in ops] + [["--json", "parse", "x2"]]
+
+
+# Pieces of random argv: flags with their values, polynomials, maps and
+# suites, which may take the plain path; and spellings that only argparse
+# reads, or that it refuses.
+PLAIN_PIECES = [["--json"], ["--cap", "4"], ["--cap", "12"], ["--cap", "+7"], ["--cap", "٣"],
+                ["--rank", "2"], ["--level", "3"], ["--level", " 2"], ["x2"], ["x3*x2"],
+                ["-x2"], ["-1/2*x3"], ["-3"], ["x1 + x2; x2"], ["x1; x2 + 1"], ["lemma2"],
+                ["parse"], [""]]
+EDGE_PIECES = [["--cap", "²"], ["--cap", "-1"], ["--cap", "x2"], ["lemma99"], ["--cap=4"],
+               ["--ca", "4"], ["--js"], ["-h"], ["--help"], ["--"], ["-"], ["+7"], ["٣"],
+               ["²"], ["--cap"], ["- x2"], ["-h2"], ["-x"], ["-1=2"], ["--rank=3"]]
+FALLBACK_ONLY = {"--cap=4", "--ca", "--js", "-h", "--help", "--", "-", "--rank=3"}
+
+
+def _random_argv(rng):
+    def pieces(count):
+        return [rng.choice(EDGE_PIECES if rng.random() < 0.15 else PLAIN_PIECES)
+                for _ in range(count)]
+
+    command = [rng.choice([*cli.SUBCOMMANDS, "frobnicate"])]
+    return list(itertools.chain(*pieces(rng.choice((0, 0, 1, 2))), command,
+                                *pieces(rng.randint(0, 4))))
+
+
+def test_plain_args_agree_with_argparse():
+    rng = random.Random(3802)
+    corpus = [*_argv_literals(), *_benchmark_argv(),
+              *(shlex.split(args) for args, _ in README_EXAMPLES),
+              *(argv.split() for _, argv in CAP12_HASHES),
+              *(shlex.split(argv) for _, argv in VERIFY_FACTOR_CENTER),
+              *(shlex.split(line.split("  ", 1)[1]) for line in
+                (GOLDEN / "straighten_cap12.sha256").read_text().splitlines()),
+              *(_random_argv(rng) for _ in range(10_000))]
+    assert {piece for argv in corpus for piece in argv} >= {
+        p[0] for p in PLAIN_PIECES + EDGE_PIECES}
+    parser = cli.build_parser()
+    accepted = 0
+    for argv in corpus:
+        ns = cli._plain_args(argv)
+        if ns is None:
+            continue
+        accepted += 1
+        assert not FALLBACK_ONLY.intersection(argv), argv
+        assert vars(ns) == vars(parser.parse_args(argv)), argv
+    assert accepted > 1000
+
+
+def test_benchmark_argv_take_the_plain_path():
+    assert all(cli._plain_args(argv) is not None for argv in _benchmark_argv())
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["parse", "-h"], ["--", "parse", "x2"],
+                                  ["parse", "x2", "--cap=4"], ["--ca", "4", "parse", "x2"],
+                                  ["parse"], ["parse", "x2", "x3"], ["compose"],
+                                  ["verify", "lemma99"], ["frobnicate"], [],
+                                  ["parse", "x2", "--cap", "²"], ["parse", "x2", "--rank", "-2"],
+                                  ["commutator", "x1; x2", "--json", "x1; x2"],
+                                  ["parse", "- x2"], ["parse", "-"]],
+                         ids=lambda argv: " ".join(argv) or "empty")
+def test_other_argv_fall_back_to_argparse(argv):
+    assert cli._plain_args(argv) is None
 
 
 def test_an_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
@@ -590,6 +676,19 @@ def test_only_verify_imports_the_suites(argv, loaded):
     assert _imported(("dataclasses", "inspect", "unitri.suites"), argv) == repr(loaded)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["parse"], 2), (["--ca", "4", "parse", "x2"], 0),
+], ids=["help", "usage-error", "abbreviated-flag"])
+def test_only_the_fallback_imports_argparse(argv, code):
+    assert _imported(["argparse"], argv, code) == "['argparse']"
+
+
+def test_only_json_output_imports_json():
+    assert _imported(["json"], ["parse", "x2"]) == "[]"
+    assert _imported(["json"], ["--json", "parse", "x2"]) == repr(
+        ["json", "json.decoder", "json.encoder", "json.scanner"])
+
+
 # every command loads the package, its CLI and the polynomial arithmetic
 BASE = ["unitri", "unitri.cli", "unitri.freealg"]
 GROUP = BASE + ["unitri.autgroup"]
@@ -621,5 +720,14 @@ COMMAND_IMPORTS = [   # (test id, argv, the modules it loads)
 @pytest.mark.parametrize("argv, loaded", [row[1:] for row in COMMAND_IMPORTS],
                          ids=[row[0] for row in COMMAND_IMPORTS])
 def test_each_command_imports_only_what_it_runs(argv, loaded):
+    # and none of the standard modules that only argparse and Fraction need
     code = 2 if argv is USAGE_ERROR else 0
-    assert _imported(["unitri"], ["--json", *argv], code) == repr(sorted(loaded))
+    skipped = ["argparse", "gettext", "locale", "fractions", "decimal", "numbers"]
+    assert _imported(["unitri", *skipped], ["--json", *argv], code) == repr(sorted(loaded))
+
+
+@pytest.mark.parametrize("op", [ops[-1] for ops in (workloads.layers(0), workloads.classify(0),
+                                                    workloads.straighten(0))],
+                         ids=lambda op: op["id"])
+def test_benchmark_ops_load_neither_argparse_nor_fractions(op):
+    assert _imported(["argparse", "fractions"], op["argv"]) == "[]"

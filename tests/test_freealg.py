@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,8 +24,20 @@ from unitri.freealg import (
     ring_commutator,
 )
 
-from conftest import rand_coeff, rand_poly
-from poly_oracle import fraction_add_terms, fraction_mul_terms, fraction_substitute
+from unitri.autgroup import format_aut, random_aut_rng
+from unitri.invariants import subalgebra_membership
+
+from conftest import c_combination, rand_coeff, rand_poly
+from poly_oracle import (
+    fraction_add_terms,
+    fraction_format_terms,
+    fraction_join,
+    fraction_mul_terms,
+    fraction_substitute,
+    fraction_word_text,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def x(i, rank=3):
@@ -199,6 +215,30 @@ def test_format_round_trip(rng):
     for _ in range(100):
         p = rand_poly(rng, 3, 4)
         assert parse_poly(format_poly(p), 3) == p
+
+
+def test_rendering_matches_the_fraction_formatter():
+    # output renders n/den from the ints; the oracle renders Fractions
+    rng = random.Random(3801)
+    fractional = 0
+    for _ in range(300):
+        p = rand_poly(rng, rng.randint(1, 4), 4, height=12, max_terms=6)
+        fractional += p.den != 1
+        assert format_poly(p) == fraction_format_terms(p.terms)
+    for _ in range(100):
+        phi = random_aut_rng(rng, rng.randint(2, 5), 3, 12)
+        fractional += any(f.den != 1 for f in phi.offsets)
+        assert format_aut(phi) == "; ".join(
+            fraction_join([(1, f"x{i}")] + [(c, fraction_word_text(w)) for w, c in sorted(
+                f.terms.items(), key=lambda t: (len(t[0]), t[0]))])
+            for i, f in enumerate(phi.offsets, start=1))
+    assert fractional > 300
+    # SubalgebraExpr.__str__ passes join_signed_terms Fractions
+    gens = [c_generator(k, 2, 3) for k in (1, 2, 3)]
+    for _ in range(30):
+        expr = subalgebra_membership(c_combination(rng, 3), gens)
+        assert str(expr) == fraction_join(
+            [(c, "*".join(f"g{i + 1}" for i in word)) for c, word in expr.terms])
 
 
 def test_format_canonical_order():
@@ -540,3 +580,79 @@ def test_poly_hash_consistency():
     a = parse_poly("x2*x3 - x3*x2", 3)
     b = ring_commutator(NcPoly.variable(2, 3), NcPoly.variable(3, 3))
     assert a == b and hash(a) == hash(b)
+
+
+# Prints whether fractions was loaded before and after evaluating
+# argv[1], then its answer, with p, NcPoly and F (a Fraction, imported on
+# the first call) in scope.
+_FRESH_PROBE = """
+import sys
+from unitri.freealg import NcPoly, parse_poly
+before = "fractions" in sys.modules
+F = lambda n, d=1: __import__("fractions").Fraction(n, d)
+p = parse_poly("1/2*x1*x2 - 3 + x2", 2)
+try:
+    r = eval(sys.argv[1])
+    out = f"{r!r} {sorted(r.ints.items())} / {r.den}" if isinstance(r, NcPoly) else repr(r)
+except Exception as exc:
+    out = f"{type(exc).__name__}: {exc}"
+print(before, "fractions" in sys.modules)
+print(out)
+"""
+
+P_TERMS = "[((), {}), ((1, 2), {}), ((2,), {})]"
+
+# (expression, its answer as it was when freealg imported fractions
+# eagerly, whether it involves ints alone and so must not load fractions)
+FRESH_ANSWERS = [
+    ("p + 2", f"NcPoly(2, '-1 + x2 + 1/2*x1*x2') {P_TERMS.format(-2, 1, 2)} / 2", True),
+    ("2 + p", f"NcPoly(2, '-1 + x2 + 1/2*x1*x2') {P_TERMS.format(-2, 1, 2)} / 2", True),
+    ("p - 2", f"NcPoly(2, '-5 + x2 + 1/2*x1*x2') {P_TERMS.format(-10, 1, 2)} / 2", True),
+    ("2 - p", f"NcPoly(2, '5 - x2 - 1/2*x1*x2') {P_TERMS.format(10, -1, -2)} / 2", True),
+    ("p + True", f"NcPoly(2, '-2 + x2 + 1/2*x1*x2') {P_TERMS.format(-4, 1, 2)} / 2", False),
+    ("p - False", f"NcPoly(2, '-3 + x2 + 1/2*x1*x2') {P_TERMS.format(-6, 1, 2)} / 2", False),
+    ("p * 3", f"NcPoly(2, '-9 + 3*x2 + 3/2*x1*x2') {P_TERMS.format(-18, 3, 6)} / 2", True),
+    ("-2 * p", f"NcPoly(2, '6 - 2*x2 - x1*x2') {P_TERMS.format(6, -1, -2)} / 1", True),
+    ("p * 0", "NcPoly(2, '0') [] / 1", True),
+    ("p * F(2, 3)", f"NcPoly(2, '-2 + 2/3*x2 + 1/3*x1*x2') {P_TERMS.format(-6, 1, 2)} / 3",
+     False),
+    ("F(2, 3) * p", f"NcPoly(2, '-2 + 2/3*x2 + 1/3*x1*x2') {P_TERMS.format(-6, 1, 2)} / 3",
+     False),
+    ("p / F(2, 3)", f"NcPoly(2, '-9/2 + 3/2*x2 + 3/4*x1*x2') {P_TERMS.format(-18, 3, 6)} / 4",
+     False),
+    ("p / 4", f"NcPoly(2, '-3/4 + 1/4*x2 + 1/8*x1*x2') {P_TERMS.format(-6, 1, 2)} / 8", False),
+    ("p / 0", "ZeroDivisionError: Fraction(1, 0)", False),
+    ("NcPoly.constant(3, 2)", "NcPoly(2, '3') [((), 3)] / 1", True),
+    ("NcPoly.constant(F(-3, 4), 2)", "NcPoly(2, '-3/4') [((), -3)] / 4", False),
+    ("NcPoly.constant(True, 2)", "NcPoly(2, '1') [((), 1)] / 1", False),
+    ("NcPoly(2, {(1, 2): 2, (): -4})", "NcPoly(2, '-4 + 2*x1*x2') [((), -4), ((1, 2), 2)] / 1",
+     True),
+    ("p.constant_term()", "Fraction(-3, 1)", False),
+    ("p.terms", "{(1, 2): Fraction(1, 2), (): Fraction(-3, 1), (2,): Fraction(1, 1)}", False),
+    ("p + 1.5", "TypeError: unsupported operand type(s) for +: 'NcPoly' and 'float'", False),
+    ("p - 0.5", "TypeError: unsupported operand type(s) for -: 'NcPoly' and 'float'", False),
+    ("p + 'x'", "TypeError: unsupported operand type(s) for +: 'NcPoly' and 'str'", False),
+    ("p * 'x'", "TypeError: can't multiply sequence by non-int of type 'NcPoly'", False),
+    ("'x' * p", "TypeError: can't multiply sequence by non-int of type 'NcPoly'", False),
+    ("p / 'x'", "TypeError: unsupported operand type(s) for /: 'NcPoly' and 'str'", False),
+    ("NcPoly.constant(0.5, 2)", "TypeError: coefficients must be ints or Fractions, not float 0.5",
+     False),
+    ("NcPoly(2, {(1,): 0.5})", "TypeError: coefficients must be ints or Fractions, not float 0.5",
+     False),
+]
+
+
+@pytest.mark.parametrize("expr, answer, ints_only", FRESH_ANSWERS,
+                         ids=[expr for expr, _, _ in FRESH_ANSWERS])
+def test_scalars_in_a_process_without_fractions(expr, answer, ints_only):
+    # each case in its own process, so that it is the one to load
+    # fractions, if anything does
+    proc = subprocess.run([sys.executable, "-S", "-c", _FRESH_PROBE, expr],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0, proc.stderr
+    loaded, got = proc.stdout.splitlines()
+    assert got == answer
+    assert loaded.split()[0] == "False"
+    if ints_only:
+        assert loaded == "False False"
