@@ -5,6 +5,10 @@ classification, invariant layer bases, straightening, and the named
 verification suites.  Exit codes: 0 success, 1 a verification check
 failed or stdout was closed early, 2 usage or parse errors.
 
+A command is one SUBCOMMANDS entry: its help, its positionals, its int
+options and its handler.  A handler returns its answer as (JSON data,
+text) and prints nothing; _run alone prints it and picks the exit code.
+
 A call whose argv has the plain shape -- `[--json] [--cap N] command`,
 the command's positionals in one run, and `--json`, `--cap N` and its
 own options before or after them, each flag spelled in full -- is read
@@ -25,10 +29,6 @@ import types
 # modules that its command runs
 from .freealg import format_poly, parse_poly
 
-# every usage error the package raises (ParseError, CapViolationError, ...)
-# subclasses ValueError; any other exception is a bug and propagates
-USAGE_ERRORS = ValueError
-
 # the keys of suites.SUITES, sorted; listed here so that only `verify`
 # imports the suites
 SUITE_NAMES = ("group-axioms", "lemma1", "lemma2", "lemma3", "lemma4", "lemma5",
@@ -41,26 +41,6 @@ DEFAULT_CAP = 5
 # After the command, an argument that starts with "-" is a positional iff
 # this matches it, so that "-x2" and "-1/2*x3" are polynomials.
 POSITIONAL_DASH = re.compile(r"-x?[0-9]")
-
-# Each command, in the order that `unitri -h` lists them: its help, its
-# positionals as name -> argparse keywords (a nargs="+" positional is its
-# command's last), and its own int options as name -> default.
-SUBCOMMANDS = {
-    "parse": ("canonicalize a polynomial", {"poly": {}}, {"rank": 3}),
-    "compose": ("compose automorphisms left to right", {"auts": {"nargs": "+"}}, {}),
-    "invert": ("invert an automorphism", {"aut": {}}, {}),
-    "commutator": ("phi^-1 psi^-1 phi psi", {"phi": {}, "psi": {}}, {}),
-    "conjugate": ("psi^-1 phi psi", {"phi": {}, "psi": {}}, {}),
-    "apply": ("apply an automorphism to a polynomial", {"aut": {}, "poly": {}}, {}),
-    "factor": ("semidirect factorization into elementary maps", {"aut": {}}, {}),
-    "classify": ("least central-series level (rank 2 or 3)", {"aut": {}}, {}),
-    "center-test": ("centrality test", {"aut": {}}, {}),
-    "invariants": ("invariant layer basis", {}, {"level": 1}),
-    "straighten": ("free-module decomposition over the commutator subalgebra",
-                   {"poly": {}}, {}),
-    "verify": ("run a named verification suite", {"suite": {"choices": SUITE_NAMES}}, {}),
-}
-
 
 def build_parser():
     import argparse   # only for what _plain_args does not read
@@ -88,7 +68,7 @@ def build_parser():
         return p
 
     sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
-    for command, (help_text, positionals, options) in SUBCOMMANDS.items():
+    for command, (help_text, positionals, options, _) in SUBCOMMANDS.items():
         sp = sub.add_parser(command, help=help_text)
         for name, keywords in positionals.items():
             sp.add_argument(name, **keywords)
@@ -135,7 +115,7 @@ def _plain_args(argv):
             return None
     if i == len(argv) or argv[i] not in SUBCOMMANDS:
         return None
-    _, positionals, options = SUBCOMMANDS[argv[i]]
+    _, positionals, options, _ = SUBCOMMANDS[argv[i]]
     values.update(options, command=argv[i])
     int_flags = ("cap", *options)
     run = None
@@ -167,56 +147,46 @@ def _plain_args(argv):
     return types.SimpleNamespace(**values)
 
 
-def _emit(args, data, text):
-    if args.json:
-        import json
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(text)
-
-
-def _emit_poly(args, p):
+def _poly_answer(p):
     text = format_poly(p)
-    _emit(args, {"rank": p.rank, "poly": text}, text)
-    return 0
+    return {"rank": p.rank, "poly": text}, text
 
 
 def _cmd_parse(args):
-    return _emit_poly(args, parse_poly(args.poly, args.rank))
+    return _poly_answer(parse_poly(args.poly, args.rank))
 
 
-def _emit_aut(args, phi):
+def _aut_answer(phi):
     from .autgroup import aut_to_json, format_aut
-    _emit(args, aut_to_json(phi), format_aut(phi))
-    return 0
+    return aut_to_json(phi), format_aut(phi)
 
 
 def _cmd_compose(args):
     from .autgroup import compose_chain, parse_aut
     if len(args.auts) < 2:
         raise ValueError("compose needs at least two automorphisms")
-    return _emit_aut(args, compose_chain([parse_aut(s) for s in args.auts]))
+    return _aut_answer(compose_chain([parse_aut(s) for s in args.auts]))
 
 
 def _cmd_invert(args):
     from .autgroup import parse_aut
-    return _emit_aut(args, parse_aut(args.aut).invert())
+    return _aut_answer(parse_aut(args.aut).invert())
 
 
 def _cmd_commutator(args):
     from .autgroup import group_commutator, parse_aut
-    return _emit_aut(args, group_commutator(parse_aut(args.phi), parse_aut(args.psi)))
+    return _aut_answer(group_commutator(parse_aut(args.phi), parse_aut(args.psi)))
 
 
 def _cmd_conjugate(args):
     from .autgroup import conjugate, parse_aut
-    return _emit_aut(args, conjugate(parse_aut(args.phi), parse_aut(args.psi)))
+    return _aut_answer(conjugate(parse_aut(args.phi), parse_aut(args.psi)))
 
 
 def _cmd_apply(args):
     from .autgroup import parse_aut
     phi = parse_aut(args.aut)
-    return _emit_poly(args, phi.apply(parse_poly(args.poly, phi.rank)))
+    return _poly_answer(phi.apply(parse_poly(args.poly, phi.rank)))
 
 
 def _cmd_factor(args):
@@ -225,9 +195,7 @@ def _cmd_factor(args):
     data = {"rank": factors[0].rank,
             "order": "recompose last variable first",
             "factors": [aut_to_json(f) for f in factors]}
-    text = "\n".join(f"g{i + 1}: {format_aut(f)}" for i, f in enumerate(factors))
-    _emit(args, data, text)
-    return 0
+    return data, "\n".join(f"g{i + 1}: {format_aut(f)}" for i, f in enumerate(factors))
 
 
 def _cmd_classify(args):
@@ -236,16 +204,13 @@ def _cmd_classify(args):
     phi = parse_aut(args.aut)
     if phi.rank == 2:
         level = u2_hypercenter_level(phi)
-        _emit(args, {"level": str(level)}, str(level))
-        return 0
+        return {"level": str(level)}, str(level)
     if phi.rank == 3:
         if not (phi.offsets[1].is_zero() and phi.offsets[2].is_zero()):
             raise ValueError("the level of a map that moves x2 or x3 is not proved "
                              "(ROADMAP item 1b)")
         level, verdict = u3_hypercenter_level_truncated(phi, args.cap)
-        _emit(args, {"level": str(level), "verdict": verdict.to_json()},
-              f"{level} ({verdict.kind})")
-        return 0
+        return {"level": str(level), "verdict": verdict.to_json()}, f"{level} ({verdict.kind})"
     raise ValueError("classification supports ranks 2 and 3 only")
 
 
@@ -255,11 +220,9 @@ def _cmd_center_test(args):
     phi = parse_aut(args.aut)
     if phi.rank == 2:
         central = u2_center_test(phi)
-        _emit(args, {"central": central}, "central" if central else "not central")
-        return 0
+        return {"central": central}, "central" if central else "not central"
     verdict = un_center_test(phi)
-    _emit(args, {"verdict": verdict.to_json()}, verdict.kind)
-    return 0
+    return {"verdict": verdict.to_json()}, verdict.kind
 
 
 def _cmd_invariants(args):
@@ -269,8 +232,7 @@ def _cmd_invariants(args):
     lines = [f"level {args.level}, degree cap {space.degree_cap}, "
              f"dim {space.dim} ({space.verdict.kind})"]
     lines += [f"  {b}" for b in data["basis"]]
-    _emit(args, data, "\n".join(lines))
-    return 0
+    return data, "\n".join(lines)
 
 
 def _cmd_straighten(args):
@@ -280,10 +242,8 @@ def _cmd_straighten(args):
     data = {"input": format_poly(p),
             "components": [{"alpha": a, "beta": b, "coefficient": format_poly(r)}
                            for (a, b), r in sorted(components.items())]}
-    text = "\n".join(f"x2^{c['alpha']}*x3^{c['beta']} : {c['coefficient']}"
-                     for c in data["components"]) or "0"
-    _emit(args, data, text)
-    return 0
+    return data, "\n".join(f"x2^{c['alpha']}*x3^{c['beta']} : {c['coefficient']}"
+                           for c in data["components"]) or "0"
 
 
 def _cmd_verify(args):
@@ -295,23 +255,29 @@ def _cmd_verify(args):
                        for c in checks]}
     lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.name} ({c.detail})" for c in checks]
     lines.append(f"suite {args.suite}: {'all checks passed' if passed else 'FAILED'}")
-    _emit(args, data, "\n".join(lines))
-    return 0 if passed else 1
+    return data, "\n".join(lines)
 
 
-_COMMANDS = {
-    "parse": _cmd_parse,
-    "compose": _cmd_compose,
-    "invert": _cmd_invert,
-    "commutator": _cmd_commutator,
-    "conjugate": _cmd_conjugate,
-    "apply": _cmd_apply,
-    "factor": _cmd_factor,
-    "classify": _cmd_classify,
-    "center-test": _cmd_center_test,
-    "invariants": _cmd_invariants,
-    "straighten": _cmd_straighten,
-    "verify": _cmd_verify,
+# Each command, in the order that `unitri -h` lists them: its help, its
+# positionals as name -> argparse keywords (a nargs="+" positional is its
+# command's last), its own int options as name -> default, and its
+# handler, which returns its answer as (JSON data, text) and prints nothing.
+SUBCOMMANDS = {
+    "parse": ("canonicalize a polynomial", {"poly": {}}, {"rank": 3}, _cmd_parse),
+    "compose": ("compose automorphisms left to right", {"auts": {"nargs": "+"}}, {},
+                _cmd_compose),
+    "invert": ("invert an automorphism", {"aut": {}}, {}, _cmd_invert),
+    "commutator": ("phi^-1 psi^-1 phi psi", {"phi": {}, "psi": {}}, {}, _cmd_commutator),
+    "conjugate": ("psi^-1 phi psi", {"phi": {}, "psi": {}}, {}, _cmd_conjugate),
+    "apply": ("apply an automorphism to a polynomial", {"aut": {}, "poly": {}}, {}, _cmd_apply),
+    "factor": ("semidirect factorization into elementary maps", {"aut": {}}, {}, _cmd_factor),
+    "classify": ("least central-series level (rank 2 or 3)", {"aut": {}}, {}, _cmd_classify),
+    "center-test": ("centrality test", {"aut": {}}, {}, _cmd_center_test),
+    "invariants": ("invariant layer basis", {}, {"level": 1}, _cmd_invariants),
+    "straighten": ("free-module decomposition over the commutator subalgebra",
+                   {"poly": {}}, {}, _cmd_straighten),
+    "verify": ("run a named verification suite", {"suite": {"choices": SUITE_NAMES}}, {},
+               _cmd_verify),
 }
 
 
@@ -329,10 +295,17 @@ def _run(argv):
                 raise ValueError(f"--{flag} must be >= {least}")
             if value > largest:
                 raise ValueError(f"--{flag} must be <= {largest}")
-        return _COMMANDS[args.command](args)
-    except USAGE_ERRORS as exc:
+        data, text = SUBCOMMANDS[args.command][3](args)
+        if args.json:
+            import json
+            text = json.dumps(data, indent=2, sort_keys=True)
+        print(text)
+    # every usage error the package raises (ParseError, CapViolationError, ...)
+    # subclasses ValueError; any other exception is a bug and propagates
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if data.get("passed", True) else 1   # only verify answers "passed"
 
 
 def main(argv=None):

@@ -635,13 +635,32 @@ def test_an_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(args):
         raise KeyError("a bug, not a usage error")
 
-    monkeypatch.setitem(cli._COMMANDS, "parse", broken)
+    monkeypatch.setitem(cli.SUBCOMMANDS, "parse", (*cli.SUBCOMMANDS["parse"][:3], broken))
     with pytest.raises(KeyError):
         main(["parse", "x2"])
 
 
+def _circular(args):
+    data = {}
+    data["self"] = data   # json.dumps raises ValueError on it
+    return data, "text"
+
+
+def _unencodable(args):
+    return {}, "\ud800"   # printing raises UnicodeEncodeError, a ValueError
+
+
+@pytest.mark.parametrize("handler, argv", [(_circular, ["--json", "parse", "x2"]),
+                                           (_unencodable, ["parse", "x2"])],
+                         ids=["json", "text"])
+def test_a_value_error_while_printing_is_a_usage_error(capsys, monkeypatch, handler, argv):
+    monkeypatch.setitem(cli.SUBCOMMANDS, "parse", (*cli.SUBCOMMANDS["parse"][:3], handler))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_usage_errors_are_value_errors():
-    # cli.USAGE_ERRORS catches them as ValueError
+    # cli._run catches them as ValueError
     for exc in (ParseError, RankMismatchError, ArityMismatchError, VariableLeakError,
                 NonConstantLastError, CapViolationError, SubstitutionTooLargeError):
         assert issubclass(exc, ValueError), exc

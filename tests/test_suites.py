@@ -9,11 +9,13 @@ pinned in tests/golden/suite_draws.sha256, which
 
 The failure test breaks one library name per case so that it answers
 wrongly, and asserts that `unitri verify` prints FAIL for exactly the
-checks that rest on it and exits 1.  Together the cases fail every check
-of every suite.
+checks that rest on it and exits 1; under `--json` its answer reads
+`"passed": false`, lists those checks as failed, and it exits 1 too.
+Together the cases fail every check of every suite.
 """
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -153,6 +155,18 @@ def test_a_broken_library_name_fails_its_checks(capsys, monkeypatch,
     failed = [line for line in lines if line.startswith("FAIL  ")]
     assert len(failed) == len(failing)
     assert all(line.startswith(f"FAIL  {name} (") for line, name in zip(failed, failing))
+
+
+@pytest.mark.parametrize("suite, target, attr, wrong, failing", BREAKS,
+                         ids=[f"{b[0]}-{b[2]}-{i}" for i, b in enumerate(BREAKS)])
+def test_a_broken_library_name_fails_its_checks_in_json(capsys, monkeypatch,
+                                                        suite, target, attr, wrong, failing):
+    # the exit code comes from the answer, not from its text
+    monkeypatch.setattr(target, attr, wrong)
+    assert cli.main(["--json", "verify", suite]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["suite"] == suite and data["passed"] is False
+    assert [c["name"] for c in data["checks"] if not c["passed"]] == failing
 
 
 def test_every_check_of_every_suite_is_broken_by_some_case():
