@@ -7,7 +7,7 @@ invertible and form a group under composition.
 That shape fixes the last two slots of every map: f_n is a constant and
 f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products and
 inverses fill slot n by adding or negating a constant and slot n-1 by
-one Taylor shift (freealg._taylor_shift); only slots 1..n-2 go through
+one Taylor shift (_taylor_shift); only slots 1..n-2 go through
 NcPoly.substitute, which also keeps a constant offset fixed.  In rank 2,
 U_2 = {(x + f(y), y + b)} multiplies as (f, b)(h, c) = (h + f(y + c),
 b + c), with no substitution at all, and for phi = (f, b), psi = (h, c)
@@ -32,17 +32,19 @@ from __future__ import annotations
 import math
 import random
 
+from . import freealg   # the shift reads MAX_SUBSTITUTION_TERMS where substitute does
 from .freealg import (
     MAX_WORD_LENGTH,
     NcPoly,
     RankMismatchError,
+    SubstitutionTooLargeError,
     VariableLeakError,
+    _addend_over,
     _coefficient,
-    _coefficient_list,
-    _constant_sum,
     _read_sum,
-    _taylor_shift,
     _tokens,
+    add_scaled,
+    add_term,
     format_poly,
     join_signed_terms,
     parse_poly,
@@ -126,9 +128,9 @@ class UniAut:
         Offset i of the product is g_i + f_i(x_j + g_j), f the offsets of
         self and g those of other.  Unitriangularity fixes the last two
         slots: f_n is a constant, so slot n is the constant sum g_n + f_n
-        (freealg._constant_sum), and f_(n-1) lies in Q[x_n] while x_n
+        (_constant_sum), and f_(n-1) lies in Q[x_n] while x_n
         maps to x_n + g_n, so slot n-1 is one Taylor shift
-        (freealg._taylor_shift) with g_(n-1) as the addend.  Slots
+        (_taylor_shift) with g_(n-1) as the addend.  Slots
         1..n-2 substitute f_i with g_i as the addend, so that g_i and the
         word images are summed in one int accumulator.  The shift and each
         substitution are bounded by MAX_SUBSTITUTION_TERMS, as `apply` is.
@@ -154,7 +156,7 @@ class UniAut:
         above i are already corrected, so g_i = -f_i(x_j + g_j : j > i);
         triangularity makes each step depend only on later slots.  So
         g_n = -f_n, and g_(n-1) = -f_(n-1)(x_n + g_n) is one Taylor shift
-        (freealg._taylor_shift).  Below that each f_i is substituted and
+        (_taylor_shift).  Below that each f_i is substituted and
         negated.  The image x_i + g_i that the next steps
         substitute is built as `image` builds it, since g_i holds no x_i,
         and only for the slots 2..n that a later step reads.
@@ -193,6 +195,93 @@ def _shifted_variable(index, f):
     return NcPoly._make(f.rank, f.den, {(index,): f.den, **f.ints})
 
 
+def _taylor_shift(f, shift, addend=None, sign=1):
+    """addend + sign * f(x_r + shift) for f in Q[x_r], r = f.rank, a
+    constant polynomial `shift` and an addend of rank r (None: zero).
+
+    With f = sum_k a_k x^k / D of degree K and shift = p/q,
+    q^K f(x + p/q) = sum_k a_k q^(K-k) (qx + p)^k / D, which is B(y + p)/D
+    at y = qx for the int polynomial B(y) = sum_k b_k y^k, b_k =
+    a_k q^(K-k).  The coefficients h_j of B(y + p) = sum_j h_j y^j are
+    the remainders of repeated synthetic division of B by (y - p).  Pass
+    i divides sum_(j>=i) b_j y^(j-i) by (y - p) from the top, b_j +=
+    p * b_(j+1) for j = K-1 down to i: b_i becomes the remainder h_i,
+    and b_(i+1..K) the quotient that the next pass divides.  So K(K+1)/2
+    int multiply-adds give f(x + p/q) = sum_j h_j q^j x^j / (D q^K),
+    and one _reduced makes it canonical.
+
+    The bound charges what NcPoly.substitute's prefix loop forms for
+    the same f and image x_r + shift, so SubstitutionTooLargeError
+    fires on the same inputs.  There the words of f are powers of x_r,
+    the letter x_r is memoised, and each prefix x_r^j, 2 <= j <= K, is
+    formed once, as the product of the image of x_r^(j-1), which has j
+    terms for p != 0 and 1 for p = 0, with the image of x_r, of 2 terms
+    or 1.  That is sum_(j=2..K) 2j = K^2 + K - 2 products for p != 0,
+    and K - 1 for p = 0.  The loop checks its running count, which only
+    grows, as it forms each product, so it raises exactly when that
+    total exceeds MAX_SUBSTITUTION_TERMS, whatever the order of the
+    words; for K <= 1 it forms no product and checks nothing.
+
+    An unmoved shift, p = 0 or K = 0 (f constant), is addend + sign * f
+    itself: charged to the bound as above, it is one add_scaled into the
+    addend's accumulator, with no coefficient list.  The general path
+    adds only the nonzero coefficients h_j.
+    """
+    rank = f.rank
+    K = max(map(len, f.ints), default=0)
+    p, q = shift.ints.get((), 0), shift.den
+    if K > 1 and (K * K + K - 2 if p else K - 1) > freealg.MAX_SUBSTITUTION_TERMS:
+        raise SubstitutionTooLargeError(
+            f"substitution needs more than {freealg.MAX_SUBSTITUTION_TERMS} terms")
+    if not (p and K):
+        acc, den, scale = _addend_over(addend, f.den)
+        add_scaled(acc, f.ints, sign * scale)
+        return NcPoly._reduced(rank, den, acc)
+    b = _coefficient_list(f)
+    den = f.den
+    if q != 1:   # b_k = a_k q^(K-k), in place
+        qk = 1
+        for k in range(K, -1, -1):
+            b[k] *= qk
+            qk *= q
+        den *= qk // q
+    for i in range(K):
+        acc = b[K]
+        for j in range(K - 1, i - 1, -1):
+            acc = b[j] = b[j] + p * acc
+    if q != 1:   # h_j q^j, in place
+        qk = 1
+        for j in range(K + 1):
+            b[j] *= qk
+            qk *= q
+    acc, den, scale = _addend_over(addend, den)
+    scale *= sign
+    for j, n in enumerate(b):
+        if n:
+            add_term(acc, (rank,) * j, n * scale)
+    return NcPoly._reduced(rank, den, acc)
+
+
+def _coefficient_list(f):
+    """[n_0, ..., n_K] for f = sum_k n_k x_r^k / f.den in Q[x_r] of degree K."""
+    b = [0] * (max(map(len, f.ints), default=0) + 1)
+    for w, n in f.ints.items():
+        b[len(w)] = n
+    return b
+
+
+def _constant_sum(a, b):
+    """a + b for two constant polynomials of one rank, as `+` returns it
+    but without its checks: n = a_n d_b + b_n d_a over d_a d_b, one gcd
+    divided out, and zero as den 1, ints {}."""
+    n = a.ints.get((), 0) * b.den + b.ints.get((), 0) * a.den
+    if not n:
+        return NcPoly._make(a.rank, 1, {})
+    den = a.den * b.den
+    g = math.gcd(n, den)
+    return NcPoly._make(a.rank, den // g, {(): n // g})
+
+
 def compose(phi, psi):
     return phi.compose(psi)
 
@@ -208,7 +297,7 @@ def conjugate(phi, psi):
     (h - h(y+b) + f(y+c), b): the Taylor shift h - h(y+b), then f(y+c)
     added to it by a second shift.  The chain psi^-1 phi psi shifts h by
     -c, then -h(y-c) by b, then f - h(y+b-c) by c.  A shift's charge to
-    MAX_SUBSTITUTION_TERMS (freealg._taylor_shift) grows with the degree
+    MAX_SUBSTITUTION_TERMS (_taylor_shift) grows with the degree
     and depends on the shift only through whether it is zero.  So the
     shift of h by b costs what the chain's second one does, and that of
     f by c costs what the chain's third one does if deg f > deg h, and

@@ -20,8 +20,9 @@ delta(u_i) = u_(i+1).
 1. Coordinates.  Every f has unique coordinates f = sum_b a_b * x3^b
    with a_b in A, and A is free on the u_i (Lazard elimination;
    Reutenauer, Free Lie Algebras, 1993).  An uncached integer fold over a
-   word's letters computes them (_lazard_word): appending x3 raises b by
-   one, and appending x2 uses x3^b * x2 = sum_i C(b,i) * u_i * x3^(b-i).
+   word's letters computes them (lazard._lazard_word): appending x3
+   raises b by one, and appending x2 uses
+   x3^b * x2 = sum_i C(b,i) * u_i * x3^(b-i).
 2. Derivations.  d3 and each D_j commute with delta, since d3(x3) = 1
    and D_j(x3) = 0 are central; so both kill u_i for i >= 1, and
    D_j(u_0) = x3^j.  Hence d3(sum a_b*x3^b) = sum b*a_b*x3^(b-1), and for
@@ -50,10 +51,12 @@ delta(u_i) = u_(i+1).
    at some c with every c_j >= K.
 
 So f is in L_m exactly when a_b = 0 for every b >= m and no a_b
-contains u_0 (layer_level), every layer is known exactly at every
-degree, and dim L_1 up to degree D is the Fibonacci number F_(D+1).
-The central module extends the theorem past the finite layers: the
-level of x1 + f in U_3 is read off the same coordinates (lazard_weight).
+contains u_0 (lazard.layer_level), every layer is known exactly at
+every degree, and dim L_1 up to degree D is the Fibonacci number
+F_(D+1).  The central module extends the theorem past the finite
+layers: the level of x1 + f in U_3 is read off the same coordinates
+(lazard.lazard_weight), and the lazard module holds that fold alone,
+so the classifier loads it without this module.
 """
 
 from __future__ import annotations
@@ -75,48 +78,19 @@ from .freealg import (
     join_signed_terms,
     ring_commutator,
 )
-
-AMBIENT_RANK = 3
-HOLDS = "holds"
-FAILS = "fails"
-
-
-class Verdict(namedtuple("Verdict", "kind witness")):
-    """The outcome of an invariance check or a classification.
-
-    "holds" is reserved for outcomes backed by an exact decision or
-    certificate.  A failure always comes with a concrete witness and is
-    certain.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, kind, witness=None):
-        # witness: a UniAut for FAILS
-        if kind not in (HOLDS, FAILS):
-            raise ValueError(f"unknown verdict kind {kind!r}")
-        if kind == FAILS and witness is None:
-            raise ValueError("a failing verdict needs a witness")
-        return super().__new__(cls, kind, witness)
-
-    @classmethod
-    def holds(cls):
-        return cls(HOLDS)
-
-    @classmethod
-    def fails(cls, witness):
-        return cls(FAILS, witness=witness)
-
-    def to_json(self):
-        out = {"kind": self.kind}
-        if self.witness is not None:
-            from .autgroup import aut_to_json
-            out["witness"] = aut_to_json(self.witness)
-        return out
-
-
-class CapViolationError(ValueError):
-    """A degree cap was exceeded."""
+# the Lazard fold and Verdict live in lazard, which a rank-3 classify
+# loads alone; every name stays importable from here, the same object
+from .lazard import (  # noqa: F401
+    AMBIENT_RANK,
+    FAILS,
+    HOLDS,
+    CapViolationError,
+    Verdict,
+    _lazard_word,
+    _require_vars,
+    lazard_weight,
+    layer_level,
+)
 
 
 class NonHomogeneousGeneratorError(ValueError):
@@ -127,14 +101,6 @@ class PitConfig:
     """An empty configuration.  The layers are exact, so nothing here is
     configurable; the classifier and the centre test accept one and
     ignore it."""
-
-
-def _require_vars(p, allowed, what):
-    if p.rank != AMBIENT_RANK:
-        raise RankMismatchError(f"{what} must have rank {AMBIENT_RANK}")
-    for v in range(1, p.rank + 1):
-        if v not in allowed and p.degree_in_var(v) > 0:
-            raise VariableLeakError(v, f"{what} must not involve x{v}")
 
 
 def invariance_defect(f, g, h):
@@ -163,44 +129,7 @@ def _derive(p, v, image):
     return NcPoly._reduced(p.rank, p.den * image.den, acc)
 
 
-# -- Lazard coordinates and the layer tower -----------------------------------
-
-
-def _lazard_word(word):
-    """Lazard coordinates of a word in x2, x3 as ((u, b), n) pairs, n a
-    positive int and u a tuple of indices: word = sum n * u_(u[0])..u_(u[-1])
-    * x3^b.  The fold starts from the empty word and appends one letter
-    at a time; each key yields distinct keys, so nothing cancels."""
-    coords = [(((), 0), 1)]
-    for letter in word:
-        if letter == 3:
-            coords = [((u, b + 1), n) for (u, b), n in coords]
-        else:
-            coords = [((u + (i,), b - i), n * math.comb(b, i))
-                      for (u, b), n in coords for i in range(b + 1)]
-    return coords
-
-
-def lazard_weight(f):
-    """The largest (k, b) over the keys of f's Lazard coordinates, k the
-    number of u_0 = x2 letters in the key and b its x3-power, compared
-    lexicographically; (0, -1) for f = 0.  One fold answers both
-    layer_level and the rank-3 classifier (see central)."""
-    _require_vars(f, (2, 3), "f")
-    coords = {}
-    for word, c in f.ints.items():
-        for key, n in _lazard_word(word):
-            add_term(coords, key, c * n)
-    return max(((u.count(0), b) for u, b in coords), default=(0, -1))
-
-
-def layer_level(f):
-    """The least m with f in layer m (0 for f = 0), or None when f is in
-    no layer: read off f's Lazard coordinates (see the module docstring),
-    1 + the largest x3-power b with a nonzero coefficient, provided no
-    coefficient involves u_0 = x2."""
-    k, b = lazard_weight(f)
-    return None if k else b + 1
+# -- the layer tower ----------------------------------------------------------
 
 
 def layer_contains(p, level):

@@ -1,7 +1,7 @@
 """Group arithmetic that sends every slot through NcPoly.substitute, kept
 as an oracle for UniAut.compose and UniAut.invert, which fill the last
 two slots by constant addition and one Taylor shift, and for that shift
-(freealg._taylor_shift) on its own.
+(autgroup._taylor_shift) on its own.
 
 These are compose and invert as they stood before that kernel: the same
 substitutions, so the same term products counted against

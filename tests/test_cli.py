@@ -711,7 +711,7 @@ def test_only_json_output_imports_json():
 # every command loads the package, its CLI and the polynomial arithmetic
 BASE = ["unitri", "unitri.cli", "unitri.freealg"]
 GROUP = BASE + ["unitri.autgroup"]
-LAYERS = BASE + ["unitri.invariants"]
+LAYERS = BASE + ["unitri.invariants", "unitri.lazard"]
 RANK2_CENTRAL = GROUP + ["unitri.central"]   # rank-2 answers need no invariants
 CENTRAL = LAYERS + ["unitri.autgroup", "unitri.central"]
 USAGE_ERROR = ["straighten", "x1"]   # x1 lies outside Q<x2, x3>: exit 2
@@ -728,7 +728,7 @@ COMMAND_IMPORTS = [   # (test id, argv, the modules it loads)
     ("invariants", ["invariants", "--level", "1", "--cap", "3"], LAYERS),
     ("straighten", ["straighten", "x3*x2"], LAYERS),
     ("classify", ["classify", "x1 + x2^2; x2"], RANK2_CENTRAL),
-    ("classify-rank3", ["classify", "x1 + x3^2; x2; x3"], CENTRAL),
+    ("classify-rank3", ["classify", "x1 + x3^2; x2; x3"], RANK2_CENTRAL + ["unitri.lazard"]),
     ("center-test-rank2", ["center-test", "x1 + 1; x2"], RANK2_CENTRAL),
     ("center-test", ["center-test", "x1 + x3; x2; x3"], CENTRAL),
     ("verify", ["verify", "lemma2"], CENTRAL + ["unitri.suites"]),
@@ -743,6 +743,12 @@ def test_each_command_imports_only_what_it_runs(argv, loaded):
     code = 2 if argv is USAGE_ERROR else 0
     skipped = ["argparse", "gettext", "locale", "fractions", "decimal", "numbers"]
     assert _imported(["unitri", *skipped], ["--json", *argv], code) == repr(sorted(loaded))
+
+
+@pytest.mark.parametrize("op", workloads.classify(0), ids=lambda op: op["id"])
+def test_benchmark_classify_ops_load_no_layer_tower(op):
+    # the rank-3 classifier reads the Lazard fold from unitri.lazard alone
+    assert _imported(["unitri.invariants"], op["argv"]) == "[]"
 
 
 @pytest.mark.parametrize("op", [ops[-1] for ops in (workloads.layers(0), workloads.classify(0),
