@@ -5,8 +5,8 @@ the last offset is a constant, so these substitutions are always
 invertible and form a group under composition.
 
 That shape fixes the last two slots of every map: f_n is a constant and
-f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products and
-inverses fill slot n by adding or negating a constant and slot n-1 by
+f_(n-1) lies in Q[x_n], while x_n maps to x_n + f_n.  So products,
+inverses and left divisions fill slot n by a constant sum and slot n-1 by
 one Taylor shift (_taylor_shift); only slots 1..n-2 go through
 NcPoly.substitute, which also keeps a constant offset fixed.  In rank 2,
 U_2 = {(x + f(y), y + b)} multiplies as (f, b)(h, c) = (h + f(y + c),
@@ -18,7 +18,11 @@ the conjugate and the commutator have closed forms:
 
 `conjugate` computes the first by two Taylor shifts, and
 `group_commutator` takes its first offset less f, since phi^-1 (g, b) =
-(g - f, 0); ranks >= 3 go through the chain of inverses and products.
+(g - f, 0).  In ranks >= 3 both divide on the left instead of
+inverting: `_solve(psi, z)` finds the y with psi * y = z by the
+back-substitution that also inverts (z the identity), so the conjugate
+is _solve(psi, phi * psi) and the commutator _solve(phi, psi^-1 phi psi),
+and every substitution they make sends an offset of phi or of psi.
 
 Composition order: the product phi * psi acts as phi first, then psi,
 i.e. x^(phi psi) = apply(psi, x^phi).  This is the unique convention
@@ -150,29 +154,8 @@ class UniAut:
     __mul__ = compose
 
     def invert(self):
-        """Two-sided inverse, found by back-substitution from x_n upward.
-
-        The offset g_i of the inverse must cancel f_i after the variables
-        above i are already corrected, so g_i = -f_i(x_j + g_j : j > i);
-        triangularity makes each step depend only on later slots.  So
-        g_n = -f_n, and g_(n-1) = -f_(n-1)(x_n + g_n) is one Taylor shift
-        (_taylor_shift).  Below that each f_i is substituted and
-        negated.  The image x_i + g_i that the next steps
-        substitute is built as `image` builds it, since g_i holds no x_i,
-        and only for the slots 2..n that a later step reads.
-        """
-        n = self.rank
-        f = self.offsets
-        last = -f[-1]
-        inv = [None] * (n - 2) + [_taylor_shift(f[-2], last, sign=-1), last]
-        if n > 2:
-            imgs = [NcPoly.variable(j, n) for j in range(1, n - 1)]
-            imgs += [_shifted_variable(n - 1, inv[-2]), _shifted_variable(n, last)]
-            for i in range(n - 3, -1, -1):
-                inv[i] = -f[i].substitute(imgs)
-                if i:
-                    imgs[i] = _shifted_variable(i + 1, inv[i])
-        return UniAut._make(n, tuple(inv))
+        """Two-sided inverse: the map y with self * y the identity (_solve)."""
+        return _solve(self, None)
 
     def __eq__(self, other):
         if not isinstance(other, UniAut):
@@ -187,6 +170,43 @@ class UniAut:
 
     def __repr__(self):
         return f"UniAut({format_aut(self)!r})"
+
+
+def _solve(psi, z):
+    """The map y with psi * y == z, found by back-substitution from x_n
+    upward; z None stands for the identity, so that y is psi's inverse.
+
+    Offset i of psi * y is y_i + f_i(x_j + y_j : j > i), f the offsets of
+    psi (see `compose`).  So y_i = z_i - f_i(x_j + y_j : j > i), and
+    triangularity makes each step depend only on later slots: y_n =
+    z_n - f_n, and y_(n-1) = z_(n-1) - f_(n-1)(x_n + y_n) is one Taylor
+    shift (_taylor_shift) with z_(n-1) as the addend.  Below that each
+    -f_i is substituted with z_i as the addend.  The image x_i + y_i that
+    the next steps substitute is built as `image` builds it, since y_i
+    holds no x_i, and only for the slots 2..n that a later step reads.
+
+    Every substitution sends an offset of psi, never one of z, and each
+    is bounded by MAX_SUBSTITUTION_TERMS, as `compose` is.  This is why
+    `conjugate` and `group_commutator` divide on the left: the product
+    psi^-1 * w substitutes the offsets of psi^-1, and a chain of such
+    products from the left substitutes those of each product so far.
+    """
+    n = psi.rank
+    f = psi.offsets
+    if z is None:
+        g, last = (None,) * n, -f[-1]
+    else:
+        g = z.offsets
+        last = _constant_sum(g[-1], -f[-1])
+    y = [None] * (n - 2) + [_taylor_shift(f[-2], last, g[-2], sign=-1), last]
+    if n > 2:
+        imgs = [NcPoly.variable(j, n) for j in range(1, n - 1)]
+        imgs += [_shifted_variable(n - 1, y[-2]), _shifted_variable(n, last)]
+        for i in range(n - 3, -1, -1):
+            y[i] = (-f[i]).substitute(imgs, g[i])
+            if i:
+                imgs[i] = _shifted_variable(i + 1, y[i])
+    return UniAut._make(n, tuple(y))
 
 
 def _shifted_variable(index, f):
@@ -302,12 +322,16 @@ def conjugate(phi, psi):
     shift of h by b costs what the chain's second one does, and that of
     f by c costs what the chain's third one does if deg f > deg h, and
     at most what its first one does otherwise: every input the chain
-    admits, the closed form admits too.  Other ranks take the chain.
+    admits, the closed form admits too.
+
+    In rank >= 3, psi^-1 phi psi is the y with psi * y = phi * psi, so
+    it is one product and one left division (_solve) by psi: every
+    substitution sends an offset of phi or of psi, none of a product.
     """
     if phi.rank == psi.rank == 2:
         (f, b), (h, c) = phi.offsets, psi.offsets
         return UniAut._make(2, (_taylor_shift(f, c, _taylor_shift(h, b, h, -1)), b))
-    return psi.invert() * phi * psi
+    return _solve(psi, phi * psi)
 
 
 def group_commutator(phi, psi):
@@ -324,13 +348,17 @@ def group_commutator(phi, psi):
     only through whether it is zero (see `conjugate`), the shift of f by
     c costs what the chain's second one does, and that of h by b what its
     third one does if deg h > deg f and at most what its first one does
-    otherwise: every input the chain admits, this admits too.  Other
-    ranks take the chain.
+    otherwise: every input the chain admits, this admits too.
+
+    In rank >= 3 it is phi^-1 times the conjugate, so one left division
+    (_solve) by phi of `conjugate`'s answer: one product and two solves,
+    where the chain takes two inverses and three products, and every
+    substitution sends an offset of phi or of psi.
     """
     if phi.rank == psi.rank == 2:
         return UniAut._make(2, (conjugate(phi, psi).offsets[0] - phi.offsets[0],
                                 NcPoly.zero(2)))
-    return phi.invert() * psi.invert() * phi * psi
+    return _solve(phi, conjugate(phi, psi))
 
 
 def compose_chain(auts):

@@ -372,8 +372,8 @@ class NcPoly:
         rank.  No branch says so: the empty word's image is memoised as
         1 from the start, so the loop below sends c to addend + c,
         forms no product and charges nothing to the term bound.
-        UniAut.compose and UniAut.invert send every head slot here,
-        constant or not.
+        UniAut.compose and autgroup._solve, which inverts and divides
+        on the left, send every head slot here, constant or not.
 
         Word images are built and summed over the integers: each is a pair
         (d, ints), memoised by prefix, a letter's image being its

@@ -5,7 +5,12 @@ two slots by constant addition and one Taylor shift, and for that shift
 
 These are compose and invert as they stood before that kernel: the same
 substitutions, so the same term products counted against
-MAX_SUBSTITUTION_TERMS.
+MAX_SUBSTITUTION_TERMS.  The conjugate and the commutator here are the
+chains of inverses and products, so they check the values of
+autgroup.conjugate and autgroup.group_commutator, not their
+substitutions: in rank >= 3 those divide on the left (autgroup._solve)
+and substitute only offsets of their arguments, so they can answer
+inputs that the chains refuse at the bound.
 """
 
 from unitri.autgroup import UniAut, _shifted_variable

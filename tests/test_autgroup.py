@@ -616,6 +616,43 @@ def test_conjugate_and_commutator_match_the_substitution_oracle(rank):
                 _outcome(lambda: oracle_group_commutator(a, b))
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4, 5, 6])
+def test_left_division_solves_and_inverts(rank):
+    # psi * _solve(psi, z) == z, checked by the substitution oracle, and
+    # dividing the identity is the oracle's inverse
+    rng = random.Random(2900 + rank)
+    for _ in range(12):
+        psi = random_aut_rng(rng, rank, 3, 6)
+        z = random_aut_rng(rng, rank, 3, 6)
+        for target in (z, psi, psi * z, UniAut.identity(rank)):
+            assert oracle_compose(psi, autgroup._solve(psi, target)) == target
+        assert autgroup._solve(psi, None) == oracle_invert(psi)
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_conjugate_and_commutator_substitute_only_offsets_of_their_arguments(
+        monkeypatch, rank):
+    # the chain would substitute offsets of psi^-1 or phi^-1 psi^-1; the
+    # product and the left divisions send only +-f for f an offset of phi or psi
+    calls = []
+    plain = NcPoly.__dict__["substitute"]
+
+    def spied(self, *args, **kwargs):
+        calls.append(self)
+        return plain(self, *args, **kwargs)
+
+    rng = random.Random(3000 + rank)
+    pairs = [(random_aut_rng(rng, rank, 3, 6), random_aut_rng(rng, rank, 3, 6))
+             for _ in range(10)]
+    monkeypatch.setattr(NcPoly, "substitute", spied)
+    for phi, psi in pairs:
+        allowed = {g for f in phi.offsets + psi.offsets for g in (f, -f)}
+        for op in (conjugate, group_commutator):
+            calls.clear()
+            op(phi, psi)
+            assert calls and all(p in allowed for p in calls), op.__name__
+
+
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("shift", [0, Fraction(-3, 2)], ids=["zero-shift", "shift"])
 @pytest.mark.parametrize("slack", [-1, 0], ids=["one-below", "at-the-charge"])

@@ -21,6 +21,7 @@ from unitri.autgroup import (
     VariableLeakError,
     aut_from_json,
     format_aut,
+    parse_aut,
 )
 from unitri.cli import main
 from unitri.freealg import (
@@ -114,6 +115,18 @@ def test_commutator_command(capsys):
     code, out, _ = run(capsys, "commutator", "x1 + x2; x2", "x1; x2 + 1")
     assert code == 0
     assert out.strip() == "x1 + 1; x2"
+
+
+def test_commutator_that_the_inverse_chain_refused_replays(capsys):
+    # phi^-1 psi^-1 phi psi, multiplied out left to right, substitutes
+    # offsets of phi^-1 psi^-1 and passes MAX_SUBSTITUTION_TERMS here;
+    # the left division substitutes only offsets of phi and psi
+    phi = "x1 + 2*x2^4; x2; x3; x4"
+    psi = "x1 - 5/4*x2 + 2*x3*x2*x4; x2 + 1/4*x4*x3^2*x4; x3 + 1/3*x4^3; x4 - 6"
+    code, out, err = run(capsys, "commutator", phi, psi)
+    assert code == 0, err
+    phi, psi, answer = parse_aut(phi), parse_aut(psi), parse_aut(out.strip())
+    assert phi * psi == psi * phi * answer
 
 
 def test_apply_command(capsys):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from unitri import cli, suites
+from unitri import autgroup, cli, suites
 from unitri.autgroup import UniAut
 from unitri.central import CentralizerClass, OrdinalLevel
 from unitri.invariants import Verdict, hypothesis1_report, remark_pi_check
@@ -82,11 +82,10 @@ def _skew_mul(a, b):
 # checks that must print FAIL)
 BREAKS = [
     ("group-axioms", UniAut, "invert", lambda self: self,
-     ["inverse round trip", "commutators freeze the last variable",
-      "solvability shape"]),
+     ["inverse round trip"]),
     ("group-axioms", UniAut, "__mul__", _skew_mul,
-     ["inverse round trip", "associativity", "solvability shape",
-      "semidirect factors recompose"]),
+     ["inverse round trip", "associativity", "commutators freeze the last variable",
+      "solvability shape", "semidirect factors recompose"]),
     ("group-axioms", suites, "group_commutator", lambda phi, psi: phi,
      ["commutators freeze the last variable", "solvability shape"]),
     ("group-axioms", suites, "compose_chain", lambda maps: maps[0],
@@ -141,6 +140,10 @@ BREAKS = [
      ["abelianized layer 1 matches its predicted image",
       "abelianized layer 2 matches its predicted image",
       "abelianized layer 3 matches its predicted image"]),
+    # last, so that each row above keeps the index in its test id
+    ("group-axioms", autgroup, "_solve", lambda psi, z: psi,
+     ["inverse round trip", "commutators freeze the last variable",
+      "solvability shape"]),
 ]
 
 
