@@ -353,6 +353,24 @@ def c_product_span(cap):
 # -- free-module straightening ------------------------------------------------
 
 
+def _add_with_tail(acc, vec, tail, c):
+    """acc[w + tail] += c * n over the (w, n) of vec, in place, dropping
+    every entry that cancels; c is a nonzero int."""
+    get = acc.get
+    for w, n in vec.items():
+        w += tail
+        n *= c
+        old = get(w)
+        if old is None:
+            acc[w] = n
+            continue
+        n += old
+        if n:
+            acc[w] = n
+        else:
+            del acc[w]
+
+
 def specht_straighten(f, cap):
     """Write f as sum of r_(a,b) * x2^a * x3^b with r_(a,b) in the
     subalgebra B that the commutators generate, keyed by (a, b) in
@@ -370,34 +388,68 @@ def specht_straighten(f, cap):
     a.  So r_(a,b), the (0, 0) coefficient of D(a,b)f, is pi2(pi3(D(a,b)f)),
     and D(i,0) D(0,j) D(a,b) = C(a+i,i) C(b+j,j) D(a+i,b+j).
 
-    Each word is folded once into {(p, q): {subword: n}}, in ints over
-    f's common denominator; then comes the sum over j, then that over i.
+    Lemma.  pi3(v * x3^c) = 0 for every word v and every c >= 1.  Proof:
+    D(0,j) deletes j1 letters from v and j2 from x3^c in C(c,j2) ways, so
+      pi3(v * x3^c) = sum_(j1) (-1)^(j1) D(0,j1)(v) x3^(c+j1)
+                      * sum_(j2) (-1)^(j2) C(c,j2) = 0.
+    So the x3 projection H_(p,b) = pi3(D(p,b)f) needs only the keep-sets
+    (the kept positions of a word w) that are empty or whose last kept
+    letter is an x2.  The empty one adds the empty word to H_(n2,n3), n2
+    and n3 counting w's letters x2 and x3.  One whose last kept letter is
+    the x2 at position m deletes the e2 letters x2 and e3 letters x3 after
+    m and gives s * x2, with s a subword of w[:m] that deletes pp letters
+    x2 and q letters x3 there.  pi3 deletes no x2, so it sends s * x2 to
+    sum_j (-1)^j D(0,j)(s) x2 x3^j; counted over the keep-sets of w[:m],
+    s * x2 goes to H_(pp+e2, q+e3-j) as s * x2 * x3^j with the factor
+    (-1)^j C(q,j), j = 0..q.
+
+    Bookkeeping.  Each word's subword pass stops at its last x2 and files
+    each s, at each x2, under the key (pp + e2, q, e3), merged over every
+    word of f; then each key fans out once into H, and H fans out over x2
+    by pi2, tails x2^i.  Every coefficient is an int over f's common
+    denominator.
     """
     _require_vars(f, (2, 3), "f")
     if f.degree() > cap:
         raise CapViolationError(f"degree {f.degree()} exceeds cap {cap}")
-    parts = {}   # (p, q) -> {subword: n}; a word's subword fixes its p, q
+    keyed = {}   # (pp + e2, q, e3) -> {s: n}
+    h = {}       # (p, b) -> pi3(D(p,b)f)
     for word, c in f.ints.items():
-        subs = {(): c}
-        for letter in word:
+        n3 = word.count(3)
+        n2 = len(word) - n3
+        add_term(h.setdefault((n2, n3), {}), (), c)   # the empty keep-set
+        if not n2:
+            continue     # no keep-set ends in x2
+        subs = {(): c}   # the subwords of the prefix before position m
+        a2 = 0           # the letters x2 in that prefix
+        for m, letter in enumerate(word):
+            if letter == 2:
+                a3 = m - a2
+                e3 = n3 - a3
+                for s, n in subs.items():
+                    k2 = s.count(2)   # pp = a2 - k2, e2 = n2 - a2 - 1
+                    group = keyed.setdefault((n2 - 1 - k2, a3 - len(s) + k2, e3), {})
+                    v = group.get(s, 0) + n
+                    if v:
+                        group[s] = v
+                    else:
+                        del group[s]
+                a2 += 1
+                if a2 == n2:
+                    break
             nxt = dict(subs)   # the letter deleted
-            for s, n in subs.items():
-                add_term(nxt, s + (letter,), n)
+            _add_with_tail(nxt, subs, (letter,), 1)
             subs = nxt
-        for s, n in subs.items():
-            p = word.count(2) - s.count(2)
-            add_term(parts.setdefault((p, len(word) - len(s) - p), {}), s, n)
-    for axis in (1, 0):   # pi3: q and tails x3^j; then pi2: p and tails x2^i
-        out = {}
-        for pq, group in parts.items():
-            e = pq[axis]
-            moves = [(out.setdefault(pq[:axis] + (e - j,) + pq[axis + 1:], {}),
-                      (2 + axis,) * j, (-1) ** j * math.comb(e, j)) for j in range(e + 1)]
-            for s, n in group.items():
-                for target, tail, scale in moves:
-                    add_term(target, s + tail, scale * n)
-        parts = out
-    return {k: NcPoly._reduced(3, f.den, t) for k, t in sorted(parts.items()) if t}
+    for (p, q, e3), group in keyed.items():
+        for j in range(q + 1):
+            _add_with_tail(h.setdefault((p, q + e3 - j), {}), group,
+                           (2,) + (3,) * j, (-1) ** j * math.comb(q, j))
+    out = {}
+    for (p, b), group in h.items():   # pi2: tails x2^i
+        for i in range(p + 1):
+            _add_with_tail(out.setdefault((p - i, b), {}), group,
+                           (2,) * i, (-1) ** i * math.comb(p, i))
+    return {k: NcPoly._reduced(3, f.den, t) for k, t in sorted(out.items()) if t}
 
 
 def straighten_reconstruct(components):

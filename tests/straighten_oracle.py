@@ -1,17 +1,74 @@
-"""Independent reference for the free-module straightening.
+"""Independent references for the free-module straightening.
 
-The package straightens in closed form by Leibniz rules.  This oracle
-instead builds an explicit basis of each degree slice from the free Lie
-algebra: products r * x2^a * x3^b, with r running over ordered products
-of standard-bracketed Lyndon words of length >= 2, and solves for the
-coordinates by exact row reduction.  Shuffling the candidates before the
-solve checks that the answer does not depend on the order of the basis.
+The package straightens in closed form by Leibniz rules, expanding only
+the keep-sets whose last kept letter is an x2.  Two oracles check it.
+closed_form_straighten is the same closed form with no pruning: every
+subword of every word goes through both projections.
+shuffled_solve_straighten instead builds an explicit basis of each degree
+slice from the free Lie algebra: products r * x2^a * x3^b, with r running
+over ordered products of standard-bracketed Lyndon words of length >= 2,
+and solves for the coordinates by exact row reduction.  Shuffling the
+candidates before the solve checks that the answer does not depend on the
+order of the basis.
 """
 
+import math
 from functools import lru_cache
 
-from unitri.freealg import NcPoly, grlex_key, ring_commutator
+from unitri.freealg import NcPoly, add_term, grlex_key, ring_commutator
 from unitri.linalg import Echelon
+
+
+def closed_form_straighten(f):
+    """The straightening map of f by the two projections in full.
+
+    With D(p,q) = d2^p d3^q / (p! q!), which deletes p letters x2 and q
+    letters x3 from a word in every way,
+      r_(a,b) = sum_(i,j) (-1)^(i+j) C(a+i,i) C(b+j,j) D(a+i,b+j)(f) x3^j x2^i.
+    Every coefficient is an int over f's common denominator.
+    """
+    parts = deletion_parts(f)
+    for axis in (1, 0):   # pi3: q and tails x3^j; then pi2: p and tails x2^i
+        parts = project(parts, axis)
+    return {k: NcPoly._reduced(3, f.den, t) for k, t in sorted(parts.items()) if t}
+
+
+def deletion_parts(f):
+    """{(p, q): D(p,q)(f)} in ints over f's common denominator: each word
+    is folded once into its subwords, and a word's subword fixes its p, q."""
+    parts = {}
+    for word, c in f.ints.items():
+        subs = {(): c}
+        for letter in word:
+            nxt = dict(subs)   # the letter deleted
+            for s, n in subs.items():
+                add_term(nxt, s + (letter,), n)
+            subs = nxt
+        for s, n in subs.items():
+            p = word.count(2) - s.count(2)
+            add_term(parts.setdefault((p, len(word) - len(s) - p), {}), s, n)
+    return parts
+
+
+def project(parts, axis):
+    """The sum over j of (-1)^j C(e, j) times the part of index e on
+    `axis`, moved to index e - j with the tail x3^j (axis 1) or x2^j
+    (axis 0).  Axis 1 turns {(p, q): D(p,q)(f)} into
+    {(p, b): pi3(D(p,b)(f))}, pi3(g) = sum_j (-1)^j D(0,j)(g) x3^j."""
+    out = {}
+    for pq, group in parts.items():
+        e = pq[axis]
+        moves = [(out.setdefault(pq[:axis] + (e - j,) + pq[axis + 1:], {}),
+                  (2 + axis,) * j, (-1) ** j * math.comb(e, j)) for j in range(e + 1)]
+        for s, n in group.items():
+            for target, tail, scale in moves:
+                add_term(target, s + tail, scale * n)
+    return out
+
+
+def pi3(f):
+    """pi3(f) as a polynomial: the (0, 0) part of the x3 projection."""
+    return NcPoly._reduced(3, f.den, project(deletion_parts(f), 1).get((0, 0), {}))
 
 
 @lru_cache(maxsize=None)

@@ -45,7 +45,7 @@ from layer_oracle import (
     positive_compositions,
     sampled_reverify,
 )
-from straighten_oracle import shuffled_solve_straighten
+from straighten_oracle import closed_form_straighten, pi3, shuffled_solve_straighten
 
 SD = 2   # the shift degree of the sampled oracles
 SEED, TRIALS, HEIGHT = 9, 15, 6   # the sampled oracles' seed, trial count and scalar bound
@@ -574,6 +574,35 @@ def test_straighten_unique_under_reordered_solver(rng):
         f = rand_poly(rng, 3, 5, vars_from=2)
         expected = specht_straighten(f, 5)
         assert shuffled_solve_straighten(f, rng) == expected
+
+
+def test_straighten_equals_unpruned_closed_form(rng):
+    # the kernel fans out only the keep-sets that are empty or end in x2;
+    # the oracle sends every subword through both projections
+    for d in range(10):
+        for word in itertools.product((2, 3), repeat=d):
+            f = NcPoly(3, {word: 1})
+            assert specht_straighten(f, 9) == closed_form_straighten(f), word
+    for _ in range(100):
+        f = rand_poly(rng, 3, 12, vars_from=2)
+        assert specht_straighten(f, 12) == closed_form_straighten(f)
+
+
+def test_pi3_kills_words_ending_in_x3():
+    # the lemma that lets the kernel skip every keep-set ending in x3
+    for d in range(9):
+        for v in itertools.product((2, 3), repeat=d):
+            for c in (1, 2):
+                assert pi3(NcPoly(3, {v + (3,) * c: 1})).is_zero(), (v, c)
+
+
+def test_pi3_keeps_words_ending_in_x2():
+    # so the lemma above does not hold for a vacuous reason: pi3(v * x2)
+    # keeps v * x2 itself, its j = 0 term
+    for d in range(9):
+        for v in itertools.product((2, 3), repeat=d):
+            p = pi3(NcPoly(3, {v + (2,): 1}))
+            assert (p.den, p.ints[v + (2,)]) == (1, 1), v
 
 
 def test_straighten_deep_degree_12(rng):
